@@ -247,20 +247,36 @@ def save_params(store: ParamStore, path: str | Path) -> None:
 
 
 def load_params(store: ParamStore, path: str | Path) -> ParamStore:
-    """Return a copy of ``store`` with blocks overwritten from the file."""
+    """Return a copy of ``store`` with blocks overwritten from the file.
+
+    Raises ValueError on a malformed file: bad magic, a block header or name
+    cut short, a count larger than the payload left, or non-finite values.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != _PW_MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}")
     pos = 4
     updates: dict[str, np.ndarray] = {}
     while pos < len(raw):
+        if len(raw) - pos < 2:
+            raise ValueError(f"{path}: truncated block header at byte {pos}")
         (nlen,) = struct.unpack_from("<H", raw, pos)
         pos += 2
-        name = raw[pos:pos + nlen].decode("utf-8")
+        if len(raw) - pos < nlen + 8:
+            raise ValueError(f"{path}: truncated block name or count at byte {pos}")
+        try:
+            name = raw[pos:pos + nlen].decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: block name at byte {pos} is not UTF-8") from None
         pos += nlen
         (count,) = struct.unpack_from("<Q", raw, pos)
         pos += 8
+        if count * 8 > len(raw) - pos:
+            raise ValueError(f"{path}: block {name!r} declares {count} values, "
+                             f"but only {len(raw) - pos} payload bytes remain")
         arr = np.frombuffer(raw, dtype="<f8", count=count, offset=pos).copy()
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{path}: block {name!r} holds non-finite values")
         pos += count * 8
         updates[name] = arr
     return store.replaced(updates)

@@ -58,14 +58,28 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class PillarSet:
-    """Sparse 2D grid cells: (ix, iy) -> member point indices + raw features."""
+    """Occupied 2D grid cells as arrays, in lexicographic (ix, iy) order.
+
+    Row k of ``keys`` and ``features`` describes one cell; its member point
+    indices (into the binned cloud) are ``members[offsets[k]:offsets[k + 1]]``,
+    in ascending point order.
+    """
 
     spec: GridSpec
-    cells: dict[tuple[int, int], np.ndarray]  # member point indices
-    features: dict[tuple[int, int], np.ndarray]  # (RAW_FEATURE_DIM,)
+    keys: np.ndarray  # (M, 2) int64
+    features: np.ndarray  # (M, RAW_FEATURE_DIM)
+    members: np.ndarray  # (P,) int64, grouped by cell
+    offsets: np.ndarray  # (M + 1,) int64
 
     def __len__(self) -> int:
-        return len(self.cells)
+        return len(self.keys)
+
+    @property
+    def cells(self) -> dict[tuple[int, int], np.ndarray]:
+        """``{(ix, iy): member indices}``, built on every access; for
+        inspection only."""
+        return {(int(ix), int(iy)): self.members[self.offsets[k]:self.offsets[k + 1]]
+                for k, (ix, iy) in enumerate(self.keys)}
 
 
 @dataclass(frozen=True)
@@ -102,81 +116,153 @@ def _in_bounds_mask(pts: np.ndarray, spec: GridSpec) -> np.ndarray:
     return np.all((pts >= lo) & (pts < hi), axis=1)
 
 
-def voxelize(cloud: PointCloud, spec: GridSpec) -> tuple[int, dict[tuple[int, int, int], np.ndarray]]:
-    """Count occupied voxels and compute per-voxel (count, centroid) features.
+def voxelize(cloud: PointCloud, spec: GridSpec) -> tuple[int, np.ndarray]:
+    """Count occupied voxels and compute their (count, centroid) features.
 
     Points outside the bounds are discarded; a voxel is occupied when it
-    contains at least one point.
+    contains at least one point. Returns the count and an (M, 4) matrix of
+    [count, centroid x, y, z] rows in sorted voxel order.
     """
     pts = np.asarray(cloud.points, dtype=float)
+    if pts.size:
+        pts = pts[_in_bounds_mask(pts, spec)]
     if pts.size == 0:
-        return 0, {}
-    pts = pts[_in_bounds_mask(pts, spec)]
-    if pts.size == 0:
-        return 0, {}
+        return 0, np.zeros((0, 4))
     res = np.array(spec.resolution)
     idx = np.floor((pts - np.array(spec.bounds_min)) / res).astype(np.int64)
     # scalar cell keys sort far faster than row-wise unique
     ky = int(idx[:, 1].max()) + 1
     kz = int(idx[:, 2].max()) + 1
     keys = (idx[:, 0] * ky + idx[:, 1]) * kz + idx[:, 2]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    uniq = idx[first]
+    _, inverse = np.unique(keys, return_inverse=True)
     inverse = inverse.ravel()
-    counts = np.bincount(inverse, minlength=len(uniq)).astype(float)
-    sums = np.zeros((len(uniq), 3))
-    np.add.at(sums, inverse, pts)
+    counts = np.bincount(inverse).astype(float)
+    sums = np.column_stack([np.bincount(inverse, weights=pts[:, c]) for c in range(3)])
     mat = np.column_stack([counts, sums / counts[:, None]])
-    feats = {(int(k[0]), int(k[1]), int(k[2])): mat[i] for i, k in enumerate(uniq)}
-    return len(uniq), feats
+    return len(mat), mat
 
 
-def pillarize(cloud: PointCloud, spec: GridSpec) -> PillarSet:
+def _search_rings(spec: GridSpec, r_max: float) -> int:
+    """Chebyshev radius, in cells, of the window lane_sample searches."""
+    return int(math.ceil(r_max / min(spec.resolution[0], spec.resolution[1]))) + 1
+
+
+def _roi_cells(roi: LaneROI, spec: GridSpec, rings: int) -> np.ndarray:
+    """(n_d * n_p, 2) int64 grid cell of every ROI point.
+
+    A cell further than ``rings`` outside the grid is clamped to just beyond
+    that distance: its search window stays free of grid cells, and the
+    integer cast stays defined for any finite coordinate.
+    """
+    pts = np.asarray(roi.points, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("lane ROI contains non-finite points")
+    origin = np.array(spec.bounds_min[:2])
+    res = np.array(spec.resolution[:2])
+    last = np.floor((np.array(spec.bounds_max[:2]) - origin) / res)
+    cells = np.floor((pts.reshape(-1, pts.shape[-1])[:, :2] - origin) / res)
+    return np.clip(cells, -rings - 1, last + rings + 1).astype(np.int64)
+
+
+def _window_points(pts: np.ndarray, spec: GridSpec, roi: LaneROI,
+                   r_max: float) -> np.ndarray:
+    """Ascending indices of the in-bounds points whose cell lies in the
+    search window of at least one ROI point."""
+    rings = _search_rings(spec, r_max)
+    cells = _roi_cells(roi, spec, rings)
+    if len(cells) == 0 or pts.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    lo = cells.min(axis=0) - rings
+    shape = cells.max(axis=0) + rings + 1 - lo
+    origin = np.array(spec.bounds_min[:2])
+    res = np.array(spec.resolution[:2])
+    # Coarse cut on raw coordinates first, one cell wider on each side than
+    # the windows so that quantization rounding cannot drop a point.
+    box_lo = origin + (lo - 1) * res
+    box_hi = origin + (lo + shape + 1) * res
+    x = pts[:, 0]
+    near = np.flatnonzero((x >= box_lo[0]) & (x < box_hi[0]))
+    y = pts[near, 1]
+    near = near[(y >= box_lo[1]) & (y < box_hi[1])]
+    near = near[_in_bounds_mask(pts[near], spec)]
+    idx = np.floor((pts[near, :2] - origin) / res).astype(np.int64) - lo
+    inside = np.all((idx >= 0) & (idx < shape), axis=1)
+    near, idx = near[inside], idx[inside]
+    window = np.zeros(shape, dtype=bool)
+    off = np.arange(-rings, rings + 1)
+    wx = cells[:, 0, None] - lo[0] + off
+    wy = cells[:, 1, None] - lo[1] + off
+    window[wx[:, :, None], wy[:, None, :]] = True
+    return near[window[idx[:, 0], idx[:, 1]]]
+
+
+def _bin(pts: np.ndarray, keep: np.ndarray, spec: GridSpec) -> PillarSet:
+    """Pillars of the points ``pts[keep]`` (``keep`` ascending), grouped by
+    one stable sort on the cell key. Per-cell sums, minima and maxima take
+    the points in index order, so each cell is the same whichever other
+    points were binned."""
+    if keep.size == 0:
+        return PillarSet(spec=spec, keys=np.zeros((0, 2), dtype=np.int64),
+                         features=np.zeros((0, RAW_FEATURE_DIM)),
+                         members=np.zeros(0, dtype=np.int64), offsets=np.zeros(1, dtype=np.int64))
+    origin = np.array(spec.bounds_min[:2])
+    res = np.array(spec.resolution[:2])
+    kept = pts[keep]
+    idx = np.floor((kept[:, :2] - origin) / res).astype(np.int64)
+    flat = idx[:, 0] * (int(idx[:, 1].max()) + 1) + idx[:, 1]
+    order = np.argsort(flat, kind="stable")
+    flat = flat[order]
+    starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
+    m = len(starts)
+    offsets = np.r_[starts, len(flat)]
+    counts = np.diff(offsets)
+    cell = np.repeat(np.arange(m), counts)
+    srt = kept[order]
+    sums = np.column_stack([np.bincount(cell, weights=srt[:, c], minlength=m) for c in range(3)])
+    centroids = sums / counts[:, None]
+    zmin = np.full(m, np.inf)
+    zmax = np.full(m, -np.inf)
+    np.minimum.at(zmin, cell, srt[:, 2])
+    np.maximum.at(zmax, cell, srt[:, 2])
+    keys = idx[order[starts]]
+    centers = origin + (keys + 0.5) * res
+    feats = np.column_stack([
+        counts.astype(float), centroids, zmin, zmax, centroids[:, :2] - centers, np.zeros(m),
+    ])
+    return PillarSet(spec=spec, keys=keys, features=feats, members=keep[order],
+                     offsets=offsets)
+
+
+def pillarize(cloud: PointCloud, spec: GridSpec, roi: LaneROI | None = None,
+              r_max: float = 2.0) -> PillarSet:
     """Group points into one vertical pillar per occupied (ix, iy) cell.
 
     Requires dz to span the whole z range (a single z bin); the pillar's
     z extent is taken from its member points, not the grid.
+
+    With ``roi``, only points in the cells that ``lane_sample(pillars, roi,
+    r_max)`` searches are binned. Each of those cells comes out exactly as
+    in the full-cloud set, so the lane samples are the same.
     """
     dz = spec.resolution[2]
     zspan = spec.bounds_max[2] - spec.bounds_min[2]
     if not math.isclose(dz, zspan, rel_tol=1e-9):
         raise ValueError(f"pillar grid needs a single z bin: dz={dz}, z span={zspan}")
     pts = np.asarray(cloud.points, dtype=float)
-    cells: dict[tuple[int, int], np.ndarray] = {}
-    features: dict[tuple[int, int], np.ndarray] = {}
-    if pts.size:
+    if roi is not None:
+        keep = _window_points(pts, spec, roi, r_max)
+    elif pts.size:
         keep = np.flatnonzero(_in_bounds_mask(pts, spec))
-        if keep.size:
-            kept = pts[keep]
-            res = np.array(spec.resolution[:2])
-            idx = np.floor((kept[:, :2] - np.array(spec.bounds_min[:2])) / res).astype(np.int64)
-            ky = int(idx[:, 1].max()) + 1
-            keys = idx[:, 0] * ky + idx[:, 1]
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            uniq = idx[first]
-            inverse = inverse.ravel()
-            counts = np.bincount(inverse, minlength=len(uniq)).astype(float)
-            sums = np.zeros((len(uniq), 3))
-            np.add.at(sums, inverse, kept)
-            centroids = sums / counts[:, None]
-            zmin = np.full(len(uniq), np.inf)
-            zmax = np.full(len(uniq), -np.inf)
-            np.minimum.at(zmin, inverse, kept[:, 2])
-            np.maximum.at(zmax, inverse, kept[:, 2])
-            centers = (np.array(spec.bounds_min[:2])
-                       + (uniq + 0.5) * np.array(spec.resolution[:2]))
-            mat = np.column_stack([
-                counts, centroids, zmin, zmax,
-                centroids[:, :2] - centers, np.zeros(len(uniq)),
-            ])
-            order = np.argsort(inverse, kind="stable")
-            sorted_members = keep[order]
-            bounds = np.concatenate([[0], np.cumsum(np.bincount(inverse))])
-            for k in range(len(uniq)):
-                key = (int(uniq[k, 0]), int(uniq[k, 1]))
-                features[key] = mat[k]
-                cells[key] = sorted_members[bounds[k]:bounds[k + 1]]
-    return PillarSet(spec=spec, cells=cells, features=features)
+    else:
+        keep = np.zeros(0, dtype=np.int64)
+    return _bin(pts, keep, spec)
+
+
+# A float64 square through ``** 2`` (pow) rounds differently from x * x in
+# about 0.1% of cases, by at most an ulp or two. Candidates within this
+# relative margin of the best one, or of r_max^2, are re-ranked with the
+# scalar formula so the choice matches a scalar search exactly.
+_RERANK_MARGIN = 1e-12
 
 
 def lane_sample(pillars: PillarSet, roi: LaneROI, r_max: float = 2.0) -> LanePillarSet:
@@ -185,56 +271,62 @@ def lane_sample(pillars: PillarSet, roi: LaneROI, r_max: float = 2.0) -> LanePil
 
     Ties break toward the lexicographically smaller (ix, iy). The output
     always has exactly n_d x n_p entries, whatever the cloud contained.
+    Raises ValueError on non-finite ROI points.
     """
     if r_max <= 0:
         raise ValueError(f"r_max must be > 0, got {r_max}")
     spec = pillars.spec
-    dx, dy = spec.resolution[0], spec.resolution[1]
     pts = np.asarray(roi.points, dtype=float)
     n_d, n_p, _ = pts.shape
+    rings = _search_rings(spec, r_max)
+    cells = _roi_cells(roi, spec, rings)
     feats = np.zeros((n_d, n_p, RAW_FEATURE_DIM))
     empty = np.ones((n_d, n_p), dtype=bool)
     source = np.full((n_d, n_p, 2), -1, dtype=np.int64)
-    if not pillars.cells:
+    if len(pillars) == 0 or len(cells) == 0:
         return LanePillarSet(features=feats, empty=empty, source_cells=source)
 
-    max_ring = int(math.ceil(r_max / min(dx, dy))) + 1
-    x0, y0 = spec.bounds_min[0], spec.bounds_min[1]
+    # Every ROI point's (2 * rings + 1)^2 window, in (ix, iy) order per row.
+    off = np.arange(-rings, rings + 1)
+    cx, cy = np.broadcast_arrays((cells[:, 0, None] + off)[:, :, None],
+                                 (cells[:, 1, None] + off)[:, None, :])
+    cx = cx.reshape(len(cells), -1)
+    cy = cy.reshape(len(cells), -1)
+    ky = int(pillars.keys[:, 1].max()) + 1
+    flat_keys = pillars.keys[:, 0] * ky + pillars.keys[:, 1]  # ascending
+    flat = cx * ky + cy
+    row = np.minimum(np.searchsorted(flat_keys, flat), len(flat_keys) - 1)
+    found = (cy >= 0) & (cy < ky) & (flat_keys[row] == flat)
 
-    for i in range(n_d):
-        for j in range(n_p):
-            px, py = pts[i, j, 0], pts[i, j, 1]
-            cx = int(math.floor((px - x0) / dx))
-            cy = int(math.floor((py - y0) / dy))
-            best: tuple[float, int, int] | None = None
-            for ring in range(max_ring + 1):
-                if best is not None:
-                    # Closest possible center in this ring; stop once it
-                    # cannot beat the incumbent.
-                    ring_floor = (ring - 1) * min(dx, dy) if ring > 0 else 0.0
-                    if ring_floor > math.sqrt(best[0]):
-                        break
-                if ring == 0:
-                    candidates = [(cx, cy)]
-                else:
-                    candidates = []
-                    for ox in range(-ring, ring + 1):
-                        for oy in range(-ring, ring + 1):
-                            if max(abs(ox), abs(oy)) == ring:
-                                candidates.append((cx + ox, cy + oy))
-                for key in candidates:
-                    if key not in pillars.cells:
-                        continue
-                    ccx, ccy = spec.cell_center_xy(*key)
-                    d2 = (ccx - px) ** 2 + (ccy - py) ** 2
-                    cand = (d2, key[0], key[1])
-                    if best is None or cand < best:
-                        best = cand
-            if best is not None and best[0] <= r_max * r_max:
-                key = (best[1], best[2])
-                feats[i, j] = pillars.features[key]
-                empty[i, j] = False
-                source[i, j] = key
+    xy = pts.reshape(-1, pts.shape[-1])[:, :2]
+    x0, y0 = spec.bounds_min[0], spec.bounds_min[1]
+    dx, dy = spec.resolution[0], spec.resolution[1]
+    fq = np.nonzero(found)[0]
+    d2 = np.full(found.shape, np.inf)
+    d2[found] = ((x0 + (cx[found] + 0.5) * dx - xy[fq, 0]) ** 2
+                 + (y0 + (cy[found] + 0.5) * dy - xy[fq, 1]) ** 2)
+    best = np.argmin(d2, axis=1)  # first minimum: smallest (ix, iy) among ties
+    q = np.arange(len(cells))
+    d2_best = d2[q, best]
+    r2 = r_max * r_max
+    take = d2_best <= r2
+    close = found & (d2 <= d2_best[:, None] * (1.0 + _RERANK_MARGIN))
+    rerank = (close.sum(axis=1) > 1) | (np.abs(d2_best - r2) <= r2 * _RERANK_MARGIN)
+    for i in np.flatnonzero(rerank):
+        px, py = xy[i, 0], xy[i, 1]
+        ranked = []
+        for k in np.flatnonzero(close[i]):
+            ccx, ccy = spec.cell_center_xy(int(cx[i, k]), int(cy[i, k]))
+            ranked.append(((ccx - px) ** 2 + (ccy - py) ** 2, int(cx[i, k]),
+                           int(cy[i, k]), k))
+        d2_i, _, _, best[i] = min(ranked)
+        take[i] = d2_i <= r2
+
+    hit = np.flatnonzero(take)
+    k = best[hit]
+    feats.reshape(-1, RAW_FEATURE_DIM)[hit] = pillars.features[row[hit, k]]
+    empty.reshape(-1)[hit] = False
+    source.reshape(-1, 2)[hit] = np.column_stack([cx[hit, k], cy[hit, k]])
     return LanePillarSet(features=feats, empty=empty, source_cells=source)
 
 

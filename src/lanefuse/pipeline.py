@@ -80,7 +80,7 @@ def run_pipeline(scene: Scene, cfg: RunConfig, store: ParamStore) -> PipelineRes
 
     cloud = timed("render_lidar", render_lidar, scene, cfg.lidar_density,
                   cfg.lidar_noise_sigma, scene.spec.seed)
-    pillars = timed("pillarize", pillarize, cloud, cfg.pillar_spec())
+    pillars = timed("pillarize", pillarize, cloud, cfg.pillar_spec(), prior.roi, cfg.r_max)
     lane_pillars = timed("lane_sample", lane_sample, pillars, prior.roi, cfg.r_max)
     f_lane = timed("encode_pillars", encode_pillars, lane_pillars,
                    store["pillar_enc.w"], store["pillar_enc.b"])
@@ -159,7 +159,11 @@ def bench_suite(scenes: list[Scene], cfg: RunConfig, store: ParamStore,
                 repeats: int | None = None,
                 best_of: int = 5) -> tuple[list[dict], dict[str, float]]:
     """Per-stage latency over a suite for the dense-pillar and lane-level
-    variants, plus the encoding comparison summary.
+    variants, plus the pillarize and encoding comparison summary.
+
+    The lane-level variant bins only the points around the coarse ROI
+    (ROI-first ``pillarize``); the dense variant bins and encodes the whole
+    cloud.
 
     The reported median is the median of per-scene medians, which stays
     reproducible even though scenes differ widely in cost; p95 is taken over
@@ -182,7 +186,7 @@ def bench_suite(scenes: list[Scene], cfg: RunConfig, store: ParamStore,
         q_image = QuerySet(queries=store["q_image"])
         f_image = image_transformer(tokens, q_image, store, bc)
         cloud = render_lidar(scene, cfg.lidar_density, cfg.lidar_noise_sigma, scene.spec.seed)
-        pillars = pillarize(cloud, cfg.pillar_spec())
+        pillars = pillarize(cloud, cfg.pillar_spec(), prior.roi, cfg.r_max)
         lane_pillars = lane_sample(pillars, prior.roi, cfg.r_max)
         f_lane = encode_pillars(lane_pillars, w_enc, b_enc)
         q_lidar = init_lidar_queries(f_lane, store)
@@ -191,9 +195,8 @@ def bench_suite(scenes: list[Scene], cfg: RunConfig, store: ParamStore,
         f_enhanced = enhance_features(f_image, f_lidar, prior.weights)
         predictions = heads_forward(f_enhanced, store)
         predicted = predictions_to_double_edge(predictions)
-        dense_feats = (np.stack([pillars.features[k] for k in pillars.cells])
-                       if pillars.cells else np.zeros((0, 9)))
-        dense_counts.append(float(len(pillars)))
+        dense_feats = pillarize(cloud, cfg.pillar_spec()).features
+        dense_counts.append(float(len(dense_feats)))
 
         def fusion_chain():
             qi = integrate_queries(q_image, init_lidar_queries(f_lane, store), prior.weights)
@@ -201,7 +204,8 @@ def bench_suite(scenes: list[Scene], cfg: RunConfig, store: ParamStore,
                                     prior.weights)
 
         stages = [
-            ("pillarize", "lane_level", lambda: pillarize(cloud, cfg.pillar_spec())),
+            ("pillarize", "lane_level",
+             lambda: pillarize(cloud, cfg.pillar_spec(), prior.roi, cfg.r_max)),
             ("lane_sample", "lane_level", lambda: lane_sample(pillars, prior.roi, cfg.r_max)),
             ("encode", "lane_level", lambda: encode_pillars(lane_pillars, w_enc, b_enc)),
             ("fusion", "lane_level", fusion_chain),
@@ -235,6 +239,8 @@ def bench_suite(scenes: list[Scene], cfg: RunConfig, store: ParamStore,
     med = {(r["stage"], r["variant"]): r["median_ms"] for r in rows}
     lane_level = float(cfg.n_d * cfg.n_p)
     summary = {
+        "pillarize_speedup": (med[("pillarize", "dense_pillar")]
+                              / max(med[("pillarize", "lane_level")], 1e-12)),
         "encode_speedup": med[("encode", "dense_pillar")] / max(med[("encode", "lane_level")], 1e-12),
         "mean_dense_features": float(np.mean(dense_counts)),
         "lane_level_features": lane_level,

@@ -125,6 +125,22 @@ class TestRun:
         assert loaded["predictions"]["speed"] != base["predictions"]["speed"]
         assert loaded["predictions"]["points"] == base["predictions"]["points"]
 
+    def test_truncated_weight_file_exits_2_with_one_line(self, tmp_path, fast_config,
+                                                         caplog):
+        out = tmp_path / "o"
+        main(["gen-scenes", "--config", fast_config, "--suite", "trivial",
+              "--out", str(out)])
+        weights = tmp_path / "w.lfpw"
+        weights.write_bytes(b"LFPW\x01")
+        caplog.clear()
+        code = main(["run", "--config", fast_config, "--scene", str(out / "scene_00.json"),
+                     "--out", str(out), "--params", str(weights)])
+        assert code == 2
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert "truncated block header" in errors[0].getMessage()
+        assert "\n" not in errors[0].getMessage()
+
 
 class TestBench:
     def test_csv_schemas_and_forced_columns(self, tmp_path, fast_config):
@@ -152,6 +168,9 @@ class TestBench:
         assert ("encode", "dense_pillar") in stages
         summary = json.loads((out / "bench_summary.json").read_text())
         assert summary["lane_level_features"] == 120.0
+        med = {(r[0], r[3]): float(r[1]) for r in lrows}
+        assert summary["pillarize_speedup"] == (med[("pillarize", "dense_pillar")]
+                                                / med[("pillarize", "lane_level")])
 
 
 class TestEval:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -337,6 +338,25 @@ class TestParamStore:
         save_params(modified, path)
         loaded = load_params(build_params(run_config.block_config()), path)
         assert loaded["head_spd.b"][0] == 123.0
+
+    @pytest.mark.parametrize("body, match", [
+        (b"\x01", "truncated block header"),
+        (struct.pack("<H", 10) + b"head", "truncated block name"),
+        (struct.pack("<H", 4) + b"name" + b"\x01\x00", "truncated block name or count"),
+        (struct.pack("<H", 2) + b"\xff\xfe" + struct.pack("<Q", 0), "not UTF-8"),
+        (struct.pack("<H", 10) + b"head_spd.b" + struct.pack("<Q", 2)
+         + struct.pack("<d", 1.0), "declares 2 values"),
+        (struct.pack("<H", 10) + b"head_spd.b" + struct.pack("<Q", 2 ** 63), "declares"),
+        (struct.pack("<H", 10) + b"head_spd.b" + struct.pack("<Q", 1)
+         + struct.pack("<d", math.nan), "non-finite"),
+        (struct.pack("<H", 10) + b"head_spd.b" + struct.pack("<Q", 1)
+         + struct.pack("<d", -math.inf), "non-finite"),
+    ])
+    def test_malformed_weight_file_rejected(self, param_store, tmp_path, body, match):
+        path = tmp_path / "bad.lfpw"
+        path.write_bytes(b"LFPW" + body)
+        with pytest.raises(ValueError, match=match):
+            load_params(param_store, path)
 
     def test_unknown_block_rejected(self, param_store):
         with pytest.raises(KeyError):

@@ -39,10 +39,17 @@ def voxel_count_oracle(pts, spec: GridSpec) -> int:
     return len(seen)
 
 
+def feature_row(pillars, key):
+    """The feature row of cell ``key``, found by a scan of ``keys``."""
+    rows = np.flatnonzero(np.all(pillars.keys == np.asarray(key), axis=1))
+    assert len(rows) == 1
+    return pillars.features[rows[0]]
+
+
 def nearest_pillar_oracle(pillars, px, py, r_max):
     """Full scan over all cells with the lexicographic tie rule."""
     best = None
-    for (ix, iy) in pillars.cells:
+    for (ix, iy) in pillars.keys.tolist():
         cx, cy = pillars.spec.cell_center_xy(ix, iy)
         d2 = (cx - px) ** 2 + (cy - py) ** 2
         cand = (d2, ix, iy)
@@ -56,7 +63,7 @@ def nearest_pillar_oracle(pillars, px, py, r_max):
 class TestVoxelize:
     def test_empty_cloud(self):
         count, feats = voxelize(PointCloud(points=np.zeros((0, 3))), make_spec())
-        assert count == 0 and feats == {}
+        assert count == 0 and feats.shape == (0, 4)
 
     def test_eight_points_in_eight_cells(self):
         spec = make_spec()
@@ -86,7 +93,7 @@ class TestVoxelize:
         pts = np.array([[100.0, 0.0, 0.0], [0.0, 0.0, 0.25]])
         count, feats = voxelize(PointCloud(points=pts), spec)
         assert count == 1
-        (key, feat), = feats.items()
+        feat, = feats
         assert feat[0] == 1.0
         assert np.allclose(feat[1:], pts[1])
 
@@ -97,7 +104,7 @@ class TestPillarize:
         pts = np.array([[0.1, 0.1, 0.1], [0.12, 0.13, 3.0]])
         ps = pillarize(PointCloud(points=pts), spec)
         assert len(ps) == 1
-        feat = next(iter(ps.features.values()))
+        feat = ps.features[0]
         assert feat[0] == 2.0
         assert feat[4] == 0.1 and feat[5] == 3.0
 
@@ -122,10 +129,12 @@ class TestPillarize:
         for p in pts:
             key = (math.floor((p[0] + 10.0) / 0.5), math.floor((p[1] + 10.0) / 0.5))
             groups.setdefault(key, []).append(p)
-        assert set(ps.cells) == set(groups)
+        keys = list(map(tuple, ps.keys.tolist()))
+        assert set(keys) == set(groups)
+        assert keys == sorted(groups)
         for key, members in groups.items():
             members = np.array(members)
-            feat = ps.features[key]
+            feat = feature_row(ps, key)
             assert feat[0] == len(members)
             assert np.allclose(feat[1:4], members.mean(axis=0))
             assert feat[4] == members[:, 2].min()
@@ -140,10 +149,47 @@ class TestPillarize:
         pts[:, 2] = rng.uniform(0, 7.9, 200)
         spec = pillar_grid_spec()
         ps = pillarize(PointCloud(points=pts), spec)
-        for (ix, iy), members in ps.cells.items():
+        assert ps.offsets[0] == 0 and ps.offsets[-1] == len(ps.members) == len(pts)
+        for k, (ix, iy) in enumerate(ps.keys.tolist()):
+            members = ps.members[ps.offsets[k]:ps.offsets[k + 1]]
+            assert len(members) == ps.features[k, 0]
+            assert np.all(np.diff(members) > 0)
             for m in pts[members]:
                 assert spec.bounds_min[0] + ix * 0.5 <= m[0] < spec.bounds_min[0] + (ix + 1) * 0.5
                 assert spec.bounds_min[1] + iy * 0.5 <= m[1] < spec.bounds_min[1] + (iy + 1) * 0.5
+
+    def test_cells_view_matches_csr_layout(self):
+        rng = np.random.default_rng(9)
+        pts = rng.uniform(-4, 4, (300, 3))
+        ps = pillarize(PointCloud(points=pts), pillar_grid_spec())
+        cells = ps.cells
+        assert list(cells) == list(map(tuple, ps.keys.tolist()))
+        for k, members in enumerate(cells.values()):
+            assert np.array_equal(members, ps.members[ps.offsets[k]:ps.offsets[k + 1]])
+
+    def test_roi_first_bins_exactly_the_search_windows(self):
+        rng = np.random.default_rng(11)
+        spec = pillar_grid_spec()
+        pts = rng.uniform(-11, 11, (3000, 3))
+        pts[:, 2] = rng.uniform(0, 7.9, 3000)
+        roi_pts = rng.uniform(-12, 12, (2, 5, 3))
+        full = pillarize(PointCloud(points=pts), spec)
+        part = pillarize(PointCloud(points=pts), spec, roi=LaneROI(points=roi_pts),
+                         r_max=1.0)
+        rings = math.ceil(1.0 / 0.5) + 1
+        roi_cells = [(math.floor((x + 10.0) / 0.5), math.floor((y + 10.0) / 0.5))
+                     for x, y, _ in roi_pts.reshape(-1, 3)]
+        full_rows = {key: k for k, key in enumerate(map(tuple, full.keys.tolist()))}
+        expected = [key for key in full_rows
+                    if any(max(abs(key[0] - cx), abs(key[1] - cy)) <= rings
+                           for cx, cy in roi_cells)]
+        assert 0 < len(part) < len(full)
+        assert list(map(tuple, part.keys.tolist())) == expected
+        for k, key in enumerate(expected):
+            f = full_rows[key]
+            assert np.array_equal(part.features[k], full.features[f])
+            assert np.array_equal(part.members[part.offsets[k]:part.offsets[k + 1]],
+                                  full.members[full.offsets[f]:full.offsets[f + 1]])
 
     def test_multi_z_bin_grid_rejected(self):
         with pytest.raises(ValueError, match="single z bin"):
@@ -177,17 +223,68 @@ class TestLaneSample:
         pts[:, 2] = rng.uniform(0, 7.9, 400)
         ps = pillarize(PointCloud(points=pts), spec)
         roi_pts = rng.uniform(-11, 11, (6, 20, 3))
-        out = lane_sample(ps, LaneROI(points=roi_pts), r_max=2.0)
-        for i in range(6):
-            for j in range(20):
-                expected = nearest_pillar_oracle(ps, roi_pts[i, j, 0], roi_pts[i, j, 1], 2.0)
-                if expected is None:
-                    assert out.empty[i, j]
-                    assert np.all(out.features[i, j] == 0.0)
-                    assert tuple(out.source_cells[i, j]) == (-1, -1)
-                else:
-                    assert tuple(out.source_cells[i, j]) == expected
-                    assert np.array_equal(out.features[i, j], ps.features[expected])
+        roi = LaneROI(points=roi_pts)
+        roi_first = pillarize(PointCloud(points=pts), spec, roi=roi, r_max=2.0)
+        for binned in (ps, roi_first):
+            out = lane_sample(binned, roi, r_max=2.0)
+            for i in range(6):
+                for j in range(20):
+                    expected = nearest_pillar_oracle(ps, roi_pts[i, j, 0], roi_pts[i, j, 1], 2.0)
+                    if expected is None:
+                        assert out.empty[i, j]
+                        assert np.all(out.features[i, j] == 0.0)
+                        assert tuple(out.source_cells[i, j]) == (-1, -1)
+                    else:
+                        assert tuple(out.source_cells[i, j]) == expected
+                        assert np.array_equal(out.features[i, j], feature_row(ps, expected))
+
+    def test_near_ties_follow_the_scalar_distance(self):
+        # On the bisector of cells (20, 20) and (22, 21), where float64
+        # squares by ``** 2`` and by x * x disagree on the order (found by
+        # search on glibc; the oracle defines the answer on any libm).
+        spec = pillar_grid_spec()
+        ps = pillarize(PointCloud(points=np.array([[0.3, 0.3, 1.0], [1.3, 0.8, 1.0]])), spec)
+        roi = np.array([[[0.8963560421659162, 0.20728791566816757, 0.0],
+                         [0.7175230704637556, 0.5649538590724887, 0.0]]])
+        out = lane_sample(ps, LaneROI(points=roi), r_max=2.0)
+        for j in range(2):
+            expected = nearest_pillar_oracle(ps, roi[0, j, 0], roi[0, j, 1], 2.0)
+            assert tuple(out.source_cells[0, j]) == expected
+
+    def test_r_max_boundary_is_inclusive(self):
+        spec = pillar_grid_spec()
+        ps = pillarize(PointCloud(points=np.array([[0.2, 0.2, 1.0]])), spec)
+        cx, cy = spec.cell_center_xy(20, 20)
+        roi = np.array([[[cx + 2.0, cy, 0.0], [cx + 2.0 + 2.0 ** -40, cy, 0.0]]])
+        for binned in (ps, pillarize(PointCloud(points=np.array([[0.2, 0.2, 1.0]])), spec,
+                                     roi=LaneROI(points=roi), r_max=2.0)):
+            out = lane_sample(binned, LaneROI(points=roi), r_max=2.0)
+            assert out.empty.tolist() == [[False, True]]
+            assert tuple(out.source_cells[0, 0]) == (20, 20)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_roi_rejected(self, bad):
+        spec = pillar_grid_spec()
+        cloud = PointCloud(points=np.array([[0.2, 0.2, 1.0]]))
+        roi = np.zeros((2, 3, 3))
+        roi[1, 2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            lane_sample(pillarize(cloud, spec), LaneROI(points=roi))
+        with pytest.raises(ValueError, match="non-finite"):
+            pillarize(cloud, spec, roi=LaneROI(points=roi))
+
+    def test_far_roi_points_sample_nothing(self):
+        spec = pillar_grid_spec()
+        cloud = PointCloud(points=np.array([[0.2, 0.2, 1.0]]))
+        roi = LaneROI(points=np.array([[[1e300, -1e300, 0.0], [-1e300, 1e300, 0.0],
+                                        [0.25, 0.25, 0.0]]]))
+        out = lane_sample(pillarize(cloud, spec), roi)
+        assert out.empty.tolist() == [[True, True, False]]
+        part = pillarize(cloud, spec, roi=roi)
+        assert part.keys.tolist() == [[20, 20]]
+        far = LaneROI(points=roi.points[:, :2])
+        assert len(pillarize(cloud, spec, roi=far)) == 0
+        assert lane_sample(pillarize(cloud, spec), far).empty.all()
 
     def test_cardinality_fixed_even_for_empty_cloud(self):
         ps = pillarize(PointCloud(points=np.zeros((0, 3))), pillar_grid_spec())
@@ -209,7 +306,7 @@ class TestLaneSample:
                 dists = [
                     math.hypot(*(np.array(spec.cell_center_xy(ix, iy))
                                  - roi_pts[i, j, :2]))
-                    for (ix, iy) in ps.cells
+                    for (ix, iy) in ps.keys.tolist()
                 ]
                 if out.empty[i, j]:
                     assert min(dists) > r_max
@@ -266,8 +363,8 @@ class TestEncodePillars:
         pts = np.array([[0.1, 0.2, 1.0], [0.3, 0.1, 2.0]])
         once = pillarize(PointCloud(points=pts), spec)
         twice = pillarize(PointCloud(points=np.vstack([pts, pts])), spec)
-        f1 = next(iter(once.features.values()))
-        f2 = next(iter(twice.features.values()))
+        f1 = once.features[0]
+        f2 = twice.features[0]
         assert f2[0] == 2 * f1[0]
         # geometry-derived channels are unchanged up to summation order
         assert np.allclose(f1[1:], f2[1:], rtol=1e-12, atol=0.0)

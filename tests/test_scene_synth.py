@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lanefuse.config import RunConfig
 from lanefuse.double_edge import interpret_path, lanes_to_arrays, validate
 from lanefuse.geometry import OrientedBox, polyline_length, resample_polyline
 from lanefuse.scene_synth import (
@@ -137,7 +138,72 @@ class TestGenerateScene:
             generate_scene(spec, n_p=20)
 
 
+def render_lidar_reference(scene, density, noise_sigma, seed):
+    """Scalar renderer: one rectangle at a time, u then v drawn per
+    rectangle, in the order road segments, agent faces, clutter faces."""
+    rng = np.random.default_rng([seed, 1])
+    carry = 0.0
+    chunks = []
+
+    def take(budget):
+        nonlocal carry
+        carry += budget
+        n = int(math.floor(carry + 0.5))
+        carry -= n
+        return max(0, n)
+
+    def sample(n, a, b):
+        g1 = max(1, int(round(math.sqrt(n * a / max(b, 1e-9)))))
+        g2 = max(1, int(math.ceil(n / g1)))
+        idx = np.arange(n)
+        u = (idx % g1 + rng.random(n)) / g1 * a
+        v = (idx // g1 + rng.random(n)) / g2 * b
+        return u[:, None], v[:, None]
+
+    for line, width in zip(scene.centerlines, scene.lane_widths):
+        for k in range(len(line) - 1):
+            seg = line[k + 1, :2] - line[k, :2]
+            ds = float(np.linalg.norm(seg))
+            if ds == 0.0 or (n := take(ds * width * density)) == 0:
+                continue
+            u, v = sample(n, ds, width)
+            t = seg / ds
+            xy = line[k, :2] + u * t + (v - width / 2.0) * np.array([-t[1], t[0]])
+            chunks.append(np.column_stack([xy, np.zeros(n)]))
+    for box in (*scene.agents, *scene.clutter):
+        ex, ey, ez = box.extent
+        c, s = math.cos(box.yaw), math.sin(box.yaw)
+        ux, uy, uz = np.array([c, s, 0.0]), np.array([-s, c, 0.0]), np.array([0.0, 0.0, 1.0])
+        corner = (np.array([box.center[0], box.center[1], 0.0])
+                  - ux * ex / 2.0 - uy * ey / 2.0)
+        for origin, du, dv, lu, lv in [
+                (corner + uz * ez, ux, uy, ex, ey), (corner, ux, uz, ex, ez),
+                (corner + uy * ey, ux, uz, ex, ez), (corner, uy, uz, ey, ez),
+                (corner + ux * ex, uy, uz, ey, ez)]:
+            if (n := take(lu * lv * density)) == 0:
+                continue
+            u, v = sample(n, lu, lv)
+            chunks.append(origin + u * du + v * dv)
+    if not chunks:
+        return np.zeros((0, 3))
+    pts = np.vstack(chunks)
+    if noise_sigma > 0.0:
+        pts = pts + rng.normal(0.0, noise_sigma, pts.shape)
+    return pts
+
+
 class TestRenderLidar:
+    def test_matches_scalar_reference_bit_for_bit(self):
+        specs = RunConfig(seed_scene=5).suite_specs()
+        for k, spec in enumerate(specs):
+            scene = generate_scene(spec, n_p=20)
+            density = (0.7, 3.0, 12.0, 25.0)[k % 4]
+            sigma = (0.0, 0.05)[k % 2]
+            got = render_lidar(scene, density, sigma, seed=k).points
+            want = render_lidar_reference(scene, density, sigma, seed=k)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), (spec, density, sigma)
+
     def test_zero_noise_road_only_points_on_surface(self):
         spec = SceneSpec(seed=42, lane_count=1, geometry="straight")
         scene = generate_scene(spec, n_p=20)
@@ -222,6 +288,13 @@ class TestPersistence:
         path = tmp_path / "bad.lfpc"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
+            load_point_cloud(path)
+
+    @pytest.mark.parametrize("data", [b"LFPC", b"LFPC\x01\x00\x00"])
+    def test_point_cloud_header_too_short(self, tmp_path, data):
+        path = tmp_path / "short.lfpc"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="truncated header"):
             load_point_cloud(path)
 
     def test_point_cloud_truncated(self, tmp_path):
