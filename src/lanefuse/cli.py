@@ -28,9 +28,9 @@ from .heads_losses import LOSS_NAMES, grad_check
 from .io_utils import atomic_write_bytes, atomic_write_text, write_csv
 from .pillar import LaneROI
 from .pipeline import (
+    PipelineResult,
     injected_losses,
     make_gt_planner,
-    make_pipeline_planner,
     pipeline_losses,
     run_pipeline,
     scene_feature_counts,
@@ -200,17 +200,19 @@ def cmd_bench(args) -> int:
 
 def _eval_one(scene_and_id, cfg: RunConfig, use_gt: bool, store):
     scene, scene_id = scene_and_id
-    planner = make_gt_planner(cfg) if use_gt else make_pipeline_planner(cfg, store)
+    runs: list[PipelineResult] = []  # the one forward pass the episode plans with
+    if use_gt:
+        planner = make_gt_planner(cfg)
+    else:
+        def planner(sc):
+            runs.append(run_pipeline(sc, cfg, store))
+            return runs[-1].path
     counts = scene_feature_counts(
         scene, cfg, LaneROI(points=np.zeros((cfg.n_d, cfg.n_p, 3))))
     report = run_closed_loop(scene, planner, cfg.controller, cfg.horizon,
                              eval_cfg=cfg.eval_config, feature_counts=counts,
                              scene_id=scene_id)
-    latency = {}
-    if not use_gt:
-        cached = planner.cache.get(id(scene))
-        if cached is not None:
-            latency = cached.stage_ms
+    latency = runs[0].stage_ms if runs else {}
     return report, latency
 
 

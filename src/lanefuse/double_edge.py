@@ -243,6 +243,8 @@ def deserialize(data: bytes) -> DoubleEdgeSet:
         raise ParseError(f"top-level: {exc}") from exc
     if not isinstance(obj, dict) or "lanes" not in obj:
         raise ParseError("top-level: missing 'lanes'")
+    if not isinstance(obj["lanes"], list):
+        raise ParseError(f"lanes: expected a list, got {type(obj['lanes']).__name__}")
     lanes = []
     for i, lobj in enumerate(obj["lanes"]):
         try:

@@ -12,6 +12,7 @@ __all__ = [
     "polyline_cumlen",
     "polyline_length",
     "resample_polyline",
+    "PolylineProjector",
     "project_point_to_polyline",
 ]
 
@@ -69,23 +70,38 @@ def resample_polyline(points: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([np.interp(t, s, points[:, k]) for k in range(points.shape[1])])
 
 
+class PolylineProjector:
+    """Projects 2D points onto one fixed polyline.
+
+    The segment table (start points, segment vectors, squared and plain
+    lengths, cumulative arc length) is built once, so repeated projections
+    onto the same polyline only pay for the per-point arithmetic.
+    """
+
+    def __init__(self, polyline: np.ndarray):
+        poly = np.asarray(polyline, dtype=float)[:, :2]
+        self.a = poly[:-1]
+        self.ab = poly[1:] - self.a
+        seg_len2 = np.einsum("ij,ij->i", self.ab, self.ab)
+        self.seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
+        self.seg_len = np.sqrt(seg_len2)
+        self.cum = polyline_cumlen(poly)
+
+    def __call__(self, point: np.ndarray) -> tuple[float, float]:
+        """(arc length of the closest point, distance to it); ties across
+        segments resolve to the earliest arc length."""
+        p = np.asarray(point, dtype=float)[:2]
+        t = np.clip(np.einsum("ij,ij->i", p - self.a, self.ab) / self.seg_len2, 0.0, 1.0)
+        proj = self.a + t[:, None] * self.ab
+        dist = np.linalg.norm(proj - p, axis=1)
+        k = int(np.argmin(dist))
+        return float(self.cum[k] + t[k] * self.seg_len[k]), float(dist[k])
+
+
 def project_point_to_polyline(point: np.ndarray, polyline: np.ndarray) -> tuple[float, float]:
     """Project a 2D point onto a polyline.
 
     Returns (arc length of the closest point, distance to it). Ties across
     segments resolve to the earliest arc length.
     """
-    p = np.asarray(point, dtype=float)[:2]
-    poly = np.asarray(polyline, dtype=float)[:, :2]
-    a = poly[:-1]
-    b = poly[1:]
-    ab = b - a
-    seg_len2 = np.einsum("ij,ij->i", ab, ab)
-    seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
-    t = np.clip(np.einsum("ij,ij->i", p - a, ab) / seg_len2, 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    dist = np.linalg.norm(proj - p, axis=1)
-    k = int(np.argmin(dist))
-    cum = polyline_cumlen(poly)
-    seg_len = np.sqrt(np.einsum("ij,ij->i", b - a, b - a))
-    return float(cum[k] + t[k] * seg_len[k]), float(dist[k])
+    return PolylineProjector(polyline)(point)

@@ -1,7 +1,7 @@
 """End-to-end wiring: scene -> view features -> tokens -> coarse prior ->
 image branch, LiDAR branch with prior-guided sampling, query integration,
-feature enhancement, heads, and the interpreted path. Also the planner
-factories used by the closed-loop evaluator and the suite-level feature and
+feature enhancement, heads, and the interpreted path. Also the ground-truth
+planner used by the closed-loop evaluator and the suite-level feature and
 latency benchmarks.
 """
 
@@ -43,7 +43,6 @@ __all__ = [
     "run_pipeline",
     "pipeline_losses",
     "injected_losses",
-    "make_pipeline_planner",
     "make_gt_planner",
     "scene_feature_counts",
     "bench_suite",
@@ -120,33 +119,14 @@ def injected_losses(scene: Scene, cfg: RunConfig) -> tuple[LossBreakdown, Planne
 
 def make_gt_planner(cfg: RunConfig):
     """Planner that feeds ground-truth-injected predictions through the
-    interpreter; the per-scene result is cached (the pipeline is pure)."""
-    cache: dict[int, PlannedPath] = {}
+    interpreter."""
 
     def planner(scene: Scene) -> PlannedPath:
-        key = id(scene)
-        if key not in cache:
-            pred, _ = inject_ground_truth(scene.ground_truth, scene.gt_speed,
-                                          SIGNAL_CLASSES.index(scene.signal_state), cfg.n_d)
-            lanes = predictions_to_double_edge(pred)
-            cache[key] = interpret_path(lanes, max(0.0, pred.speed))
-        return cache[key]
+        pred, _ = inject_ground_truth(scene.ground_truth, scene.gt_speed,
+                                      SIGNAL_CLASSES.index(scene.signal_state), cfg.n_d)
+        lanes = predictions_to_double_edge(pred)
+        return interpret_path(lanes, max(0.0, pred.speed))
 
-    return planner
-
-
-def make_pipeline_planner(cfg: RunConfig, store: ParamStore):
-    """Planner running the full seeded pipeline; cached per scene since the
-    forward pass is a pure function of (scene, cfg, store)."""
-    cache: dict[int, PipelineResult] = {}
-
-    def planner(scene: Scene) -> PlannedPath:
-        key = id(scene)
-        if key not in cache:
-            cache[key] = run_pipeline(scene, cfg, store)
-        return cache[key].path
-
-    planner.cache = cache  # exposed for latency/report introspection
     return planner
 
 

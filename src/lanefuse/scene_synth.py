@@ -20,8 +20,8 @@ import numpy as np
 from .double_edge import DoubleEdgeSet, deserialize, lanes_from_arrays, serialize, validate
 from .geometry import (
     OrientedBox,
+    PolylineProjector,
     polyline_length,
-    project_point_to_polyline,
     resample_polyline,
 )
 
@@ -281,14 +281,13 @@ def _place_clutter(rng: np.random.Generator, spec: SceneSpec,
     band_area = float(np.prod(hi - lo))
     count = int(round(spec.clutter_density * band_area / 100.0))
     road_clear = spec.lane_width / 2.0 + 2.0
+    projectors = [PolylineProjector(line) for line in centerlines]
     clutter = []
     attempts = 0
     while len(clutter) < count and attempts < count * 200:
         attempts += 1
         c = rng.uniform(lo, hi)
-        near_road = any(
-            project_point_to_polyline(c, line)[1] < road_clear for line in centerlines
-        )
+        near_road = any(project(c)[1] < road_clear for project in projectors)
         if near_road:
             continue
         ext = (
@@ -569,9 +568,54 @@ def _box_to_obj(box: OrientedBox) -> dict:
     return {"center": list(box.center), "yaw": box.yaw, "extent": list(box.extent)}
 
 
-def _box_from_obj(obj: dict) -> OrientedBox:
-    return OrientedBox(center=tuple(obj["center"]), yaw=float(obj["yaw"]),
-                       extent=tuple(obj["extent"]))
+# JSON type of each SceneSpec field; "radius" may also be null.
+_SPEC_TYPES = {"seed": int, "lane_count": int, "geometry": str, "radius": float,
+               "lane_width": float, "route_length": float, "agent_count": int,
+               "clutter_density": float, "traffic_signal": str}
+
+
+def _expect(value, kind: type, name: str, nullable: bool = False):
+    """``value`` if it has the JSON type ``kind``, else a ValueError naming the
+    field. A float field also takes integers; no number field takes booleans."""
+    if nullable and value is None:
+        return value
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or isinstance(value, bool):
+        raise ValueError(f"scene field {name}: expected {kind.__name__}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _numbers(value, name: str) -> tuple:
+    """A JSON list of numbers as a tuple, values unchanged."""
+    return tuple(_expect(v, float, f"{name}[{i}]")
+                 for i, v in enumerate(_expect(value, list, name)))
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(_expect(value, list, name), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"scene field {name}: {exc}") from None
+
+
+def _box_from_obj(obj, name: str) -> OrientedBox:
+    obj = _expect(obj, dict, name)
+    return OrientedBox(center=_numbers(obj["center"], f"{name}.center"),
+                       yaw=float(_expect(obj["yaw"], float, f"{name}.yaw")),
+                       extent=_numbers(obj["extent"], f"{name}.extent"))
+
+
+def _spec_from_obj(obj) -> SceneSpec:
+    obj = _expect(obj, dict, "spec")
+    unknown = sorted(set(obj) - set(_SPEC_TYPES))
+    if unknown:
+        raise ValueError(f"scene field spec: unknown keys {unknown}")
+    if "seed" not in obj:
+        raise ValueError("scene field spec.seed: missing")
+    for key, value in obj.items():
+        _expect(value, _SPEC_TYPES[key], f"spec.{key}", nullable=(key == "radius"))
+    return SceneSpec(**obj)
 
 
 def scene_to_json(scene: Scene) -> bytes:
@@ -602,22 +646,37 @@ def scene_to_json(scene: Scene) -> bytes:
 
 
 def scene_from_json(data: bytes) -> Scene:
-    obj = json.loads(data.decode("utf-8"))
-    spec = SceneSpec(**obj["spec"])
-    gt = deserialize(json.dumps(obj["ground_truth"]).encode("utf-8"))
+    """Parse :func:`scene_to_json` output. A field of the wrong JSON type
+    raises a ValueError naming it; a missing one raises KeyError."""
+    obj = _expect(json.loads(data.decode("utf-8")), dict, "(top level)")
+    spec = _spec_from_obj(obj["spec"])
+    try:
+        gt = deserialize(json.dumps(obj["ground_truth"]).encode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"scene field ground_truth: {exc}") from None
+    centerlines = tuple(_float_array(line, f"centerlines[{i}]")
+                        for i, line in enumerate(_expect(obj["centerlines"], list,
+                                                         "centerlines")))
+    route = _expect(obj["route"], dict, "route")
+    route_lane = _expect(route["lane"], int, "route.lane")
+    if not 0 <= route_lane < len(centerlines):
+        raise ValueError(f"scene field route.lane: {route_lane} is not one of the "
+                         f"{len(centerlines)} centerlines")
     return Scene(
         spec=spec,
-        centerlines=tuple(np.asarray(line, dtype=float) for line in obj["centerlines"]),
-        lane_widths=tuple(obj["lane_widths"]),
-        agents=tuple(_box_from_obj(b) for b in obj["agents"]),
-        clutter=tuple(_box_from_obj(b) for b in obj["clutter"]),
-        route_start=tuple(obj["route"]["start"]),
-        route_target=tuple(obj["route"]["target"]),
-        route_lane=int(obj["route"]["lane"]),
-        signal_state=obj["signal_state"],
-        signal_line_s=obj["signal_line_s"],
+        centerlines=centerlines,
+        lane_widths=_numbers(obj["lane_widths"], "lane_widths"),
+        agents=tuple(_box_from_obj(b, f"agents[{i}]")
+                     for i, b in enumerate(_expect(obj["agents"], list, "agents"))),
+        clutter=tuple(_box_from_obj(b, f"clutter[{i}]")
+                      for i, b in enumerate(_expect(obj["clutter"], list, "clutter"))),
+        route_start=_numbers(route["start"], "route.start"),
+        route_target=_numbers(route["target"], "route.target"),
+        route_lane=route_lane,
+        signal_state=_expect(obj["signal_state"], str, "signal_state"),
+        signal_line_s=_expect(obj["signal_line_s"], float, "signal_line_s", nullable=True),
         ground_truth=gt,
-        gt_speed=float(obj["gt_speed"]),
+        gt_speed=float(_expect(obj["gt_speed"], float, "gt_speed")),
     )
 
 
@@ -644,4 +703,6 @@ def load_point_cloud(path: str | Path) -> PointCloud:
     if len(body) != count * 12:
         raise ValueError(f"{path}: expected {count * 12} payload bytes, got {len(body)}")
     pts = np.frombuffer(body, dtype="<f4").reshape(count, 3).astype(float)
+    if not np.isfinite(pts).all():
+        raise ValueError(f"{path}: non-finite point coordinates")
     return PointCloud(points=pts)

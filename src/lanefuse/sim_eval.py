@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .double_edge import PlannedPath
-from .geometry import polyline_length, project_point_to_polyline
+from .geometry import PolylineProjector, polyline_length
 from .scene_synth import Scene
 
 __all__ = [
@@ -150,6 +150,18 @@ def follow_path(state: EgoState, path: PlannedPath, cfg: ControllerConfig) -> tu
     return steer, accel
 
 
+def _progress_fold(projections, lane_width: float, total: float) -> float:
+    """Route completion from the (arc length, distance) projections of the
+    trajectory points, in trajectory order."""
+    if total <= 0.0:
+        return 0.0
+    progress = 0.0
+    for s, dist in projections:
+        if dist <= lane_width / 2.0 and s > progress:
+            progress = s
+    return min(1.0, progress / total)
+
+
 def route_completion(route: np.ndarray, trajectory: np.ndarray,
                      lane_width: float) -> float:
     """Fraction of the route polyline covered by the trajectory's furthest
@@ -157,12 +169,9 @@ def route_completion(route: np.ndarray, trajectory: np.ndarray,
     total = polyline_length(route)
     if total <= 0.0 or len(trajectory) == 0:
         return 0.0
-    progress = 0.0
-    for p in np.atleast_2d(trajectory):
-        s, dist = project_point_to_polyline(p[:2], route)
-        if dist <= lane_width / 2.0 and s > progress:
-            progress = s
-    return min(1.0, progress / total)
+    project = PolylineProjector(route)
+    return _progress_fold((project(p[:2]) for p in np.atleast_2d(trajectory)),
+                          lane_width, total)
 
 
 def infraction_score(log: InfractionLog) -> float:
@@ -182,6 +191,22 @@ def _signal_line_crossed(scene: Scene, prev_s: float, cur_s: float) -> bool:
             and prev_s < scene.signal_line_s <= cur_s)
 
 
+def _stack_boxes(scene: Scene, ego_radius: float):
+    """Kinds, centres (K, 2), inflated half-extents (K, 2), cos and sin of
+    yaw for the agent boxes followed by the clutter boxes."""
+    kinds, centers, halves, cos, sin = [], [], [], [], []
+    for kind, boxes in (("collision_vehicle", scene.agents),
+                        ("collision_static", scene.clutter)):
+        for box in boxes:
+            kinds.append(kind)
+            centers.append(box.center[:2])
+            halves.append(np.array(box.extent[:2]) / 2.0 + ego_radius)
+            cos.append(math.cos(box.yaw))
+            sin.append(math.sin(box.yaw))
+    return (kinds, np.array(centers, dtype=float).reshape(-1, 2),
+            np.array(halves, dtype=float).reshape(-1, 2), np.array(cos), np.array(sin))
+
+
 def run_closed_loop(scene: Scene,
                     planner: Callable[[Scene], PlannedPath],
                     cfg: ControllerConfig,
@@ -190,34 +215,45 @@ def run_closed_loop(scene: Scene,
                     feature_counts: dict[str, float] | None = None,
                     latency_ms: dict[str, float] | None = None,
                     scene_id: str = "scene") -> EvalReport:
-    """Tick the planner-controller loop until route completion, the horizon,
-    or full route deviation; a planner exception ends the episode with a
-    failure marker and the progress made so far."""
+    """Plan once, then tick the controller until route completion, the
+    horizon, or full route deviation.
+
+    The planner is called exactly once, before the first step, and must be
+    a pure function of the scene. If it raises, the episode ends with a
+    failure marker and a trajectory holding only the start row.
+    """
     if horizon <= 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
     eval_cfg = eval_cfg or EvalConfig()
     route = scene.route_polyline
     total_len = polyline_length(route)
+    project = PolylineProjector(route)
     lane_width = scene.lane_widths[scene.route_lane]
     end_xy = np.array(scene.route_target[:2])
+    kinds, centers, halves, cos, sin = _stack_boxes(scene, eval_cfg.ego_radius)
+    live = np.ones(len(kinds), dtype=bool)  # boxes not hit yet; each is logged once
 
     state = EgoState(x=scene.route_start[0], y=scene.route_start[1],
                      heading=scene.route_start[2], speed=0.0)
     events: list[InfractionEvent] = []
-    hit_objects: set[tuple[str, int]] = set()
     red_logged = False
     trajectory: list[tuple[float, float, float, float]] = []
+    progress: list[tuple[float, float]] = []  # (s, d) per trajectory row
     terminated = "horizon"
     deviation_clock = 0.0
-    prev_s, _ = project_point_to_polyline(np.array([state.x, state.y]), route)
+    prev_s, prev_d = project(np.array([state.x, state.y]))
+
+    try:
+        path = planner(scene)
+    except Exception:
+        path = None
 
     t = 0.0
     n_steps = int(math.ceil(horizon / cfg.dt))
     for _ in range(n_steps):
         trajectory.append((t, state.x, state.y, state.speed))
-        try:
-            path = planner(scene)
-        except Exception:
+        progress.append((prev_s, prev_d))
+        if path is None:
             terminated = "failure"
             break
         steer, accel = follow_path(state, path, cfg)
@@ -225,28 +261,22 @@ def run_closed_loop(scene: Scene,
         t += cfg.dt
         ego_xy = np.array([state.x, state.y])
 
-        for kind, boxes in (("collision_vehicle", scene.agents),
-                            ("collision_static", scene.clutter)):
-            for bi, box in enumerate(boxes):
-                if (kind, bi) in hit_objects:
-                    continue
-                inflated_half = np.array(box.extent[:2]) / 2.0 + eval_cfg.ego_radius
-                d = ego_xy - np.array(box.center[:2])
-                c, s = math.cos(box.yaw), math.sin(box.yaw)
-                u = abs(c * d[0] + s * d[1])
-                v = abs(-s * d[0] + c * d[1])
-                if u <= inflated_half[0] and v <= inflated_half[1]:
-                    hit_objects.add((kind, bi))
-                    events.append(InfractionEvent(time=t, kind=kind,
-                                                  penalty=eval_cfg.penalties[kind]))
+        if live.any():
+            d = ego_xy - centers
+            u = np.abs(cos * d[:, 0] + sin * d[:, 1])
+            v = np.abs(-sin * d[:, 0] + cos * d[:, 1])
+            for bi in np.flatnonzero(live & (u <= halves[:, 0]) & (v <= halves[:, 1])):
+                live[bi] = False
+                events.append(InfractionEvent(time=t, kind=kinds[bi],
+                                              penalty=eval_cfg.penalties[kinds[bi]]))
 
-        cur_s, cur_d = project_point_to_polyline(ego_xy, route)
+        cur_s, cur_d = project(ego_xy)
         if (scene.signal_state == "red" and not red_logged
                 and _signal_line_crossed(scene, prev_s, cur_s)):
             red_logged = True
             events.append(InfractionEvent(time=t, kind="red_light",
                                           penalty=eval_cfg.penalties["red_light"]))
-        prev_s = cur_s
+        prev_s, prev_d = cur_s, cur_d
 
         if cur_d > eval_cfg.deviation_lane_widths * lane_width:
             deviation_clock += cfg.dt
@@ -261,11 +291,12 @@ def run_closed_loop(scene: Scene,
         if (np.linalg.norm(ego_xy - end_xy) <= eval_cfg.arrival_radius
                 or cur_s >= total_len - eval_cfg.arrival_radius):
             trajectory.append((t, state.x, state.y, state.speed))
+            progress.append((cur_s, cur_d))
             terminated = "completed"
             break
 
-    traj = np.array(trajectory) if trajectory else np.zeros((0, 4))
-    rc = route_completion(route, traj[:, 1:3] if len(traj) else traj, lane_width)
+    traj = np.array(trajectory)
+    rc = _progress_fold(progress, lane_width, total_len)
     log = InfractionLog(events=tuple(events))
     is_score = infraction_score(log)
     ds = 100.0 * rc * is_score

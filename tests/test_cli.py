@@ -142,6 +142,31 @@ class TestRun:
         assert "\n" not in errors[0].getMessage()
 
 
+    @pytest.mark.parametrize("field, corrupt", [
+        ("route.lane", lambda obj: obj["route"].update(lane=[0])),
+        ("spec", lambda obj: obj["spec"].update(wheels=4)),
+        ("agents", lambda obj: obj.update(agents=5)),
+        ("ground_truth", lambda obj: obj["ground_truth"].update(lanes=5)),
+    ])
+    def test_mistyped_scene_field_exits_2_with_one_line(self, tmp_path, fast_config,
+                                                        caplog, field, corrupt):
+        out = tmp_path / "o"
+        main(["gen-scenes", "--config", fast_config, "--suite", "trivial",
+              "--out", str(out)])
+        obj = json.loads((out / "scene_00.json").read_text())
+        corrupt(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        caplog.clear()
+        code = main(["run", "--config", fast_config, "--scene", str(bad),
+                     "--out", str(out)])
+        assert code == 2
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert f"scene field {field}" in errors[0].getMessage()
+        assert "\n" not in errors[0].getMessage()
+
+
 class TestBench:
     def test_csv_schemas_and_forced_columns(self, tmp_path, fast_config):
         out = tmp_path / "b"

@@ -297,6 +297,13 @@ class TestPersistence:
         with pytest.raises(ValueError, match="truncated header"):
             load_point_cloud(path)
 
+    def test_point_cloud_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "nan.lfpc"
+        save_point_cloud(path, PointCloud(points=np.array([[0.0, np.nan, 1.0],
+                                                           [2.0, 3.0, np.inf]])))
+        with pytest.raises(ValueError, match="non-finite"):
+            load_point_cloud(path)
+
     def test_point_cloud_truncated(self, tmp_path):
         scene = generate_scene(SceneSpec(seed=1), n_p=20)
         cloud = render_lidar(scene, 1.0, 0.0, seed=1)

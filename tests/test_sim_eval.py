@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lanefuse.double_edge import PlannedPath, interpret_path
-from lanefuse.geometry import OrientedBox
+from lanefuse.geometry import OrientedBox, PolylineProjector, project_point_to_polyline
 from lanefuse.pipeline import make_gt_planner
 from lanefuse.scene_synth import SceneSpec, generate_scene
 from lanefuse.sim_eval import (
@@ -259,6 +259,79 @@ class TestClosedLoop:
             report = run_closed_loop(scene, make_gt_planner(run_config),
                                      run_config.controller, horizon=20.0)
             assert report.ds == pytest.approx(100.0 * report.rc * report.is_score, abs=1e-9)
+
+
+    def test_planner_called_once_per_episode(self, run_config):
+        scene = straight_scene()
+        gt = make_gt_planner(run_config)
+        calls = []
+
+        def counting(sc):
+            calls.append(sc)
+            return gt(sc)
+
+        report = run_closed_loop(scene, counting, ControllerConfig(), horizon=60.0)
+        assert report.terminated == "completed"
+        assert len(report.trajectory) > 100
+        assert calls == [scene]
+
+    def test_boxes_entered_on_one_step_logged_once_vehicle_first(self, run_config):
+        scene = straight_scene()
+        box = OrientedBox(center=(50.0, 0.0, 0.9), yaw=0.3, extent=(4.0, 12.0, 1.8))
+        both = dataclasses.replace(scene, agents=(box,), clutter=(box,))
+        report = run_closed_loop(both, make_gt_planner(run_config),
+                                 ControllerConfig(), horizon=60.0)
+        events = report.infractions.events
+        assert [ev.kind for ev in events] == ["collision_vehicle", "collision_static"]
+        assert events[0].time == events[1].time
+        assert report.is_score == pytest.approx(0.60 * 0.65)
+
+    def test_raising_planner_trajectory_is_start_row(self):
+        scene = straight_scene()
+
+        def broken(sc):
+            raise RuntimeError("sensor dropout")
+
+        report = run_closed_loop(scene, broken, ControllerConfig(), 10.0)
+        x, y, _ = scene.route_start
+        assert np.array_equal(report.trajectory, np.array([[0.0, x, y, 0.0]]))
+
+    def test_rc_matches_route_completion_of_trajectory(self, run_config):
+        for spec in run_config.suite_specs()[:4]:
+            scene = generate_scene(spec, n_p=run_config.n_p)
+            report = run_closed_loop(scene, make_gt_planner(run_config),
+                                     run_config.controller, horizon=20.0)
+            assert report.rc == route_completion(
+                scene.route_polyline, report.trajectory[:, 1:3],
+                scene.lane_widths[scene.route_lane])
+
+
+def reference_projection(point, polyline):
+    """Per-call projection with the segment table rebuilt every time."""
+    p = np.asarray(point, dtype=float)[:2]
+    poly = np.asarray(polyline, dtype=float)[:, :2]
+    a, b = poly[:-1], poly[1:]
+    ab = b - a
+    seg_len2 = np.einsum("ij,ij->i", ab, ab)
+    seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
+    t = np.clip(np.einsum("ij,ij->i", p - a, ab) / seg_len2, 0.0, 1.0)
+    dist = np.linalg.norm(a + t[:, None] * ab - p, axis=1)
+    k = int(np.argmin(dist))
+    cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(poly, axis=0), axis=1))])
+    seg_len = np.sqrt(np.einsum("ij,ij->i", b - a, b - a))
+    return float(cum[k] + t[k] * seg_len[k]), float(dist[k])
+
+
+def test_polyline_projector_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for n in (2, 5, 40):
+        poly = np.cumsum(rng.normal(size=(n, 3)), axis=0)
+        poly[n // 2] = poly[n // 2 - 1]  # a zero-length segment
+        project = PolylineProjector(poly)
+        for point in rng.uniform(-10.0, 10.0, (200, 2)):
+            expected = reference_projection(point, poly)
+            assert project(point) == expected
+            assert project_point_to_polyline(point, poly) == expected
 
 
 class TestBenchLatency:
