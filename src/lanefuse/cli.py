@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -70,13 +69,6 @@ def _dumps(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _map_jobs(fn, items, jobs: int):
-    if jobs <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _scene_files(out: Path) -> list[Path]:
     return sorted(out.glob("scene_*.json"))
 
@@ -89,18 +81,10 @@ def _scene_files(out: Path) -> list[Path]:
 def cmd_gen_scenes(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
-    specs = cfg.suite_specs()
-
-    def build(item):
-        idx, spec = item
-        scene = generate_scene(spec, n_p=cfg.n_p)
-        return idx, spec, scene_to_json(scene)
-
-    results = _map_jobs(build, list(enumerate(specs)), args.jobs)
     manifest_scenes = []
-    for idx, spec, payload in results:
+    for idx, spec in enumerate(cfg.suite_specs()):
         name = f"scene_{idx:02d}.json"
-        atomic_write_bytes(out / name, payload)
+        atomic_write_bytes(out / name, scene_to_json(generate_scene(spec, n_p=cfg.n_p)))
         manifest_scenes.append({"file": name, "seed": spec.seed,
                                 "geometry": spec.geometry})
         log.info("wrote %s", name)
@@ -169,8 +153,7 @@ def cmd_bench(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     store = build_params(cfg.block_config())
-    specs = cfg.suite_specs()
-    scenes = _map_jobs(lambda s: generate_scene(s, n_p=cfg.n_p), specs, args.jobs)
+    scenes = [generate_scene(spec, n_p=cfg.n_p) for spec in cfg.suite_specs()]
 
     zero_roi = LaneROI(points=np.zeros((cfg.n_d, cfg.n_p, 3)))
     count_rows = []
@@ -220,32 +203,22 @@ def cmd_eval(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
     store = build_params(cfg.block_config())
-    specs = cfg.suite_specs()
-    scenes = _map_jobs(lambda s: generate_scene(s, n_p=cfg.n_p), specs, args.jobs)
+    scenes = [generate_scene(spec, n_p=cfg.n_p) for spec in cfg.suite_specs()]
     use_gt = args.planner == "gt"
-    items = [(scene, f"scene_{i:02d}") for i, scene in enumerate(scenes)]
-
-    def guarded(item):
-        # a broken scene still yields a row so the aggregate stands
-        try:
-            return _eval_one(item, cfg, use_gt, store), None
-        except Exception as exc:
-            log.error("eval %s failed: %s", item[1], exc)
-            return None, (item[1], str(exc))
-
-    results = _map_jobs(guarded, items, args.jobs)
-
     scene_objs = []
-    for result, failure in results:
-        if failure is not None:
-            scene_id, message = failure
+    for i, scene in enumerate(scenes):
+        scene_id = f"scene_{i:02d}"
+        try:
+            report, latency = _eval_one((scene, scene_id), cfg, use_gt, store)
+        except Exception as exc:
+            # a broken scene still yields a row so the aggregate stands
+            log.error("eval %s failed: %s", scene_id, exc)
             scene_objs.append({
                 "scene_id": scene_id, "ds": 0.0, "rc": 0.0, "is": 1.0,
-                "terminated": "failure", "error": message,
+                "terminated": "failure", "error": str(exc),
                 "infractions": [], "feature_counts": {}, "latency_ms": {},
             })
             continue
-        report, latency = result
         scene_objs.append({
             "scene_id": report.scene_id,
             "ds": report.ds, "rc": report.rc, "is": report.is_score,
@@ -358,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed-scene", type=int, default=None)
         p.add_argument("--seed-params", type=int, default=None)
         p.add_argument("--suite", choices=SUITE_NAMES, default=None)
-        p.add_argument("--jobs", type=int, default=1)
         if needs_out:
             p.add_argument("--out", type=str, required=True, help="output directory")
 

@@ -7,14 +7,18 @@ latency benchmarks.
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import SIGNAL_CLASSES, RunConfig
 from .double_edge import DoubleEdgeSet, PlannedPath, interpret_path
 from .fusion import (
+    BlockConfig,
     CoarseLanePrior,
     ParamStore,
     QuerySet,
@@ -36,7 +40,6 @@ from .heads_losses import (
 )
 from .pillar import LanePillarSet, LaneROI, encode_pillars, feature_count_report, lane_sample, pillarize
 from .scene_synth import Scene, render_lidar, synth_view_features
-from .sim_eval import calibrate_inner, sample_stage, summarize_samples
 
 __all__ = [
     "PipelineResult",
@@ -59,42 +62,58 @@ class PipelineResult:
     stage_ms: dict[str, float]
 
 
-def run_pipeline(scene: Scene, cfg: RunConfig, store: ParamStore) -> PipelineResult:
-    """One full forward pass; deterministic in (scene, cfg, store)."""
+def _fusion(f_image, f_lane, q_image: QuerySet, prior: CoarseLanePrior,
+            store: ParamStore, bc: BlockConfig):
+    """LiDAR queries integrated with the image queries, the LiDAR
+    transformer, and the prior-weighted feature enhancement."""
+    q_lidar = init_lidar_queries(f_lane, store)
+    q_integrated = integrate_queries(q_image, q_lidar, prior.weights)
+    f_lidar = lidar_transformer(q_integrated, f_lane, store, bc)
+    return enhance_features(f_image, f_lidar, prior.weights)
+
+
+def _forward(scene: Scene, cfg: RunConfig, store: ParamStore, stage):
+    """The forward pass, written once. Every layer call goes through
+    ``stage(name, fn, *args)``, which must return ``fn(*args)``; the names
+    are the stage rows of the run, bench and eval reports, in order.
+
+    Returns the fields of :class:`PipelineResult` before ``stage_ms``.
+    """
     bc = cfg.block_config()
+    grid = stage("view_synth", synth_view_features, scene, cfg.c_channels,
+                 cfg.view_h, cfg.view_w, cfg.seed_params)
+    tokens = stage("positional_encode", positional_encode, grid, store)
+    prior = stage("coarse_prior", coarse_lane_detect, tokens, store, bc)
+    q_image = QuerySet(queries=store["q_image"])
+    f_image = stage("image_transformer", image_transformer, tokens, q_image, store, bc)
+
+    cloud = stage("render_lidar", render_lidar, scene, cfg.lidar_density,
+                  cfg.lidar_noise_sigma, scene.spec.seed)
+    pillars = stage("pillarize", pillarize, cloud, cfg.pillar_spec(), prior.roi, cfg.r_max)
+    lane_pillars = stage("lane_sample", lane_sample, pillars, prior.roi, cfg.r_max)
+    f_lane = stage("encode", encode_pillars, lane_pillars,
+                   store["pillar_enc.w"], store["pillar_enc.b"])
+    f_enhanced = stage("fusion", _fusion, f_image, f_lane, q_image, prior, store, bc)
+
+    predictions = stage("heads", heads_forward, f_enhanced, store)
+    predicted_lanes = stage("decode", predictions_to_double_edge, predictions)
+    path = stage("interpret", interpret_path, predicted_lanes,
+                 max(0.0, predictions.speed))
+    return prior, lane_pillars, predictions, predicted_lanes, path
+
+
+def run_pipeline(scene: Scene, cfg: RunConfig, store: ParamStore) -> PipelineResult:
+    """One full forward pass; deterministic in (scene, cfg, store).
+    ``stage_ms`` holds each stage row's wall time, in pass order."""
     stage_ms: dict[str, float] = {}
 
-    def timed(name, fn, *args, **kwargs):
+    def timed(name, fn, *args):
         t0 = time.perf_counter()
-        out = fn(*args, **kwargs)
+        out = fn(*args)
         stage_ms[name] = (time.perf_counter() - t0) * 1e3
         return out
 
-    grid = timed("view_synth", synth_view_features, scene, cfg.c_channels,
-                 cfg.view_h, cfg.view_w, cfg.seed_params)
-    tokens = timed("positional_encode", positional_encode, grid, store)
-    prior = timed("coarse_prior", coarse_lane_detect, tokens, store, bc)
-    q_image = QuerySet(queries=store["q_image"])
-    f_image = timed("image_transformer", image_transformer, tokens, q_image, store, bc)
-
-    cloud = timed("render_lidar", render_lidar, scene, cfg.lidar_density,
-                  cfg.lidar_noise_sigma, scene.spec.seed)
-    pillars = timed("pillarize", pillarize, cloud, cfg.pillar_spec(), prior.roi, cfg.r_max)
-    lane_pillars = timed("lane_sample", lane_sample, pillars, prior.roi, cfg.r_max)
-    f_lane = timed("encode_pillars", encode_pillars, lane_pillars,
-                   store["pillar_enc.w"], store["pillar_enc.b"])
-    q_lidar = init_lidar_queries(f_lane, store)
-    q_integrated = integrate_queries(q_image, q_lidar, prior.weights)
-    f_lidar = timed("lidar_transformer", lidar_transformer, q_integrated, f_lane, store, bc)
-    f_enhanced = enhance_features(f_image, f_lidar, prior.weights)
-
-    predictions = timed("heads", heads_forward, f_enhanced, store)
-    predicted_lanes = predictions_to_double_edge(predictions)
-    path = timed("interpret", interpret_path, predicted_lanes,
-                 max(0.0, predictions.speed))
-    return PipelineResult(prior=prior, lane_pillars=lane_pillars,
-                          predictions=predictions, predicted_lanes=predicted_lanes,
-                          path=path, stage_ms=stage_ms)
+    return PipelineResult(*_forward(scene, cfg, store, timed), stage_ms=stage_ms)
 
 
 def pipeline_losses(result: PipelineResult, scene: Scene, cfg: RunConfig) -> LossBreakdown:
@@ -135,15 +154,58 @@ def scene_feature_counts(scene: Scene, cfg: RunConfig, roi: LaneROI) -> dict[str
     return feature_count_report(cloud, roi, cfg.voxel_spec(), cfg.pillar_spec())
 
 
+# ---------------------------------------------------------------------------
+# latency benchmark
+# ---------------------------------------------------------------------------
+
+_MIN_SAMPLE_SECONDS = 5e-4
+_BEST_OF = 3
+
+
+def calibrate_inner(fn: Callable[[], object]) -> int:
+    """Inner batch size so one sample measures at least ~0.5 ms of work."""
+    fn()  # warm-up
+    t0 = time.perf_counter()
+    fn()
+    single = time.perf_counter() - t0
+    if single >= _MIN_SAMPLE_SECONDS:
+        return 1
+    return max(1, int(math.ceil(_MIN_SAMPLE_SECONDS / max(single, 1e-9))))
+
+
+def sample_stage(fn: Callable[[], object], inner: int, best_of: int = _BEST_OF) -> float:
+    """One defended sample in ms: best of a few batch timings, since
+    scheduler contention only ever adds time."""
+    best = math.inf
+    for _ in range(best_of):
+        t0 = time.perf_counter()
+        for _ in range(inner):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / inner * 1e3)
+    return best
+
+
+def summarize_samples(stage: str, variant: str, samples: Sequence[float]) -> dict[str, object]:
+    return {
+        "stage": stage,
+        "variant": variant,
+        "median_ms": float(np.median(samples)),
+        "p95_ms": float(np.percentile(samples, 95)),
+    }
+
+
 def bench_suite(scenes: list[Scene], cfg: RunConfig, store: ParamStore,
                 repeats: int | None = None,
                 best_of: int = 5) -> tuple[list[dict], dict[str, float]]:
-    """Per-stage latency over a suite for the dense-pillar and lane-level
-    variants, plus the pillarize and encoding comparison summary.
+    """Per-stage latency over a suite: every stage row of the forward pass
+    as the lane-level variant, plus pillarize and encode over the whole
+    cloud as the dense-pillar variant, and the pillarize and encoding
+    comparison summary.
 
-    The lane-level variant bins only the points around the coarse ROI
-    (ROI-first ``pillarize``); the dense variant bins and encodes the whole
-    cloud.
+    The lane-level rows re-run each call of one forward pass with the
+    arguments it had, so the lane-level ``pillarize`` bins only the points
+    around the coarse ROI (ROI-first); the dense variant bins and encodes
+    the whole cloud.
 
     The reported median is the median of per-scene medians, which stays
     reproducible even though scenes differ widely in cost; p95 is taken over
@@ -152,49 +214,28 @@ def bench_suite(scenes: list[Scene], cfg: RunConfig, store: ParamStore,
     a busy host cannot bias a stage wholesale.
     """
     repeats = repeats or cfg.bench_repeats
-    bc = cfg.block_config()
     per_scene_medians: dict[tuple[str, str], list[float]] = {}
     pooled: dict[tuple[str, str], list[float]] = {}
     dense_counts: list[float] = []
     w_enc, b_enc = store["pillar_enc.w"], store["pillar_enc.b"]
 
     for scene in scenes:
-        grid = synth_view_features(scene, cfg.c_channels, cfg.view_h, cfg.view_w,
-                                   cfg.seed_params)
-        tokens = positional_encode(grid, store)
-        prior = coarse_lane_detect(tokens, store, bc)
-        q_image = QuerySet(queries=store["q_image"])
-        f_image = image_transformer(tokens, q_image, store, bc)
-        cloud = render_lidar(scene, cfg.lidar_density, cfg.lidar_noise_sigma, scene.spec.seed)
-        pillars = pillarize(cloud, cfg.pillar_spec(), prior.roi, cfg.r_max)
-        lane_pillars = lane_sample(pillars, prior.roi, cfg.r_max)
-        f_lane = encode_pillars(lane_pillars, w_enc, b_enc)
-        q_lidar = init_lidar_queries(f_lane, store)
-        q_integrated = integrate_queries(q_image, q_lidar, prior.weights)
-        f_lidar = lidar_transformer(q_integrated, f_lane, store, bc)
-        f_enhanced = enhance_features(f_image, f_lidar, prior.weights)
-        predictions = heads_forward(f_enhanced, store)
-        predicted = predictions_to_double_edge(predictions)
+        calls: list[tuple[str, Callable[[], object]]] = []
+        outputs: dict[str, object] = {}
+
+        def keep(name, fn, *args):
+            calls.append((name, functools.partial(fn, *args)))
+            outputs[name] = out = fn(*args)
+            return out
+
+        _forward(scene, cfg, store, keep)
+        cloud = outputs["render_lidar"]
         dense_feats = pillarize(cloud, cfg.pillar_spec()).features
         dense_counts.append(float(len(dense_feats)))
 
-        def fusion_chain():
-            qi = integrate_queries(q_image, init_lidar_queries(f_lane, store), prior.weights)
-            return enhance_features(f_image, lidar_transformer(qi, f_lane, store, bc),
-                                    prior.weights)
-
-        stages = [
-            ("pillarize", "lane_level",
-             lambda: pillarize(cloud, cfg.pillar_spec(), prior.roi, cfg.r_max)),
-            ("lane_sample", "lane_level", lambda: lane_sample(pillars, prior.roi, cfg.r_max)),
-            ("encode", "lane_level", lambda: encode_pillars(lane_pillars, w_enc, b_enc)),
-            ("fusion", "lane_level", fusion_chain),
-            ("heads", "lane_level", lambda: heads_forward(f_enhanced, store)),
-            ("interpret", "lane_level",
-             lambda: interpret_path(predicted, max(0.0, predictions.speed))),
-            ("pillarize", "dense_pillar", lambda: pillarize(cloud, cfg.pillar_spec())),
-            ("encode", "dense_pillar",
-             lambda: np.maximum(dense_feats @ w_enc.T + b_enc, 0.0)),
+        stages = [(name, "lane_level", fn) for name, fn in calls] + [
+            ("pillarize", "dense_pillar", functools.partial(pillarize, cloud, cfg.pillar_spec())),
+            ("encode", "dense_pillar", lambda: np.maximum(dense_feats @ w_enc.T + b_enc, 0.0)),
         ]
         for _, _, fn in stages:  # full warm-up sweep before any timing
             fn()

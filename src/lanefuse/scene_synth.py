@@ -586,10 +586,20 @@ def _expect(value, kind: type, name: str, nullable: bool = False):
     return value
 
 
-def _numbers(value, name: str) -> tuple:
-    """A JSON list of numbers as a tuple, values unchanged."""
+def _field(obj: dict, name: str, kind: type | None = None, nullable: bool = False):
+    """Field ``name`` of ``obj``, a dotted path whose last part is the key.
+    A ValueError names the field if it is missing or, given ``kind``, of
+    another JSON type."""
+    key = name.rsplit(".", 1)[-1]
+    if key not in obj:
+        raise ValueError(f"scene field {name}: missing")
+    return obj[key] if kind is None else _expect(obj[key], kind, name, nullable)
+
+
+def _numbers(obj: dict, name: str) -> tuple:
+    """Field ``name``, a JSON list of numbers, as a tuple; values unchanged."""
     return tuple(_expect(v, float, f"{name}[{i}]")
-                 for i, v in enumerate(_expect(value, list, name)))
+                 for i, v in enumerate(_field(obj, name, list)))
 
 
 def _float_array(value, name: str) -> np.ndarray:
@@ -601,9 +611,9 @@ def _float_array(value, name: str) -> np.ndarray:
 
 def _box_from_obj(obj, name: str) -> OrientedBox:
     obj = _expect(obj, dict, name)
-    return OrientedBox(center=_numbers(obj["center"], f"{name}.center"),
-                       yaw=float(_expect(obj["yaw"], float, f"{name}.yaw")),
-                       extent=_numbers(obj["extent"], f"{name}.extent"))
+    return OrientedBox(center=_numbers(obj, f"{name}.center"),
+                       yaw=float(_field(obj, f"{name}.yaw", float)),
+                       extent=_numbers(obj, f"{name}.extent"))
 
 
 def _spec_from_obj(obj) -> SceneSpec:
@@ -611,8 +621,7 @@ def _spec_from_obj(obj) -> SceneSpec:
     unknown = sorted(set(obj) - set(_SPEC_TYPES))
     if unknown:
         raise ValueError(f"scene field spec: unknown keys {unknown}")
-    if "seed" not in obj:
-        raise ValueError("scene field spec.seed: missing")
+    _field(obj, "spec.seed")
     for key, value in obj.items():
         _expect(value, _SPEC_TYPES[key], f"spec.{key}", nullable=(key == "radius"))
     return SceneSpec(**obj)
@@ -646,37 +655,37 @@ def scene_to_json(scene: Scene) -> bytes:
 
 
 def scene_from_json(data: bytes) -> Scene:
-    """Parse :func:`scene_to_json` output. A field of the wrong JSON type
-    raises a ValueError naming it; a missing one raises KeyError."""
+    """Parse :func:`scene_to_json` output. A missing field or one of the
+    wrong JSON type raises a ValueError naming it."""
     obj = _expect(json.loads(data.decode("utf-8")), dict, "(top level)")
-    spec = _spec_from_obj(obj["spec"])
+    spec = _spec_from_obj(_field(obj, "spec"))
+    gt_obj = _field(obj, "ground_truth")
     try:
-        gt = deserialize(json.dumps(obj["ground_truth"]).encode("utf-8"))
+        gt = deserialize(json.dumps(gt_obj).encode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"scene field ground_truth: {exc}") from None
     centerlines = tuple(_float_array(line, f"centerlines[{i}]")
-                        for i, line in enumerate(_expect(obj["centerlines"], list,
-                                                         "centerlines")))
-    route = _expect(obj["route"], dict, "route")
-    route_lane = _expect(route["lane"], int, "route.lane")
+                        for i, line in enumerate(_field(obj, "centerlines", list)))
+    route = _field(obj, "route", dict)
+    route_lane = _field(route, "route.lane", int)
     if not 0 <= route_lane < len(centerlines):
         raise ValueError(f"scene field route.lane: {route_lane} is not one of the "
                          f"{len(centerlines)} centerlines")
     return Scene(
         spec=spec,
         centerlines=centerlines,
-        lane_widths=_numbers(obj["lane_widths"], "lane_widths"),
+        lane_widths=_numbers(obj, "lane_widths"),
         agents=tuple(_box_from_obj(b, f"agents[{i}]")
-                     for i, b in enumerate(_expect(obj["agents"], list, "agents"))),
+                     for i, b in enumerate(_field(obj, "agents", list))),
         clutter=tuple(_box_from_obj(b, f"clutter[{i}]")
-                      for i, b in enumerate(_expect(obj["clutter"], list, "clutter"))),
-        route_start=_numbers(route["start"], "route.start"),
-        route_target=_numbers(route["target"], "route.target"),
+                      for i, b in enumerate(_field(obj, "clutter", list))),
+        route_start=_numbers(route, "route.start"),
+        route_target=_numbers(route, "route.target"),
         route_lane=route_lane,
-        signal_state=_expect(obj["signal_state"], str, "signal_state"),
-        signal_line_s=_expect(obj["signal_line_s"], float, "signal_line_s", nullable=True),
+        signal_state=_field(obj, "signal_state", str),
+        signal_line_s=_field(obj, "signal_line_s", float, nullable=True),
         ground_truth=gt,
-        gt_speed=float(_expect(obj["gt_speed"], float, "gt_speed")),
+        gt_speed=float(_field(obj, "gt_speed", float)),
     )
 
 

@@ -1,7 +1,7 @@
 """Closed-loop evaluation: a kinematic bicycle ego follows the interpreted
 path under pure pursuit plus proportional speed control, infractions are
 detected against the scene, and Driving Score / Route Completion /
-Infraction Score are reported together with latency statistics.
+Infraction Score are reported.
 
 DS = 100 * RC * IS by construction. Penalties multiply per event; route
 deviation terminates the episode. Everything is deterministic given the
@@ -11,9 +11,8 @@ scene, the planner, and the controller configuration.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -33,11 +32,6 @@ __all__ = [
     "route_completion",
     "infraction_score",
     "run_closed_loop",
-    "calibrate_inner",
-    "sample_stage",
-    "time_stage",
-    "summarize_samples",
-    "bench_latency",
     "DEFAULT_PENALTIES",
 ]
 
@@ -105,7 +99,6 @@ class EvalReport:
     rc: float
     is_score: float
     infractions: InfractionLog
-    latency_ms: dict[str, float]
     feature_counts: dict[str, float]
     terminated: str  # completed | horizon | deviation | failure
     trajectory: np.ndarray  # (T, 4): t, x, y, speed
@@ -213,7 +206,6 @@ def run_closed_loop(scene: Scene,
                     horizon: float,
                     eval_cfg: EvalConfig | None = None,
                     feature_counts: dict[str, float] | None = None,
-                    latency_ms: dict[str, float] | None = None,
                     scene_id: str = "scene") -> EvalReport:
     """Plan once, then tick the controller until route completion, the
     horizon, or full route deviation.
@@ -301,60 +293,6 @@ def run_closed_loop(scene: Scene,
     is_score = infraction_score(log)
     ds = 100.0 * rc * is_score
     return EvalReport(scene_id=scene_id, ds=ds, rc=rc, is_score=is_score,
-                      infractions=log, latency_ms=dict(latency_ms or {}),
-                      feature_counts=dict(feature_counts or {}),
+                      infractions=log, feature_counts=dict(feature_counts or {}),
                       terminated=terminated, trajectory=traj)
 
-
-# ---------------------------------------------------------------------------
-# latency benchmark
-# ---------------------------------------------------------------------------
-
-_MIN_SAMPLE_SECONDS = 5e-4
-_BEST_OF = 3
-
-
-def calibrate_inner(fn: Callable[[], object]) -> int:
-    """Inner batch size so one sample measures at least ~0.5 ms of work."""
-    fn()  # warm-up
-    t0 = time.perf_counter()
-    fn()
-    single = time.perf_counter() - t0
-    if single >= _MIN_SAMPLE_SECONDS:
-        return 1
-    return max(1, int(math.ceil(_MIN_SAMPLE_SECONDS / max(single, 1e-9))))
-
-
-def sample_stage(fn: Callable[[], object], inner: int, best_of: int = _BEST_OF) -> float:
-    """One defended sample in ms: best of a few batch timings, since
-    scheduler contention only ever adds time."""
-    best = math.inf
-    for _ in range(best_of):
-        t0 = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        best = min(best, (time.perf_counter() - t0) / inner * 1e3)
-    return best
-
-
-def time_stage(fn: Callable[[], object], repeats: int) -> list[float]:
-    """Defended per-call wall times in ms for one stage in isolation."""
-    inner = calibrate_inner(fn)
-    return [sample_stage(fn, inner) for _ in range(repeats)]
-
-
-def summarize_samples(stage: str, variant: str, samples: Sequence[float]) -> dict[str, object]:
-    return {
-        "stage": stage,
-        "variant": variant,
-        "median_ms": float(np.median(samples)),
-        "p95_ms": float(np.percentile(samples, 95)),
-    }
-
-
-def bench_latency(stages: Sequence[tuple[str, str, Callable[[], object]]],
-                  repeats: int = 10) -> list[dict[str, object]]:
-    """Time (stage, variant, callable) triples and report median and p95
-    wall-clock per stage, in input order."""
-    return [summarize_samples(stage, variant, time_stage(fn, repeats))
-            for stage, variant, fn in stages]

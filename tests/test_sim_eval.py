@@ -6,14 +6,18 @@ import pytest
 
 from lanefuse.double_edge import PlannedPath, interpret_path
 from lanefuse.geometry import OrientedBox, PolylineProjector, project_point_to_polyline
-from lanefuse.pipeline import make_gt_planner
+from lanefuse.pipeline import (
+    calibrate_inner,
+    make_gt_planner,
+    sample_stage,
+    summarize_samples,
+)
 from lanefuse.scene_synth import SceneSpec, generate_scene
 from lanefuse.sim_eval import (
     ControllerConfig,
     EgoState,
     InfractionEvent,
     InfractionLog,
-    bench_latency,
     follow_path,
     infraction_score,
     route_completion,
@@ -341,9 +345,12 @@ class TestBenchLatency:
         def work():
             return x @ x
 
-        rows_a = bench_latency([("matmul", "lane_level", work)], repeats=20)
-        rows_b = bench_latency([("matmul", "lane_level", work)], repeats=20)
-        (row_a,), (row_b,) = rows_a, rows_b
+        def row():
+            inner = calibrate_inner(work)
+            return summarize_samples("matmul", "lane_level",
+                                     [sample_stage(work, inner) for _ in range(20)])
+
+        row_a, row_b = row(), row()
         assert row_a["stage"] == "matmul" and row_a["variant"] == "lane_level"
         assert row_a["median_ms"] > 0.0
         assert row_a["p95_ms"] >= row_a["median_ms"]
