@@ -351,14 +351,16 @@ def scaled_dot_attention(q: np.ndarray, k: np.ndarray,
                          v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Single-head scaled dot-product attention.
 
-    q: (Lq, d), k: (Lk, d), v: (Lk, dv). Returns (output, weights); each
-    weight row sums to 1 (checked, tolerance 1e-9).
+    q: (..., Lq, d), k: (..., Lk, d), v: (..., Lk, dv); leading dimensions
+    are batch dimensions. Returns (output, weights); each weight row sums to
+    1 (checked, tolerance 1e-9). The softmax runs in place in the one score
+    array, in the order /sqrt(d), -max, exp, /sum.
     """
-    d = q.shape[-1]
-    scores = q @ k.T / math.sqrt(d)
-    scores = scores - scores.max(axis=-1, keepdims=True)
-    ex = np.exp(scores)
-    weights = ex / ex.sum(axis=-1, keepdims=True)
+    weights = q @ np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    weights /= math.sqrt(q.shape[-1])
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
     err = np.abs(weights.sum(axis=-1) - 1.0).max()
     if err > ROW_SUM_TOL:
         raise AttentionInvariantError(f"attention row sums off by {err:.3e}")
@@ -385,7 +387,9 @@ class AttentionParams:
 def multi_head_attention(q_in: np.ndarray, k_in: np.ndarray, v_in: np.ndarray,
                          params: AttentionParams,
                          return_weights: bool = False):
-    """Projected multi-head attention over (L, E) inputs."""
+    """Projected multi-head attention over (..., L, E) inputs; leading
+    dimensions are batch dimensions. Heads run one at a time on contiguous
+    slices and write into one (..., Lq, E) array."""
     e = params.wq.shape[0]
     if e % params.heads != 0:
         raise ValueError(f"embed {e} not divisible by heads {params.heads}")
@@ -393,23 +397,25 @@ def multi_head_attention(q_in: np.ndarray, k_in: np.ndarray, v_in: np.ndarray,
     q = q_in @ params.wq.T + params.bq
     k = k_in @ params.wk.T + params.bk
     v = v_in @ params.wv.T + params.bv
-    outs = []
+    heads = np.empty(q.shape)
     all_w = []
     for hh in range(params.heads):
         sl = slice(hh * dh, (hh + 1) * dh)
-        out_h, w_h = scaled_dot_attention(q[:, sl], k[:, sl], v[:, sl])
-        outs.append(out_h)
-        all_w.append(w_h)
-    out = np.concatenate(outs, axis=1) @ params.wo.T + params.bo
+        heads[..., sl], w_h = scaled_dot_attention(
+            np.ascontiguousarray(q[..., sl]), k[..., sl], np.ascontiguousarray(v[..., sl]))
+        if return_weights:
+            all_w.append(w_h)
+    out = heads @ params.wo.T + params.bo
     if return_weights:
         return out, np.stack(all_w)
     return out
 
 
 def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LAYER_NORM_EPS) * g + b
+    n = x.shape[-1]
+    xc = x - x.sum(axis=-1, keepdims=True) / n
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
+    return xc / np.sqrt(var + LAYER_NORM_EPS) * g + b
 
 
 @dataclass(frozen=True)
@@ -492,24 +498,16 @@ def integrate_queries(q_image: QuerySet, q_lidar: QuerySet, w: LaneWeights) -> Q
 
 def lidar_transformer(q_integrated: QuerySet, f_lane: np.ndarray, store: ParamStore,
                       cfg: BlockConfig) -> FeatureSet:
-    """K attention blocks per lane, lanes independent: queries start from the
-    integrated queries, keys and values come from the lifted lane features."""
-    kv_all = f_lane @ store["kv_lift.w"].T + store["kv_lift.b"]
-    n_d, n_p, e = q_integrated.queries.shape
-    layer_params = [
-        (AttentionLayerParams.from_store(store, f"lid{i}.ln1", f"lid{i}.attn", cfg.heads),
-         f"lid{i}.ln2", f"lid{i}.ffn")
-        for i in range(cfg.layers)
-    ]
-    out = np.empty((n_d, n_p, e))
-    for lane in range(n_d):
-        x = q_integrated.queries[lane]
-        kv = kv_all[lane]
-        for p_attn, ln2, ffn in layer_params:
-            x = attention_layer(x, kv, kv, p_attn)
-            x = _ffn(x, store, ln2, ffn)
-        out[lane] = _layer_norm(x, store["lid_final.g"], store["lid_final.b"])
-    return FeatureSet(features=out)
+    """K attention blocks with lanes as a leading batch dimension, so lanes
+    stay independent: queries start from the integrated queries, keys and
+    values come from the lifted lane features of the same lane."""
+    kv = f_lane @ store["kv_lift.w"].T + store["kv_lift.b"]
+    x = q_integrated.queries
+    for i in range(cfg.layers):
+        p = AttentionLayerParams.from_store(store, f"lid{i}.ln1", f"lid{i}.attn", cfg.heads)
+        x = attention_layer(x, kv, kv, p)
+        x = _ffn(x, store, f"lid{i}.ln2", f"lid{i}.ffn")
+    return FeatureSet(features=_layer_norm(x, store["lid_final.g"], store["lid_final.b"]))
 
 
 def enhance_features(f_image: FeatureSet, f_lidar: FeatureSet, w: LaneWeights) -> FeatureSet:

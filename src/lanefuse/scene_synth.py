@@ -24,6 +24,7 @@ from .geometry import (
     polyline_length,
     resample_polyline,
 )
+from .io_utils import atomic_write_bytes
 
 __all__ = [
     "SceneSpec",
@@ -693,12 +694,10 @@ _PC_MAGIC = b"LFPC"
 
 
 def save_point_cloud(path: str | Path, cloud: PointCloud) -> None:
-    """Little-endian binary: magic 'LFPC', u32 count, N x 3 float32."""
+    """Little-endian binary: magic 'LFPC', u32 count, N x 3 float32. Written
+    atomically; missing parent directories are created."""
     pts = np.asarray(cloud.points, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(_PC_MAGIC)
-        fh.write(struct.pack("<I", pts.shape[0]))
-        fh.write(pts.tobytes())
+    atomic_write_bytes(path, _PC_MAGIC + struct.pack("<I", pts.shape[0]) + pts.tobytes())
 
 
 def load_point_cloud(path: str | Path) -> PointCloud:

@@ -99,6 +99,17 @@ class TestRun:
         cloud = load_point_cloud(out / "scene_00.lfpc")
         assert len(cloud) > 0
 
+    def test_dump_cloud_into_fresh_nested_directory(self, tmp_path, fast_config):
+        scenes = tmp_path / "scenes"
+        main(["gen-scenes", "--config", fast_config, "--suite", "trivial",
+              "--out", str(scenes)])
+        out = tmp_path / "fresh" / "nested"
+        code = main(["run", "--config", fast_config, "--scene", str(scenes / "scene_00.json"),
+                     "--out", str(out), "--dump-cloud"])
+        assert code == 0
+        cloud = load_point_cloud(out / "scene_00.lfpc")
+        assert len(cloud) > 0
+
     def test_weight_file_changes_predictions(self, tmp_path, fast_config):
         from lanefuse.fusion import build_params, save_params
         import numpy as np

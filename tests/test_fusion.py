@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from lanefuse.fusion import (
+    LAYER_NORM_EPS,
     AttentionLayerParams,
     AttentionParams,
     BlockConfig,
     FeatureSet,
     QuerySet,
     TokenSequence,
+    _layer_norm,
     attention_layer,
     build_params,
     coarse_lane_detect,
@@ -196,6 +198,53 @@ class TestAttentionCore:
         out = attention_layer(x, x, x, p)
         assert out.shape == x.shape
         assert not np.allclose(out, x)
+
+
+class TestAttentionBytes:
+    """The attention primitives give the same bytes whatever the memory
+    layout of their inputs, and with lanes stacked as a batch dimension."""
+
+    def test_stacked_lanes_equal_per_lane_calls(self, param_store):
+        rng = np.random.default_rng(6)
+        p = AttentionParams.from_store(param_store, "lid0.attn", 4)
+        q_in = rng.normal(size=(6, 20, 32))
+        kv_in = rng.normal(size=(6, 20, 32))
+        stacked = multi_head_attention(q_in, kv_in, kv_in, p)
+        for lane in range(6):
+            one = multi_head_attention(q_in[lane], kv_in[lane], kv_in[lane], p)
+            assert np.array_equal(stacked[lane], one)
+
+    @pytest.mark.parametrize("lq,lk", [(20, 20), (120, 256), (256, 256)])
+    def test_strided_views_equal_contiguous_copies(self, lq, lk):
+        rng = np.random.default_rng(lq + lk)
+        q, k, v = rng.normal(size=(lq, 32)), rng.normal(size=(lk, 32)), rng.normal(size=(lk, 32))
+        for hh in range(4):
+            sl = slice(hh * 8, (hh + 1) * 8)
+            out_v, w_v = scaled_dot_attention(q[:, sl], k[:, sl], v[:, sl])
+            out_c, w_c = scaled_dot_attention(q[:, sl].copy(), k[:, sl].copy(), v[:, sl].copy())
+            assert np.array_equal(out_v, out_c) and np.array_equal(w_v, w_c)
+
+    def test_layer_norm_equals_mean_var_formula(self):
+        rng = np.random.default_rng(7)
+        x = rng.normal(scale=3.0, size=(2, 9, 32))
+        x[0, 4] = 1.25  # a constant row: zero variance
+        g, b = rng.normal(size=32), rng.normal(size=32)
+        for arr in (x, x[1].T.copy().T, x[0, :, ::2]):
+            gg, bb = g[:arr.shape[-1]], b[:arr.shape[-1]]
+            mean = arr.mean(axis=-1, keepdims=True)
+            var = arr.var(axis=-1, keepdims=True)
+            want = (arr - mean) / np.sqrt(var + LAYER_NORM_EPS) * gg + bb
+            assert np.array_equal(_layer_norm(arr, gg, bb), want)
+        assert np.array_equal(_layer_norm(x, g, b)[0, 4], b)
+
+    def test_return_weights_gives_head_stack(self):
+        rng = np.random.default_rng(8)
+        p = random_attention_params(rng, 8, 2)
+        q_in, kv_in = rng.normal(size=(5, 8)), rng.normal(size=(7, 8))
+        out, w = multi_head_attention(q_in, kv_in, kv_in, p, return_weights=True)
+        assert w.shape == (2, 5, 7)
+        assert np.array_equal(out, multi_head_attention(q_in, kv_in, kv_in, p))
+        assert np.abs(w.sum(axis=-1) - 1.0).max() <= 1e-9
 
 
 class TestImageTransformer:
