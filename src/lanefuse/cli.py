@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, SUITE_NAMES
 from .double_edge import PlannedPath, interpret_path
-from .fusion import build_params, load_params
+from .fusion import AttentionInvariantError, build_params, load_params
 from .heads_losses import LOSS_NAMES, grad_check
 from .io_utils import atomic_write_bytes, atomic_write_text, write_csv
 from .pillar import LaneROI
@@ -181,8 +181,8 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _eval_one(scene_and_id, cfg: RunConfig, use_gt: bool, store):
-    scene, scene_id = scene_and_id
+def _eval_one(scene, scene_id: str, cfg: RunConfig, use_gt: bool, store) -> dict:
+    """The ``eval.json`` row of one closed-loop episode."""
     runs: list[PipelineResult] = []  # the one forward pass the episode plans with
     if use_gt:
         planner = make_gt_planner(cfg)
@@ -193,10 +193,16 @@ def _eval_one(scene_and_id, cfg: RunConfig, use_gt: bool, store):
     counts = scene_feature_counts(
         scene, cfg, LaneROI(points=np.zeros((cfg.n_d, cfg.n_p, 3))))
     report = run_closed_loop(scene, planner, cfg.controller, cfg.horizon,
-                             eval_cfg=cfg.eval_config, feature_counts=counts,
-                             scene_id=scene_id)
-    latency = runs[0].stage_ms if runs else {}
-    return report, latency
+                             eval_cfg=cfg.eval_config)
+    return {
+        "scene_id": scene_id,
+        "ds": report.ds, "rc": report.rc, "is": report.is_score,
+        "terminated": report.terminated,
+        "infractions": [{"time": ev.time, "kind": ev.kind, "penalty": ev.penalty}
+                        for ev in report.infractions.events],
+        "feature_counts": counts,
+        "latency_ms": runs[0].stage_ms if runs else {},
+    }
 
 
 def cmd_eval(args) -> int:
@@ -209,7 +215,7 @@ def cmd_eval(args) -> int:
     for i, scene in enumerate(scenes):
         scene_id = f"scene_{i:02d}"
         try:
-            report, latency = _eval_one((scene, scene_id), cfg, use_gt, store)
+            scene_objs.append(_eval_one(scene, scene_id, cfg, use_gt, store))
         except Exception as exc:
             # a broken scene still yields a row so the aggregate stands
             log.error("eval %s failed: %s", scene_id, exc)
@@ -218,16 +224,6 @@ def cmd_eval(args) -> int:
                 "terminated": "failure", "error": str(exc),
                 "infractions": [], "feature_counts": {}, "latency_ms": {},
             })
-            continue
-        scene_objs.append({
-            "scene_id": report.scene_id,
-            "ds": report.ds, "rc": report.rc, "is": report.is_score,
-            "terminated": report.terminated,
-            "infractions": [{"time": ev.time, "kind": ev.kind, "penalty": ev.penalty}
-                            for ev in report.infractions.events],
-            "feature_counts": report.feature_counts,
-            "latency_ms": latency,
-        })
     aggregate = {
         "ds": float(np.mean([s["ds"] for s in scene_objs])),
         "rc": float(np.mean([s["rc"] for s in scene_objs])),
@@ -378,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, AttentionInvariantError) as exc:
         log.error("%s", exc)
         return 2
 

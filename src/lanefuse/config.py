@@ -61,6 +61,8 @@ class RunConfig:
             raise ValueError(f"n_p must be even, got {self.n_p}")
         if self.e_dim % self.heads != 0:
             raise ValueError(f"e_dim {self.e_dim} not divisible by heads {self.heads}")
+        if not isinstance(self.bench_repeats, int) or self.bench_repeats < 1:
+            raise ValueError(f"bench_repeats must be an int >= 1, got {self.bench_repeats!r}")
         if self.suite not in SUITE_NAMES:
             raise ValueError(f"suite must be one of {SUITE_NAMES}, got {self.suite!r}")
         span = self.bounds_max[2] - self.bounds_min[2]

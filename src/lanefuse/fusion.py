@@ -362,7 +362,7 @@ def scaled_dot_attention(q: np.ndarray, k: np.ndarray,
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
     err = np.abs(weights.sum(axis=-1) - 1.0).max()
-    if err > ROW_SUM_TOL:
+    if not err <= ROW_SUM_TOL:  # also catches NaN
         raise AttentionInvariantError(f"attention row sums off by {err:.3e}")
     return weights @ v, weights
 

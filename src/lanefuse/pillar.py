@@ -97,7 +97,7 @@ class LaneWeights:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 1 or np.any(w < 0.0) or np.any(w > 1.0):
+        if w.ndim != 1 or not np.all((w >= 0.0) & (w <= 1.0)):  # NaN fails too
             raise ValueError("lane weights must be a 1D array within [0, 1]")
 
 

@@ -8,10 +8,8 @@ latency benchmarks.
 from __future__ import annotations
 
 import functools
-import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -102,18 +100,20 @@ def _forward(scene: Scene, cfg: RunConfig, store: ParamStore, stage):
     return prior, lane_pillars, predictions, predicted_lanes, path
 
 
+def _timed(stage_ms: dict[str, float], name: str, fn, *args):
+    """``fn(*args)``; its wall time in ms goes to ``stage_ms[name]``."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    stage_ms[name] = (time.perf_counter() - t0) * 1e3
+    return out
+
+
 def run_pipeline(scene: Scene, cfg: RunConfig, store: ParamStore) -> PipelineResult:
     """One full forward pass; deterministic in (scene, cfg, store).
     ``stage_ms`` holds each stage row's wall time, in pass order."""
     stage_ms: dict[str, float] = {}
-
-    def timed(name, fn, *args):
-        t0 = time.perf_counter()
-        out = fn(*args)
-        stage_ms[name] = (time.perf_counter() - t0) * 1e3
-        return out
-
-    return PipelineResult(*_forward(scene, cfg, store, timed), stage_ms=stage_ms)
+    return PipelineResult(*_forward(scene, cfg, store, functools.partial(_timed, stage_ms)),
+                          stage_ms=stage_ms)
 
 
 def pipeline_losses(result: PipelineResult, scene: Scene, cfg: RunConfig) -> LossBreakdown:
@@ -158,105 +158,52 @@ def scene_feature_counts(scene: Scene, cfg: RunConfig, roi: LaneROI) -> dict[str
 # latency benchmark
 # ---------------------------------------------------------------------------
 
-_MIN_SAMPLE_SECONDS = 5e-4
-_BEST_OF = 3
 
-
-def calibrate_inner(fn: Callable[[], object]) -> int:
-    """Inner batch size so one sample measures at least ~0.5 ms of work."""
-    fn()  # warm-up
-    t0 = time.perf_counter()
-    fn()
-    single = time.perf_counter() - t0
-    if single >= _MIN_SAMPLE_SECONDS:
-        return 1
-    return max(1, int(math.ceil(_MIN_SAMPLE_SECONDS / max(single, 1e-9))))
-
-
-def sample_stage(fn: Callable[[], object], inner: int, best_of: int = _BEST_OF) -> float:
-    """One defended sample in ms: best of a few batch timings, since
-    scheduler contention only ever adds time."""
-    best = math.inf
-    for _ in range(best_of):
-        t0 = time.perf_counter()
-        for _ in range(inner):
-            fn()
-        best = min(best, (time.perf_counter() - t0) / inner * 1e3)
-    return best
-
-
-def summarize_samples(stage: str, variant: str, samples: Sequence[float]) -> dict[str, object]:
-    return {
-        "stage": stage,
-        "variant": variant,
-        "median_ms": float(np.median(samples)),
-        "p95_ms": float(np.percentile(samples, 95)),
-    }
+def _dense_encode(features: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.maximum(features @ w.T + b, 0.0)
 
 
 def bench_suite(scenes: list[Scene], cfg: RunConfig, store: ParamStore,
-                repeats: int | None = None,
-                best_of: int = 5) -> tuple[list[dict], dict[str, float]]:
-    """Per-stage latency over a suite: every stage row of the forward pass
-    as the lane-level variant, plus pillarize and encode over the whole
-    cloud as the dense-pillar variant, and the pillarize and encoding
-    comparison summary.
+                repeats: int) -> tuple[list[dict], dict[str, float]]:
+    """Per-stage latency over a suite: the ``stage_ms`` rows of
+    :func:`run_pipeline` as the lane-level variant, plus pillarize and
+    encode over the whole cloud as the dense-pillar variant, and the
+    pillarize and encoding comparison summary.
 
-    The lane-level rows re-run each call of one forward pass with the
-    arguments it had, so the lane-level ``pillarize`` bins only the points
+    The lane-level rows are the in-pass timings that eval reports as
+    ``latency_ms``, so the lane-level ``pillarize`` bins only the points
     around the coarse ROI (ROI-first); the dense variant bins and encodes
-    the whole cloud.
+    each scene's cloud, rendered once up front.
 
-    The reported median is the median of per-scene medians, which stays
-    reproducible even though scenes differ widely in cost; p95 is taken over
-    all pooled samples. Sampling is interleaved across stages and each
-    sample keeps the best of several batch timings, so contention bursts on
-    a busy host cannot bias a stage wholesale.
+    After one untimed warm-up round, each of ``repeats`` rounds visits every
+    scene once, so a slow phase of the host spreads over all scenes instead
+    of owning one scene's samples. The reported median is the median of
+    per-scene medians, which stays reproducible even though scenes differ
+    widely in cost; p95 is taken over all pooled samples.
     """
-    repeats = repeats or cfg.bench_repeats
-    per_scene_medians: dict[tuple[str, str], list[float]] = {}
-    pooled: dict[tuple[str, str], list[float]] = {}
-    dense_counts: list[float] = []
+    spec = cfg.pillar_spec()
     w_enc, b_enc = store["pillar_enc.w"], store["pillar_enc.b"]
+    clouds = [render_lidar(scene, cfg.lidar_density, cfg.lidar_noise_sigma, scene.spec.seed)
+              for scene in scenes]
+    dense_counts: list[float] = []
+    samples: dict[tuple[str, str], list[list[float]]] = {}  # row -> per-scene samples
+    for round_idx in range(repeats + 1):
+        for i, (scene, cloud) in enumerate(zip(scenes, clouds)):
+            lane_ms = run_pipeline(scene, cfg, store).stage_ms
+            dense_ms: dict[str, float] = {}
+            features = _timed(dense_ms, "pillarize", pillarize, cloud, spec).features
+            _timed(dense_ms, "encode", _dense_encode, features, w_enc, b_enc)
+            if round_idx == 0:  # warm-up
+                dense_counts.append(float(len(features)))
+                continue
+            for variant, stage_ms in (("lane_level", lane_ms), ("dense_pillar", dense_ms)):
+                for stage, ms in stage_ms.items():
+                    samples.setdefault((stage, variant), [[] for _ in scenes])[i].append(ms)
 
-    for scene in scenes:
-        calls: list[tuple[str, Callable[[], object]]] = []
-        outputs: dict[str, object] = {}
-
-        def keep(name, fn, *args):
-            calls.append((name, functools.partial(fn, *args)))
-            outputs[name] = out = fn(*args)
-            return out
-
-        _forward(scene, cfg, store, keep)
-        cloud = outputs["render_lidar"]
-        dense_feats = pillarize(cloud, cfg.pillar_spec()).features
-        dense_counts.append(float(len(dense_feats)))
-
-        stages = [(name, "lane_level", fn) for name, fn in calls] + [
-            ("pillarize", "dense_pillar", functools.partial(pillarize, cloud, cfg.pillar_spec())),
-            ("encode", "dense_pillar", lambda: np.maximum(dense_feats @ w_enc.T + b_enc, 0.0)),
-        ]
-        for _, _, fn in stages:  # full warm-up sweep before any timing
-            fn()
-        # interleave sampling rounds so a contention burst cannot swallow
-        # one stage's samples wholesale
-        inner = {(stage, variant): calibrate_inner(fn) for stage, variant, fn in stages}
-        scene_samples: dict[tuple[str, str], list[float]] = {
-            (stage, variant): [] for stage, variant, _ in stages}
-        for _ in range(repeats):
-            for stage, variant, fn in stages:
-                scene_samples[(stage, variant)].append(
-                    sample_stage(fn, inner[(stage, variant)], best_of))
-        for key, samples in scene_samples.items():
-            pooled.setdefault(key, []).extend(samples)
-            per_scene_medians.setdefault(key, []).append(float(np.median(samples)))
-
-    rows = []
-    for (stage, variant), meds in per_scene_medians.items():
-        row = summarize_samples(stage, variant, pooled[(stage, variant)])
-        row["median_ms"] = float(np.median(meds))
-        rows.append(row)
+    rows = [{"stage": stage, "variant": variant,
+             "median_ms": float(np.median([np.median(s) for s in per_scene])),
+             "p95_ms": float(np.percentile(np.concatenate(per_scene), 95))}
+            for (stage, variant), per_scene in samples.items()]
     med = {(r["stage"], r["variant"]): r["median_ms"] for r in rows}
     lane_level = float(cfg.n_d * cfg.n_p)
     summary = {

@@ -94,12 +94,10 @@ class InfractionLog:
 
 @dataclass(frozen=True)
 class EvalReport:
-    scene_id: str
     ds: float
     rc: float
     is_score: float
     infractions: InfractionLog
-    feature_counts: dict[str, float]
     terminated: str  # completed | horizon | deviation | failure
     trajectory: np.ndarray  # (T, 4): t, x, y, speed
 
@@ -204,9 +202,7 @@ def run_closed_loop(scene: Scene,
                     planner: Callable[[Scene], PlannedPath],
                     cfg: ControllerConfig,
                     horizon: float,
-                    eval_cfg: EvalConfig | None = None,
-                    feature_counts: dict[str, float] | None = None,
-                    scene_id: str = "scene") -> EvalReport:
+                    eval_cfg: EvalConfig | None = None) -> EvalReport:
     """Plan once, then tick the controller until route completion, the
     horizon, or full route deviation.
 
@@ -292,7 +288,6 @@ def run_closed_loop(scene: Scene,
     log = InfractionLog(events=tuple(events))
     is_score = infraction_score(log)
     ds = 100.0 * rc * is_score
-    return EvalReport(scene_id=scene_id, ds=ds, rc=rc, is_score=is_score,
-                      infractions=log, feature_counts=dict(feature_counts or {}),
+    return EvalReport(ds=ds, rc=rc, is_score=is_score, infractions=log,
                       terminated=terminated, trajectory=traj)
 

@@ -9,7 +9,7 @@ import pytest
 from lanefuse.cli import main
 from lanefuse.config import RunConfig
 from lanefuse.double_edge import interpret_path
-from lanefuse.fusion import build_params
+from lanefuse.fusion import build_params, save_params
 from lanefuse.heads_losses import LOSS_NAMES
 from lanefuse.pipeline import run_pipeline
 from lanefuse.scene_synth import generate_scene, load_point_cloud, scene_from_json
@@ -148,6 +148,24 @@ class TestRun:
         assert "truncated block header" in errors[0].getMessage()
         assert "\n" not in errors[0].getMessage()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself warns
+    def test_overflowing_weights_exit_2_naming_attention_check(self, tmp_path, fast_config,
+                                                               caplog):
+        out = tmp_path / "o"
+        main(["gen-scenes", "--config", fast_config, "--suite", "trivial",
+              "--out", str(out)])
+        store = build_params(RunConfig.from_file(fast_config).block_config())
+        gain = store["img_enc0.ln1.g"]
+        weights = tmp_path / "w.lfpw"
+        save_params(store.replaced({"img_enc0.ln1.g": np.full(gain.shape, 1e300)}), weights)
+        caplog.clear()
+        code = main(["run", "--config", fast_config, "--scene", str(out / "scene_00.json"),
+                     "--out", str(out), "--params", str(weights)])
+        assert code == 2
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert "attention row sums" in errors[0].getMessage()
+        assert "\n" not in errors[0].getMessage()
 
     @pytest.mark.parametrize("field, corrupt", [
         ("route.lane", lambda obj: obj["route"].update(lane=[0])),
@@ -201,6 +219,8 @@ class TestBench:
         stages = {(r[0], r[3]) for r in lrows}
         assert ("encode", "lane_level") in stages
         assert ("encode", "dense_pillar") in stages
+        for r in lrows:
+            assert 0.0 < float(r[1]) <= float(r[2]), r
         summary = json.loads((out / "bench_summary.json").read_text())
         assert summary["lane_level_features"] == 120.0
         med = {(r[0], r[3]): float(r[1]) for r in lrows}
@@ -264,10 +284,10 @@ class TestEval:
 
         real = cli_mod._eval_one
 
-        def flaky(item, cfg, use_gt, store):
-            if item[1] == "scene_01":
+        def flaky(scene, scene_id, cfg, use_gt, store):
+            if scene_id == "scene_01":
                 raise RuntimeError("synthetic breakage")
-            return real(item, cfg, use_gt, store)
+            return real(scene, scene_id, cfg, use_gt, store)
 
         monkeypatch.setattr(cli_mod, "_eval_one", flaky)
         out = tmp_path / "e"
@@ -354,3 +374,6 @@ class TestConfigFile:
             RunConfig(n_p=7)
         with pytest.raises(ValueError, match="heads"):
             RunConfig(e_dim=30, heads=4)
+        for bad in (0, "3"):
+            with pytest.raises(ValueError, match="bench_repeats"):
+                RunConfig(bench_repeats=bad)

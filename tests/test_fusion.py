@@ -6,6 +6,7 @@ import pytest
 
 from lanefuse.fusion import (
     LAYER_NORM_EPS,
+    AttentionInvariantError,
     AttentionLayerParams,
     AttentionParams,
     BlockConfig,
@@ -172,6 +173,14 @@ class TestAttentionCore:
             v = rng.normal(size=(9, 8))
             _, w = scaled_dot_attention(q, k, v)
             assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-9
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_query_raises(self):
+        rng = np.random.default_rng(2)
+        q, k, v = rng.normal(size=(3, 6, 8))
+        q[1, 2] = np.inf  # its score row is inf - inf = NaN after the max shift
+        with pytest.raises(AttentionInvariantError, match="nan"):
+            scaled_dot_attention(q, k, v)
 
     def test_single_head_matches_reference(self):
         rng = np.random.default_rng(3)

@@ -395,6 +395,7 @@ class TestFeatureCountReport:
 
 
 def test_lane_weights_domain_checked():
-    with pytest.raises(ValueError):
-        LaneWeights(weights=np.array([0.5, 1.2]))
+    for bad in (1.2, -0.1, np.nan):
+        with pytest.raises(ValueError):
+            LaneWeights(weights=np.array([0.5, bad]))
     LaneWeights(weights=np.array([0.0, 1.0, 0.3]))

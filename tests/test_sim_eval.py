@@ -6,12 +6,7 @@ import pytest
 
 from lanefuse.double_edge import PlannedPath, interpret_path
 from lanefuse.geometry import OrientedBox, PolylineProjector, project_point_to_polyline
-from lanefuse.pipeline import (
-    calibrate_inner,
-    make_gt_planner,
-    sample_stage,
-    summarize_samples,
-)
+from lanefuse.pipeline import make_gt_planner
 from lanefuse.scene_synth import SceneSpec, generate_scene
 from lanefuse.sim_eval import (
     ControllerConfig,
@@ -336,26 +331,6 @@ def test_polyline_projector_matches_reference_bit_for_bit():
             expected = reference_projection(point, poly)
             assert project(point) == expected
             assert project_point_to_polyline(point, poly) == expected
-
-
-class TestBenchLatency:
-    def test_rows_and_stability(self):
-        x = np.random.default_rng(0).normal(size=(200, 200))
-
-        def work():
-            return x @ x
-
-        def row():
-            inner = calibrate_inner(work)
-            return summarize_samples("matmul", "lane_level",
-                                     [sample_stage(work, inner) for _ in range(20)])
-
-        row_a, row_b = row(), row()
-        assert row_a["stage"] == "matmul" and row_a["variant"] == "lane_level"
-        assert row_a["median_ms"] > 0.0
-        assert row_a["p95_ms"] >= row_a["median_ms"]
-        spread = abs(row_a["median_ms"] - row_b["median_ms"]) / row_a["median_ms"]
-        assert spread < 0.2
 
 
 def test_controller_config_validation():
