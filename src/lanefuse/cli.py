@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from .config import RunConfig, SUITE_NAMES
 from .double_edge import PlannedPath, interpret_path
 from .fusion import AttentionInvariantError, build_params, load_params
 from .heads_losses import LOSS_NAMES, grad_check
-from .io_utils import atomic_write_bytes, atomic_write_text, write_csv
+from .io_utils import atomic_write_bytes, atomic_write_text, dumps, from_json, write_csv
 from .pillar import LaneROI
 from .pipeline import (
     PipelineResult,
@@ -65,10 +66,6 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
-def _dumps(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def _scene_files(out: Path) -> list[Path]:
     return sorted(out.glob("scene_*.json"))
 
@@ -93,28 +90,11 @@ def cmd_gen_scenes(args) -> int:
         "suite": cfg.suite,
         "seed_scene": cfg.seed_scene,
         "seed_params": cfg.seed_params,
-        "config": json.loads(cfg.to_json()),
+        "config": cfg,
         "scenes": manifest_scenes,
     }
-    atomic_write_bytes(out / "manifest.json", _dumps(manifest))
+    atomic_write_bytes(out / "manifest.json", dumps(manifest))
     return 0
-
-
-def _predictions_obj(pred) -> dict:
-    return {
-        "points": pred.points.tolist(),
-        "int_logits": pred.int_logits.tolist(),
-        "dir_logits": pred.dir_logits.tolist(),
-        "occ_logits": pred.occ_logits.tolist(),
-        "plan_logits": pred.plan_logits.tolist(),
-        "speed": pred.speed,
-        "signal_logits": pred.signal_logits.tolist(),
-    }
-
-
-def _path_obj(path: PlannedPath) -> dict:
-    return {"waypoints": [list(w) for w in path.waypoints],
-            "target_speed": path.target_speed}
 
 
 def cmd_run(args) -> int:
@@ -126,22 +106,20 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     dump: dict = {"scene": Path(args.scene).name, "injected": bool(args.inject_gt)}
     if args.inject_gt:
-        breakdown, path = injected_losses(scene, cfg)
-        dump["losses"] = breakdown.as_dict()
-        dump["path"] = _path_obj(path)
+        breakdown, dump["path"] = injected_losses(scene, cfg)
     else:
         result = run_pipeline(scene, cfg, store)
         breakdown = pipeline_losses(result, scene, cfg)
-        dump["losses"] = breakdown.as_dict()
-        dump["path"] = _path_obj(result.path)
-        dump["predictions"] = _predictions_obj(result.predictions)
-        dump["prior_weights"] = result.prior.weights.weights.tolist()
+        dump["path"] = result.path
+        dump["predictions"] = result.predictions
+        dump["prior_weights"] = result.prior.weights.weights
+    dump["losses"] = asdict(breakdown)
     if args.dump_cloud:
         cloud = render_lidar(scene, cfg.lidar_density, cfg.lidar_noise_sigma,
                              scene.spec.seed)
         save_point_cloud(out / (Path(args.scene).stem + ".lfpc"), cloud)
     name = f"run_{Path(args.scene).stem}.json"
-    atomic_write_bytes(out / name, _dumps(dump))
+    atomic_write_bytes(out / name, dumps(dump))
     write_csv(out / f"run_{Path(args.scene).stem}_losses.csv",
               ["loss_name", "value"],
               [[k, repr(v)] for k, v in dump["losses"].items()])
@@ -175,7 +153,7 @@ def cmd_bench(args) -> int:
               ["stage", "median_ms", "p95_ms", "variant"],
               [[r["stage"], repr(r["median_ms"]), repr(r["p95_ms"]), r["variant"]]
                for r in rows])
-    atomic_write_bytes(out / "bench_summary.json", _dumps(summary))
+    atomic_write_bytes(out / "bench_summary.json", dumps(summary))
     log.info("bench: %.1fx feature reduction, %.1fx encode speedup",
              summary["feature_reduction"], summary["encode_speedup"])
     return 0
@@ -198,8 +176,7 @@ def _eval_one(scene, scene_id: str, cfg: RunConfig, use_gt: bool, store) -> dict
         "scene_id": scene_id,
         "ds": report.ds, "rc": report.rc, "is": report.is_score,
         "terminated": report.terminated,
-        "infractions": [{"time": ev.time, "kind": ev.kind, "penalty": ev.penalty}
-                        for ev in report.infractions.events],
+        "infractions": report.infractions.events,
         "feature_counts": counts,
         "latency_ms": runs[0].stage_ms if runs else {},
     }
@@ -230,7 +207,7 @@ def cmd_eval(args) -> int:
         "is": float(np.mean([s["is"] for s in scene_objs])),
         "planner": args.planner,
     }
-    atomic_write_bytes(out / "eval.json", _dumps({"aggregate": aggregate,
+    atomic_write_bytes(out / "eval.json", dumps({"aggregate": aggregate,
                                                   "scenes": scene_objs}))
     write_csv(out / "eval.csv",
               ["scene_id", "ds", "rc", "is", "terminated"],
@@ -295,9 +272,8 @@ def cmd_export_plot(args) -> int:
         scene = scene_from_json(scene_path.read_bytes())
         run_dump = results / f"run_{scene_path.stem}.json"
         if run_dump.exists():
-            obj = json.loads(run_dump.read_text("utf-8"))
-            path = PlannedPath(waypoints=tuple(tuple(w) for w in obj["path"]["waypoints"]),
-                               target_speed=obj["path"]["target_speed"])
+            path = from_json(PlannedPath, json.loads(run_dump.read_text("utf-8"))["path"],
+                             f"{run_dump.name} path")
         else:
             path = interpret_path(scene.ground_truth, scene.gt_speed)
         atomic_write_text(plots / f"{scene_path.stem}.svg", scene_svg(scene, path=path))
@@ -373,7 +349,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # Non-finite values end in the checks' one-line errors below; numpy's
+        # floating-point warnings would only add lines before them.
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except (ValueError, KeyError, OSError, AttentionInvariantError) as exc:
         log.error("%s", exc)
         return 2

@@ -6,13 +6,14 @@ the whole reproducibility surface; all randomness flows from the two seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .fusion import BlockConfig
 from .heads_losses import LossConfig, LossWeights
+from .io_utils import dumps, from_json
 from .pillar import GridSpec
 from .scene_synth import SceneSpec
 from .sim_eval import ControllerConfig, EvalConfig
@@ -59,7 +60,7 @@ class RunConfig:
     def __post_init__(self):
         if self.n_p % 2 != 0:
             raise ValueError(f"n_p must be even, got {self.n_p}")
-        if self.e_dim % self.heads != 0:
+        if self.heads < 1 or self.e_dim % self.heads != 0:
             raise ValueError(f"e_dim {self.e_dim} not divisible by heads {self.heads}")
         if not isinstance(self.bench_repeats, int) or self.bench_repeats < 1:
             raise ValueError(f"bench_repeats must be an int >= 1, got {self.bench_repeats!r}")
@@ -98,44 +99,11 @@ class RunConfig:
     # -- JSON round trip -----------------------------------------------------
 
     def to_json(self) -> bytes:
-        obj = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("loss_weights", "loss_config", "controller", "eval_config")
-        }
-        obj["loss_weights"] = vars(self.loss_weights).copy()
-        obj["loss_config"] = vars(self.loss_config).copy()
-        obj["controller"] = vars(self.controller).copy()
-        obj["eval_config"] = {
-            "penalties": dict(self.eval_config.penalties),
-            "ego_radius": self.eval_config.ego_radius,
-            "arrival_radius": self.eval_config.arrival_radius,
-            "deviation_lane_widths": self.eval_config.deviation_lane_widths,
-            "deviation_seconds": self.eval_config.deviation_seconds,
-        }
-        for key in ("voxel_resolution", "pillar_resolution", "bounds_min", "bounds_max"):
-            obj[key] = list(obj[key])
-        return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return dumps(self)
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "RunConfig":
-        kwargs = dict(obj)
-        for key in ("voxel_resolution", "pillar_resolution", "bounds_min", "bounds_max"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        if "loss_weights" in kwargs:
-            kwargs["loss_weights"] = LossWeights(**kwargs["loss_weights"])
-        if "loss_config" in kwargs:
-            kwargs["loss_config"] = LossConfig(**kwargs["loss_config"])
-        if "controller" in kwargs:
-            kwargs["controller"] = ControllerConfig(**kwargs["controller"])
-        if "eval_config" in kwargs:
-            kwargs["eval_config"] = EvalConfig(**kwargs["eval_config"])
-        known = {f.name for f in fields(cls)}
-        unknown = set(kwargs) - known
-        if unknown:
-            raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        return cls(**kwargs)
+    def from_obj(cls, obj) -> "RunConfig":
+        return from_json(cls, obj, "config")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":

@@ -22,6 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .io_utils import dumps, from_json
+
 __all__ = [
     "EdgePoint",
     "Edge",
@@ -218,7 +220,7 @@ def serialize(lanes: DoubleEdgeSet) -> bytes:
             for lane in lanes.lanes
         ],
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return dumps(obj)
 
 
 def _parse_edge(obj, where: str) -> Edge:
@@ -258,7 +260,8 @@ def deserialize(data: bytes) -> DoubleEdgeSet:
             raise ParseError(f"lanes[{i}]: {exc!r}") from exc
         lanes.append(lane)
     out = DoubleEdgeSet(lanes=tuple(lanes))
-    diags = validate(out, expected_n_d=obj.get("n_d"), expected_n_p=obj.get("n_p"))
+    n_d, n_p = (from_json(int | None, obj.get(key), key) for key in ("n_d", "n_p"))
+    diags = validate(out, expected_n_d=n_d, expected_n_p=n_p)
     if diags:
         raise ValidationError(diags)
     return out

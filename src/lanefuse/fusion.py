@@ -321,7 +321,8 @@ def positional_encode(grid: ViewFeatureGrid, store: ParamStore) -> TokenSequence
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=float)
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .double_edge import DoubleEdgeSet, StructuralError, lanes_from_arrays, lanes_to_arrays
-from .fusion import FeatureSet, ParamStore
+from .fusion import FeatureSet, ParamStore, _sigmoid
 from .pillar import LaneROI
 
 __all__ = [
@@ -72,7 +72,7 @@ class LossWeights:
     def __post_init__(self):
         for name in ("gamma", "delta", "epsilon", "varepsilon", "zeta", "eta", "theta", "iota"):
             if getattr(self, name) < 0:
-                raise ValueError(f"loss weight {name} must be >= 0")
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -83,8 +83,11 @@ class LossConfig:
     d_p2t_floor: float = 0.1
 
     def __post_init__(self):
-        if self.rho < 0 or self.focal_gamma < 0 or self.d_p2t_floor <= 0:
-            raise ValueError("invalid loss config")
+        for name in ("rho", "focal_gamma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.d_p2t_floor <= 0:
+            raise ValueError("d_p2t_floor must be > 0")
 
 
 @dataclass(frozen=True)
@@ -98,11 +101,6 @@ class LossBreakdown:
     spd: float
     sig: float
     total: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {"roi": self.roi, "edg": self.edg, "int": self.int, "dir": self.dir,
-                "occ": self.occ, "plan": self.plan, "spd": self.spd, "sig": self.sig,
-                "total": self.total}
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +166,6 @@ def inject_ground_truth(gt: DoubleEdgeSet, gt_speed: float, gt_signal_class: int
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _bce_with_logits(z: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Elementwise binary cross-entropy in nats, numerically stable."""
     z = np.asarray(z, dtype=float)
@@ -199,14 +187,17 @@ def _gt_slice(pred: np.ndarray, gt_points: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _roi_core(pred_roi: np.ndarray, gt: DoubleEdgeSet) -> tuple[float, np.ndarray]:
-    arrs = lanes_to_arrays(gt)
-    gt_pts = arrs["points"]
-    n_gt = gt_pts.shape[0]
-    res = _gt_slice(pred_roi, gt_pts) - gt_pts
-    value = float(np.abs(res).sum() / n_gt)
-    grad = np.zeros_like(pred_roi)
-    grad[:n_gt] = np.sign(res) / n_gt
+def _l1_core(pred_points: np.ndarray, gt: DoubleEdgeSet,
+             per_point: bool) -> tuple[float, np.ndarray]:
+    """Summed Manhattan mismatch of the ground-truth slots, divided by the
+    lane count (roi) or by the lane-point count (``per_point``, edg)."""
+    gt_pts = lanes_to_arrays(gt)["points"]
+    n_gt, n_p, _ = gt_pts.shape
+    res = _gt_slice(pred_points, gt_pts) - gt_pts
+    denom = n_gt * n_p if per_point else n_gt
+    value = float(np.abs(res).sum() / denom)
+    grad = np.zeros_like(pred_points)
+    grad[:n_gt] = np.sign(res) / denom
     return value, grad
 
 
@@ -214,24 +205,12 @@ def loss_roi(pred_roi: LaneROI | np.ndarray, gt: DoubleEdgeSet) -> float:
     """Mean over ground-truth lanes of the summed Manhattan mismatch between
     predicted and true boundary points (both edges)."""
     pts = pred_roi.points if isinstance(pred_roi, LaneROI) else np.asarray(pred_roi, float)
-    return _roi_core(pts, gt)[0]
-
-
-def _edge_core(pred_points: np.ndarray, gt: DoubleEdgeSet) -> tuple[float, np.ndarray]:
-    arrs = lanes_to_arrays(gt)
-    gt_pts = arrs["points"]
-    n_gt, n_p, _ = gt_pts.shape
-    res = _gt_slice(pred_points, gt_pts) - gt_pts
-    denom = n_gt * n_p
-    value = float(np.abs(res).sum() / denom)
-    grad = np.zeros_like(pred_points)
-    grad[:n_gt] = np.sign(res) / denom
-    return value, grad
+    return _l1_core(pts, gt, per_point=False)[0]
 
 
 def loss_edge(pred_points: np.ndarray, gt: DoubleEdgeSet) -> float:
     """Mean Manhattan distance between predicted and true edge points."""
-    return _edge_core(np.asarray(pred_points, dtype=float), gt)[0]
+    return _l1_core(np.asarray(pred_points, dtype=float), gt, per_point=True)[0]
 
 
 def _focal_core(logits: np.ndarray, targets: np.ndarray,
@@ -388,8 +367,8 @@ def _grad_case(loss_name: str, rng: np.random.Generator,
         x0 = np.zeros((n_d, n_p, 3))
         x0[:n_gt] = base + rng.uniform(0.1, 1.5, base.shape) * rng.choice([-1.0, 1.0], base.shape)
         x0[n_gt:] = rng.uniform(-5.0, 5.0, (n_d - n_gt, n_p, 3))
-        core = _roi_core if loss_name == "roi" else _edge_core
-        return (lambda x: core(x, gt)), x0, False
+        per_point = loss_name == "edg"
+        return (lambda x: _l1_core(x, gt, per_point)), x0, False
     if loss_name in ("int", "dir"):
         y = rng.integers(0, 2, n_gt)
         x0 = rng.uniform(-3.0, 3.0, n_gt)

@@ -1,15 +1,24 @@
-"""Atomic file writing helpers; outputs land complete or not at all."""
+"""File and JSON helpers: atomic writes, canonical JSON bytes, and typed
+parsing of JSON objects against their dataclasses."""
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import io
+import itertools
+import json
 import os
 import tempfile
+import types
+import typing
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "write_csv"]
+import numpy as np
+
+__all__ = ["atomic_write_bytes", "atomic_write_text", "write_csv", "dumps", "from_json"]
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -37,3 +46,96 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
     for row in rows:
         writer.writerow(row)
     atomic_write_text(path, buf.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# JSON
+# ---------------------------------------------------------------------------
+
+
+def _to_json(obj):
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
+def dumps(obj) -> bytes:
+    """Canonical JSON bytes: sorted keys, no whitespace, floats at repr
+    precision. Dataclasses (at any depth) go through ``dataclasses.asdict``
+    and numpy arrays through ``tolist``."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      default=_to_json).encode("utf-8")
+
+
+def from_json(tp, obj, name: str):
+    """``obj``, a decoded JSON value, checked against the annotation ``tp``.
+
+    ``tp`` is a dataclass, ``tuple[X, ...]``, a fixed-length ``tuple[X, Y]``,
+    ``dict[str, X]``, ``X | None`` or a plain class. A dataclass is built
+    from a JSON object whose unknown keys and missing required keys are
+    errors; a missing field with a default takes it. A float accepts a JSON
+    int and keeps its value; no number takes a boolean. Every error is a
+    ValueError naming the dotted path under ``name``, e.g.
+    ``config.controller.dt: expected float, got str``. A ValueError from the
+    dataclass's own checks, whose message starts with the field name, is
+    prefixed with the object's path.
+    """
+    return _reader(tp)(obj, name)
+
+
+@functools.cache
+def _reader(tp) -> Callable[[Any, str], Any]:
+    """The checking reader of annotation ``tp``, built once per annotation;
+    a dataclass's type hints are resolved here, once."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin is tuple:
+        read_list = _reader(list)
+        variadic = len(args) == 2 and args[1] is Ellipsis
+        items = tuple(_reader(a) for a in args[:1 if variadic else None])
+
+        def read_tuple(obj, name):
+            obj = read_list(obj, name)
+            if not variadic and len(obj) != len(items):
+                raise ValueError(f"{name}: expected {len(items)} values, got {len(obj)}")
+            readers = itertools.repeat(items[0]) if variadic else items
+            return tuple(read(v, f"{name}[{i}]") for i, (read, v) in enumerate(zip(readers, obj)))
+        return read_tuple
+    if origin is dict:
+        read_dict, value = _reader(dict), _reader(args[1])
+        return lambda obj, name: {k: value(v, f"{name}.{k}")
+                                  for k, v in read_dict(obj, name).items()}
+    if origin in (typing.Union, types.UnionType):
+        (inner,) = [a for a in args if a is not type(None)]
+        read_inner = _reader(inner)
+        return lambda obj, name: None if obj is None else read_inner(obj, name)
+    if dataclasses.is_dataclass(tp):
+        hints, read_dict = typing.get_type_hints(tp), _reader(dict)
+        fields = [(f.name, _reader(hints[f.name]),
+                   f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING)
+                  for f in dataclasses.fields(tp)]
+
+        def read_dataclass(obj, name):
+            obj = read_dict(obj, name)
+            unknown = obj.keys() - hints.keys()
+            if unknown:
+                raise ValueError(f"{name}.{min(unknown)}: unknown field")
+            kwargs = {}
+            for key, read_field, required in fields:
+                if key in obj:
+                    kwargs[key] = read_field(obj[key], f"{name}.{key}")
+                elif required:
+                    raise ValueError(f"{name}.{key}: missing")
+            try:
+                return tp(**kwargs)
+            except ValueError as exc:
+                raise ValueError(f"{name}.{exc}") from None
+        return read_dataclass
+    accepted = (int, float) if tp is float else (tp,)
+
+    def read_leaf(obj, name):
+        if type(obj) not in accepted and (isinstance(obj, bool) or not isinstance(obj, accepted)):
+            raise ValueError(f"{name}: expected {tp.__name__}, got {type(obj).__name__}")
+        return obj
+    return read_leaf

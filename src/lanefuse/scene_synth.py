@@ -24,7 +24,7 @@ from .geometry import (
     polyline_length,
     resample_polyline,
 )
-from .io_utils import atomic_write_bytes
+from .io_utils import atomic_write_bytes, dumps, from_json
 
 __all__ = [
     "SceneSpec",
@@ -565,128 +565,82 @@ def synth_view_features(scene: Scene, c_channels: int, h: int, w: int,
 # ---------------------------------------------------------------------------
 
 
-def _box_to_obj(box: OrientedBox) -> dict:
-    return {"center": list(box.center), "yaw": box.yaw, "extent": list(box.extent)}
-
-
-# JSON type of each SceneSpec field; "radius" may also be null.
-_SPEC_TYPES = {"seed": int, "lane_count": int, "geometry": str, "radius": float,
-               "lane_width": float, "route_length": float, "agent_count": int,
-               "clutter_density": float, "traffic_signal": str}
-
-
-def _expect(value, kind: type, name: str, nullable: bool = False):
-    """``value`` if it has the JSON type ``kind``, else a ValueError naming the
-    field. A float field also takes integers; no number field takes booleans."""
-    if nullable and value is None:
-        return value
-    accepted = (int, float) if kind is float else kind
-    if not isinstance(value, accepted) or isinstance(value, bool):
-        raise ValueError(f"scene field {name}: expected {kind.__name__}, "
-                         f"got {type(value).__name__}")
-    return value
-
-
-def _field(obj: dict, name: str, kind: type | None = None, nullable: bool = False):
-    """Field ``name`` of ``obj``, a dotted path whose last part is the key.
-    A ValueError names the field if it is missing or, given ``kind``, of
-    another JSON type."""
+def _field(obj: dict, name: str, tp):
+    """Field ``name`` of ``obj``, a dotted path whose last part is the key,
+    checked against the annotation ``tp``. A ValueError names the field if
+    it is missing or does not match."""
     key = name.rsplit(".", 1)[-1]
     if key not in obj:
         raise ValueError(f"scene field {name}: missing")
-    return obj[key] if kind is None else _expect(obj[key], kind, name, nullable)
+    return from_json(tp, obj[key], f"scene field {name}")
 
 
-def _numbers(obj: dict, name: str) -> tuple:
-    """Field ``name``, a JSON list of numbers, as a tuple; values unchanged."""
-    return tuple(_expect(v, float, f"{name}[{i}]")
-                 for i, v in enumerate(_field(obj, name, list)))
-
-
-def _float_array(value, name: str) -> np.ndarray:
+def _centerline(value, name: str) -> np.ndarray:
+    """One (M, 3) polyline, M >= 2, of finite numbers parsed by numpy."""
     try:
-        return np.asarray(_expect(value, list, name), dtype=float)
+        line = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"scene field {name}: {exc}") from None
-
-
-def _box_from_obj(obj, name: str) -> OrientedBox:
-    obj = _expect(obj, dict, name)
-    return OrientedBox(center=_numbers(obj, f"{name}.center"),
-                       yaw=float(_field(obj, f"{name}.yaw", float)),
-                       extent=_numbers(obj, f"{name}.extent"))
-
-
-def _spec_from_obj(obj) -> SceneSpec:
-    obj = _expect(obj, dict, "spec")
-    unknown = sorted(set(obj) - set(_SPEC_TYPES))
-    if unknown:
-        raise ValueError(f"scene field spec: unknown keys {unknown}")
-    _field(obj, "spec.seed")
-    for key, value in obj.items():
-        _expect(value, _SPEC_TYPES[key], f"spec.{key}", nullable=(key == "radius"))
-    return SceneSpec(**obj)
+    if line.ndim != 2 or line.shape[0] < 2 or line.shape[1] != 3:
+        raise ValueError(f"scene field {name}: expected shape (M >= 2, 3), got {line.shape}")
+    if not np.isfinite(line).all():
+        raise ValueError(f"scene field {name}: non-finite coordinates")
+    return line
 
 
 def scene_to_json(scene: Scene) -> bytes:
-    obj = {
-        "spec": {
-            "seed": scene.spec.seed,
-            "lane_count": scene.spec.lane_count,
-            "geometry": scene.spec.geometry,
-            "radius": scene.spec.radius,
-            "lane_width": scene.spec.lane_width,
-            "route_length": scene.spec.route_length,
-            "agent_count": scene.spec.agent_count,
-            "clutter_density": scene.spec.clutter_density,
-            "traffic_signal": scene.spec.traffic_signal,
-        },
-        "centerlines": [line.tolist() for line in scene.centerlines],
-        "lane_widths": list(scene.lane_widths),
-        "agents": [_box_to_obj(b) for b in scene.agents],
-        "clutter": [_box_to_obj(b) for b in scene.clutter],
-        "route": {"start": list(scene.route_start), "target": list(scene.route_target),
+    return dumps({
+        "spec": scene.spec,
+        "centerlines": scene.centerlines,
+        "lane_widths": scene.lane_widths,
+        "agents": scene.agents,
+        "clutter": scene.clutter,
+        "route": {"start": scene.route_start, "target": scene.route_target,
                   "lane": scene.route_lane},
         "signal_state": scene.signal_state,
         "signal_line_s": scene.signal_line_s,
-        "ground_truth": json.loads(serialize(scene.ground_truth).decode("utf-8")),
+        "ground_truth": json.loads(serialize(scene.ground_truth)),
         "gt_speed": scene.gt_speed,
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    })
 
 
 def scene_from_json(data: bytes) -> Scene:
-    """Parse :func:`scene_to_json` output. A missing field or one of the
-    wrong JSON type raises a ValueError naming it."""
-    obj = _expect(json.loads(data.decode("utf-8")), dict, "(top level)")
-    spec = _spec_from_obj(_field(obj, "spec"))
-    gt_obj = _field(obj, "ground_truth")
+    """Parse :func:`scene_to_json` output. A missing field, one of the wrong
+    JSON type or one out of range raises a ValueError naming it."""
+    obj = from_json(dict, json.loads(data.decode("utf-8")), "scene field (top level)")
+    spec = _field(obj, "spec", SceneSpec)
     try:
-        gt = deserialize(json.dumps(gt_obj).encode("utf-8"))
+        gt = deserialize(json.dumps(_field(obj, "ground_truth", dict)).encode("utf-8"))
     except ValueError as exc:
         raise ValueError(f"scene field ground_truth: {exc}") from None
-    centerlines = tuple(_float_array(line, f"centerlines[{i}]")
+    centerlines = tuple(_centerline(line, f"centerlines[{i}]")
                         for i, line in enumerate(_field(obj, "centerlines", list)))
+    lane_widths = _field(obj, "lane_widths", tuple[float, ...])
+    if len(lane_widths) != len(centerlines):
+        raise ValueError(f"scene field lane_widths: expected {len(centerlines)} values, "
+                         f"one per centerline, got {len(lane_widths)}")
     route = _field(obj, "route", dict)
     route_lane = _field(route, "route.lane", int)
     if not 0 <= route_lane < len(centerlines):
         raise ValueError(f"scene field route.lane: {route_lane} is not one of the "
                          f"{len(centerlines)} centerlines")
+    signal_state = _field(obj, "signal_state", str)
+    if signal_state not in SIGNAL_STATES:
+        raise ValueError(f"scene field signal_state: expected one of {SIGNAL_STATES}, "
+                         f"got {signal_state!r}")
     return Scene(
         spec=spec,
         centerlines=centerlines,
-        lane_widths=_numbers(obj, "lane_widths"),
-        agents=tuple(_box_from_obj(b, f"agents[{i}]")
-                     for i, b in enumerate(_field(obj, "agents", list))),
-        clutter=tuple(_box_from_obj(b, f"clutter[{i}]")
-                      for i, b in enumerate(_field(obj, "clutter", list))),
-        route_start=_numbers(route, "route.start"),
-        route_target=_numbers(route, "route.target"),
+        lane_widths=lane_widths,
+        agents=_field(obj, "agents", tuple[OrientedBox, ...]),
+        clutter=_field(obj, "clutter", tuple[OrientedBox, ...]),
+        route_start=_field(route, "route.start", tuple[float, float, float]),
+        route_target=_field(route, "route.target", tuple[float, float, float]),
         route_lane=route_lane,
-        signal_state=_field(obj, "signal_state", str),
-        signal_line_s=_field(obj, "signal_line_s", float, nullable=True),
+        signal_state=signal_state,
+        signal_line_s=_field(obj, "signal_line_s", float | None),
         ground_truth=gt,
-        gt_speed=float(_field(obj, "gt_speed", float)),
+        gt_speed=_field(obj, "gt_speed", float),
     )
 
 

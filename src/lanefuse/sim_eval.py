@@ -63,7 +63,7 @@ class ControllerConfig:
     def __post_init__(self):
         for name in ("lookahead", "wheelbase", "speed_gain", "dt", "max_steer", "max_accel"):
             if getattr(self, name) <= 0:
-                raise ValueError(f"controller {name} must be > 0")
+                raise ValueError(f"{name} must be > 0")
         if self.dt > 0.1:
             raise ValueError(f"dt must be <= 0.1 s, got {self.dt}")
 
@@ -75,6 +75,14 @@ class EvalConfig:
     arrival_radius: float = 0.3
     deviation_lane_widths: float = 3.0
     deviation_seconds: float = 2.0
+
+    def __post_init__(self):
+        if sorted(self.penalties) != sorted(DEFAULT_PENALTIES):
+            raise ValueError(f"penalties must name exactly the kinds {sorted(DEFAULT_PENALTIES)}, "
+                             f"got {sorted(self.penalties)}")
+        for kind, value in self.penalties.items():
+            if not 0.0 < value <= 1.0:
+                raise ValueError(f"penalties.{kind} must be in (0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -12,7 +15,8 @@ from lanefuse.double_edge import interpret_path
 from lanefuse.fusion import build_params, save_params
 from lanefuse.heads_losses import LOSS_NAMES
 from lanefuse.pipeline import run_pipeline
-from lanefuse.scene_synth import generate_scene, load_point_cloud, scene_from_json
+from lanefuse.sim_eval import DEFAULT_PENALTIES
+from lanefuse.scene_synth import generate_scene, load_point_cloud, scene_from_json, scene_to_json
 
 
 @pytest.fixture()
@@ -377,3 +381,115 @@ class TestConfigFile:
         for bad in (0, "3"):
             with pytest.raises(ValueError, match="bench_repeats"):
                 RunConfig(bench_repeats=bad)
+
+
+def _set(path: str, value):
+    """A corruption that sets the value at a dotted/indexed path."""
+    def corrupt(obj):
+        *parents, last = path.replace("[", ".").replace("]", "").split(".")
+        for key in parents:
+            obj = obj[int(key)] if isinstance(obj, list) else obj[key]
+        obj[int(last) if isinstance(obj, list) else last] = value
+    return corrupt
+
+
+class TestHostileInputs:
+    """Mistyped or out-of-range config and scene fields end in exit 2 with one
+    ERROR line naming the dotted field."""
+
+    @pytest.fixture(scope="class")
+    def scene_obj(self):
+        cfg = RunConfig()
+        spec = cfg.suite_specs()[1]  # two lanes, one agent
+        return json.loads(scene_to_json(generate_scene(spec, n_p=cfg.n_p)))
+
+    @staticmethod
+    def one_error(caplog) -> str:
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        message = errors[0].getMessage()
+        assert "\n" not in message
+        return message
+
+    @pytest.mark.parametrize("config, field", [
+        pytest.param({"n_p": "20"}, "config.n_p: expected int, got str", id="n_p-str"),
+        pytest.param({"controller": {"foo": 1}}, "config.controller.foo: unknown field",
+                     id="controller-unknown"),
+        pytest.param({"loss_weights": 5}, "config.loss_weights: expected dict, got int",
+                     id="loss_weights-int"),
+        pytest.param({"voxel_resolution": 5}, "config.voxel_resolution: expected list, got int",
+                     id="voxel_resolution-int"),
+        pytest.param({"horizon": "60"}, "config.horizon: expected float, got str",
+                     id="horizon-str"),
+        pytest.param({"horizon": True}, "config.horizon: expected float, got bool",
+                     id="horizon-bool"),
+        pytest.param({"seed_scene": 1.5}, "config.seed_scene: expected int, got float",
+                     id="seed_scene-float"),
+        pytest.param({"bounds_min": [0, 0]}, "config.bounds_min: expected 3 values, got 2",
+                     id="bounds_min-short"),
+        pytest.param({"heads": 0}, "config.e_dim 32 not divisible by heads 0", id="heads-zero"),
+        pytest.param({"eval_config": {"penalties": {"red_light": 0.5}}},
+                     "config.eval_config.penalties must name exactly the kinds",
+                     id="penalties-partial"),
+        pytest.param({"eval_config": {"penalties": {**DEFAULT_PENALTIES, "red_light": "0.7"}}},
+                     "config.eval_config.penalties.red_light: expected float, got str",
+                     id="penalty-str"),
+        pytest.param({"eval_config": {"penalties": {**DEFAULT_PENALTIES, "red_light": 1.5}}},
+                     "config.eval_config.penalties.red_light must be in (0, 1]",
+                     id="penalty-range"),
+    ])
+    def test_config_field_exits_2_naming_it(self, tmp_path, caplog, config, field):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        caplog.clear()
+        code = main(["gen-scenes", "--config", str(bad), "--suite", "trivial",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert field in self.one_error(caplog)
+
+    @pytest.mark.parametrize("corrupt, field", [
+        (_set("agents[0].extent", [4.0, 2.0]),
+         "scene field agents[0].extent: expected 3 values, got 2"),
+        (_set("agents[0].center", [10.0, 0.0]),
+         "scene field agents[0].center: expected 3 values, got 2"),
+        (_set("route.start", [0.0, 0.0]), "scene field route.start: expected 3 values, got 2"),
+        (lambda obj: obj["centerlines"].__setitem__(0, [p[:2] for p in obj["centerlines"][0]]),
+         "scene field centerlines[0]: expected shape"),
+        (_set("lane_widths", []), "scene field lane_widths: expected 2 values"),
+        (_set("signal_state", "blue"), "scene field signal_state: expected one of"),
+        (_set("ground_truth.n_p", "x"), "scene field ground_truth: n_p: expected int, got str"),
+    ], ids=["agent-extent", "agent-center", "route-start", "centerline-2-columns",
+            "lane-widths-empty", "signal-state-blue", "ground-truth-n_p-str"])
+    def test_scene_field_exits_2_naming_it(self, tmp_path, caplog, scene_obj, corrupt, field):
+        obj = json.loads(json.dumps(scene_obj))
+        corrupt(obj)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(obj))
+        caplog.clear()
+        code = main(["run", "--scene", str(bad), "--out", str(tmp_path / "o"), "--inject-gt"])
+        assert code == 2
+        assert field in self.one_error(caplog)
+
+
+def test_numeric_failure_prints_one_stderr_line(tmp_path, fast_config, capfd):
+    """numpy's floating-point warnings stay silent; the failing check's
+    one-line error is all that reaches stderr."""
+    import lanefuse
+
+    scenes = tmp_path / "scenes"
+    assert main(["gen-scenes", "--config", fast_config, "--suite", "trivial",
+                 "--out", str(scenes)]) == 0
+    store = build_params(RunConfig.from_file(fast_config).block_config())
+    gain = store["img_enc0.ln1.g"]
+    weights = tmp_path / "w.lfpw"
+    save_params(store.replaced({"img_enc0.ln1.g": np.full(gain.shape, 1e300)}), weights)
+    capfd.readouterr()
+    src = str(Path(lanefuse.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "lanefuse.cli", "run", "--config", fast_config,
+         "--scene", str(scenes / "scene_00.json"), "--out", str(tmp_path / "o"),
+         "--params", str(weights)],
+        env={**os.environ, "PYTHONPATH": src, "LFP_LOG": "WARNING"})
+    assert proc.returncode == 2
+    err = capfd.readouterr().err
+    assert err.splitlines() == ["ERROR lanefuse: attention row sums off by nan"]

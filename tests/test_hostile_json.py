@@ -1,0 +1,108 @@
+"""Seeded property tests over re-typed config and scene files.
+
+Each case takes a valid file, replaces the value at one random path with a
+value of another JSON type, and runs it through ``main``: ``gen-scenes
+--suite trivial`` (then ``run`` on one of its scenes) for a config, ``run
+--scene`` for a scene. Every case must end in exit 0, or in exit 2 with one
+ERROR line; an exception escaping ``main`` or any other exit code fails.
+"""
+
+import copy
+import json
+import logging
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lanefuse.cli import main
+from lanefuse.config import RunConfig
+from lanefuse.scene_synth import generate_scene, scene_to_json
+
+REPLACEMENTS = (None, True, 0, -1, 2.5, "", "x", [], [1.0], {}, {"k": 1})
+
+PROPERTY = settings(derandomize=True, max_examples=50, deadline=None, database=None)
+
+
+@st.composite
+def retyped(draw, obj):
+    """(path, copy of ``obj`` whose value at ``path`` has another JSON type).
+    The walk descends from the top level, stopping early at a container one
+    time in four."""
+    obj = copy.deepcopy(obj)
+    node, path = obj, []
+    while True:
+        keys = list(range(len(node))) if isinstance(node, list) else sorted(node)
+        key = draw(st.sampled_from(keys))
+        path.append(key)
+        child = node[key]
+        if not isinstance(child, (list, dict)) or not child or draw(st.integers(0, 3)) == 0:
+            break
+        node = child
+    node[key] = draw(st.sampled_from([v for v in REPLACEMENTS if type(v) is not type(child)]))
+    return path, obj
+
+
+class _Records(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.records: list[logging.LogRecord] = []
+
+    def emit(self, record):
+        self.records.append(record)
+
+
+def run_main(argv: list[str]) -> int:
+    """``main(argv)``, checking that exit 2 comes with one ERROR line."""
+    handler = _Records()
+    logger = logging.getLogger("lanefuse")
+    logger.addHandler(handler)
+    try:
+        code = main(argv)
+    finally:
+        logger.removeHandler(handler)
+    assert code in (0, 2), code
+    if code == 2:
+        errors = [r for r in handler.records if r.levelno == logging.ERROR]
+        assert len(errors) == 1 and errors[0].exc_info is None
+        assert "\n" not in errors[0].getMessage()
+    return code
+
+
+FAST = json.loads(RunConfig(bench_repeats=2, lidar_density=2.0).to_json())
+
+
+@PROPERTY
+@given(retyped(FAST))
+def test_retyped_config_exits_0_or_2(case):
+    path, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(cfg))
+        out = str(Path(tmp) / "o")
+        if run_main(["gen-scenes", "--config", str(config), "--suite", "trivial",
+                     "--out", out]) == 0:
+            run_main(["run", "--config", str(config), "--scene", f"{out}/scene_00.json",
+                      "--out", out])
+
+
+@pytest.fixture(scope="module")
+def scene_obj():
+    cfg = RunConfig()
+    spec = cfg.suite_specs()[1]  # two lanes, one agent, clutter, a green signal
+    return json.loads(scene_to_json(generate_scene(spec, n_p=cfg.n_p)))
+
+
+def test_retyped_scene_exits_0_or_2(scene_obj):
+    @PROPERTY
+    @given(retyped(scene_obj))
+    def check(case):
+        path, obj = case
+        with tempfile.TemporaryDirectory() as tmp:
+            scene = Path(tmp) / "scene.json"
+            scene.write_text(json.dumps(obj))
+            run_main(["run", "--scene", str(scene), "--out", str(Path(tmp) / "o")])
+
+    check()
