@@ -12,6 +12,7 @@ __all__ = [
     "polyline_cumlen",
     "polyline_length",
     "resample_polyline",
+    "SegmentTable",
     "PolylineProjector",
     "project_point_to_polyline",
 ]
@@ -70,32 +71,64 @@ def resample_polyline(points: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([np.interp(t, s, points[:, k]) for k in range(points.shape[1])])
 
 
-class PolylineProjector:
-    """Projects 2D points onto one fixed polyline.
+class SegmentTable:
+    """Start points, segment vectors and squared lengths of one or more
+    polylines' segments, stacked in order with no bridging segments.
 
-    The segment table (start points, segment vectors, squared and plain
-    lengths, cumulative arc length) is built once, so repeated projections
-    onto the same polyline only pay for the per-point arithmetic.
+    The table is built once, so repeated queries against the same lines only
+    pay for the per-point arithmetic.
     """
 
-    def __init__(self, polyline: np.ndarray):
-        poly = np.asarray(polyline, dtype=float)[:, :2]
-        self.a = poly[:-1]
-        self.ab = poly[1:] - self.a
+    def __init__(self, *polylines: np.ndarray):
+        lines = [np.asarray(line, dtype=float)[:, :2] for line in polylines]
+        self.a = np.concatenate([line[:-1] for line in lines])
+        self.ab = np.concatenate([line[1:] - line[:-1] for line in lines])
         seg_len2 = np.einsum("ij,ij->i", self.ab, self.ab)
         self.seg_len2 = np.where(seg_len2 == 0.0, 1.0, seg_len2)
         self.seg_len = np.sqrt(seg_len2)
-        self.cum = polyline_cumlen(poly)
+
+    def closest(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """For (N, 2) points, the (N, S) clamped segment parameters of the
+        closest point on each segment and the distances to it.
+
+        The N x S point-segment pairs go through one flat (N * S, 2) dot
+        product, the layout a one-point query uses too, so each row is
+        bit-identical to querying its point alone.
+        """
+        p = np.asarray(points, dtype=float)[:, None, :2]
+        n = len(p)
+        ab = np.tile(self.ab, (n, 1))
+        dot = np.einsum("ij,ij->i", (p - self.a).reshape(-1, 2), ab).reshape(n, -1)
+        t = np.clip(dot / self.seg_len2, 0.0, 1.0)
+        dist = np.linalg.norm(self.a + t[:, :, None] * self.ab - p, axis=2)
+        return t, dist
+
+    def min_distance(self, points: np.ndarray) -> np.ndarray:
+        """(N,) distance from each point to the nearest segment of any line."""
+        return self.closest(points)[1].min(axis=1)
+
+
+class PolylineProjector(SegmentTable):
+    """Projects 2D points onto one fixed polyline, adding the cumulative arc
+    length to its segment table."""
+
+    def __init__(self, polyline: np.ndarray):
+        super().__init__(polyline)
+        self.cum = polyline_cumlen(polyline)
+
+    def project(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(N,) arc lengths of the closest points to (N, 2) points and (N,)
+        distances to them; ties across segments resolve to the earliest arc
+        length."""
+        t, dist = self.closest(points)
+        k = dist.argmin(axis=1)
+        rows = np.arange(len(k))
+        return self.cum[k] + t[rows, k] * self.seg_len[k], dist[rows, k]
 
     def __call__(self, point: np.ndarray) -> tuple[float, float]:
-        """(arc length of the closest point, distance to it); ties across
-        segments resolve to the earliest arc length."""
-        p = np.asarray(point, dtype=float)[:2]
-        t = np.clip(np.einsum("ij,ij->i", p - self.a, self.ab) / self.seg_len2, 0.0, 1.0)
-        proj = self.a + t[:, None] * self.ab
-        dist = np.linalg.norm(proj - p, axis=1)
-        k = int(np.argmin(dist))
-        return float(self.cum[k] + t[k] * self.seg_len[k]), float(dist[k])
+        """:meth:`project` of one point, as Python floats."""
+        s, d = self.project(np.asarray(point, dtype=float)[None, :2])
+        return float(s[0]), float(d[0])
 
 
 def project_point_to_polyline(point: np.ndarray, polyline: np.ndarray) -> tuple[float, float]:

@@ -9,6 +9,7 @@ import functools
 import io
 import itertools
 import json
+import math
 import os
 import tempfile
 import types
@@ -76,11 +77,12 @@ def from_json(tp, obj, name: str):
     ``dict[str, X]``, ``X | None`` or a plain class. A dataclass is built
     from a JSON object whose unknown keys and missing required keys are
     errors; a missing field with a default takes it. A float accepts a JSON
-    int and keeps its value; no number takes a boolean. Every error is a
-    ValueError naming the dotted path under ``name``, e.g.
-    ``config.controller.dt: expected float, got str``. A ValueError from the
-    dataclass's own checks, whose message starts with the field name, is
-    prefixed with the object's path.
+    int and keeps its value, and rejects NaN, +-Infinity and ints beyond the
+    float range; no number takes a boolean. Every error is a ValueError
+    naming the dotted path under ``name``, e.g. ``config.controller.dt:
+    expected float, got str``. A ValueError from the dataclass's own checks,
+    whose message starts with the field name, is prefixed with the object's
+    path.
     """
     return _reader(tp)(obj, name)
 
@@ -137,5 +139,12 @@ def _reader(tp) -> Callable[[Any, str], Any]:
     def read_leaf(obj, name):
         if type(obj) not in accepted and (isinstance(obj, bool) or not isinstance(obj, accepted)):
             raise ValueError(f"{name}: expected {tp.__name__}, got {type(obj).__name__}")
+        if tp is float:
+            try:
+                finite = math.isfinite(obj)
+            except OverflowError as exc:  # an int beyond the float range
+                raise ValueError(f"{name}: {exc}") from None
+            if not finite:
+                raise ValueError(f"{name}: expected a finite float, got {obj!r}")
         return obj
     return read_leaf

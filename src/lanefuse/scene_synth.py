@@ -20,7 +20,7 @@ import numpy as np
 from .double_edge import DoubleEdgeSet, deserialize, lanes_from_arrays, serialize, validate
 from .geometry import (
     OrientedBox,
-    PolylineProjector,
+    SegmentTable,
     polyline_length,
     resample_polyline,
 )
@@ -282,14 +282,13 @@ def _place_clutter(rng: np.random.Generator, spec: SceneSpec,
     band_area = float(np.prod(hi - lo))
     count = int(round(spec.clutter_density * band_area / 100.0))
     road_clear = spec.lane_width / 2.0 + 2.0
-    projectors = [PolylineProjector(line) for line in centerlines]
+    lanes = SegmentTable(*centerlines)
     clutter = []
     attempts = 0
     while len(clutter) < count and attempts < count * 200:
         attempts += 1
         c = rng.uniform(lo, hi)
-        near_road = any(project(c)[1] < road_clear for project in projectors)
-        if near_road:
+        if lanes.min_distance(c[None])[0] < road_clear:
             continue
         ext = (
             float(rng.uniform(2.0, 6.0)),
@@ -619,6 +618,9 @@ def scene_from_json(data: bytes) -> Scene:
     if len(lane_widths) != len(centerlines):
         raise ValueError(f"scene field lane_widths: expected {len(centerlines)} values, "
                          f"one per centerline, got {len(lane_widths)}")
+    for i, width in enumerate(lane_widths):
+        if width <= 0:
+            raise ValueError(f"scene field lane_widths[{i}]: must be > 0, got {width!r}")
     route = _field(obj, "route", dict)
     route_lane = _field(route, "route.lane", int)
     if not 0 <= route_lane < len(centerlines):

@@ -35,6 +35,9 @@ __all__ = [
     "DEFAULT_PENALTIES",
 ]
 
+# Steps the dynamics advance between two batched scoring passes.
+_CHUNK = 64
+
 DEFAULT_PENALTIES = {
     "collision_vehicle": 0.60,
     "collision_static": 0.65,
@@ -132,15 +135,15 @@ def follow_path(state: EgoState, path: PlannedPath, cfg: ControllerConfig) -> tu
     """
     if len(path.waypoints) == 0:
         return 0.0, 0.0
-    ego = np.array([state.x, state.y])
-    dists = [math.hypot(w[0] - ego[0], w[1] - ego[1]) for w in path.waypoints]
-    nearest = int(np.argmin(dists))
+    x, y = state.x, state.y
+    dists = [math.hypot(w[0] - x, w[1] - y) for w in path.waypoints]
+    nearest = dists.index(min(dists))
     target = path.waypoints[-1]
     for i in range(nearest, len(path.waypoints)):
         if dists[i] >= cfg.lookahead:
             target = path.waypoints[i]
             break
-    angle_to = math.atan2(target[1] - ego[1], target[0] - ego[0])
+    angle_to = math.atan2(target[1] - y, target[0] - x)
     eta = math.remainder(angle_to - state.heading, 2.0 * math.pi)
     steer = math.atan(2.0 * cfg.wheelbase * math.sin(eta) / cfg.lookahead)
     steer = max(-cfg.max_steer, min(cfg.max_steer, steer))
@@ -168,9 +171,8 @@ def route_completion(route: np.ndarray, trajectory: np.ndarray,
     total = polyline_length(route)
     if total <= 0.0 or len(trajectory) == 0:
         return 0.0
-    project = PolylineProjector(route)
-    return _progress_fold((project(p[:2]) for p in np.atleast_2d(trajectory)),
-                          lane_width, total)
+    s, d = PolylineProjector(route).project(np.atleast_2d(trajectory)[:, :2])
+    return _progress_fold(zip(s.tolist(), d.tolist()), lane_width, total)
 
 
 def infraction_score(log: InfractionLog) -> float:
@@ -183,11 +185,6 @@ def infraction_score(log: InfractionLog) -> float:
     for penalty in sorted(ev.penalty for ev in log.events):
         score *= penalty
     return score
-
-
-def _signal_line_crossed(scene: Scene, prev_s: float, cur_s: float) -> bool:
-    return (scene.signal_line_s is not None
-            and prev_s < scene.signal_line_s <= cur_s)
 
 
 def _stack_boxes(scene: Scene, ego_radius: float):
@@ -206,6 +203,18 @@ def _stack_boxes(scene: Scene, ego_radius: float):
             np.array(halves, dtype=float).reshape(-1, 2), np.array(cos), np.array(sin))
 
 
+def _entered_boxes(xy: np.ndarray, centers, halves, cos, sin) -> dict[int, list[int]]:
+    """Box test of (m, 2) ego points against the K stacked boxes: for every
+    row that lies in at least one box, the box indices it lies in, ascending."""
+    d = xy[:, None, :] - centers
+    u = np.abs(cos * d[..., 0] + sin * d[..., 1])
+    v = np.abs(-sin * d[..., 0] + cos * d[..., 1])
+    entered: dict[int, list[int]] = {}
+    for row, box in zip(*np.nonzero((u <= halves[:, 0]) & (v <= halves[:, 1]))):
+        entered.setdefault(int(row), []).append(int(box))
+    return entered
+
+
 def run_closed_loop(scene: Scene,
                     planner: Callable[[Scene], PlannedPath],
                     cfg: ControllerConfig,
@@ -217,9 +226,16 @@ def run_closed_loop(scene: Scene,
     The planner is called exactly once, before the first step, and must be
     a pure function of the scene. If it raises, the episode ends with a
     failure marker and a trajectory holding only the start row.
+
+    Only the controller and the bicycle model feed back into the next step,
+    so they advance :data:`_CHUNK` steps at a time. Each chunk is then
+    scored at once (one route projection and one box test over all its
+    steps) and scanned in step order, in Python floats, to log events and
+    find the terminating step; the steps after it are dropped. The report
+    is the same, to the bit, as ticking and scoring one step at a time.
     """
-    if horizon <= 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
+    if not math.isfinite(horizon) or horizon <= 0:
+        raise ValueError(f"horizon must be finite and > 0, got {horizon}")
     eval_cfg = eval_cfg or EvalConfig()
     route = scene.route_polyline
     total_len = polyline_length(route)
@@ -227,75 +243,81 @@ def run_closed_loop(scene: Scene,
     lane_width = scene.lane_widths[scene.route_lane]
     end_xy = np.array(scene.route_target[:2])
     kinds, centers, halves, cos, sin = _stack_boxes(scene, eval_cfg.ego_radius)
-    live = np.ones(len(kinds), dtype=bool)  # boxes not hit yet; each is logged once
+    live = set(range(len(kinds)))  # boxes not hit yet; each is logged once
+    red_line = scene.signal_line_s if scene.signal_state == "red" else None  # None once logged
+    deviation_d = eval_cfg.deviation_lane_widths * lane_width
+    arrival_r = eval_cfg.arrival_radius
+    arrival_s = total_len - arrival_r
+    penalties = eval_cfg.penalties
 
     state = EgoState(x=scene.route_start[0], y=scene.route_start[1],
                      heading=scene.route_start[2], speed=0.0)
     events: list[InfractionEvent] = []
-    red_logged = False
-    trajectory: list[tuple[float, float, float, float]] = []
-    progress: list[tuple[float, float]] = []  # (s, d) per trajectory row
-    terminated = "horizon"
-    deviation_clock = 0.0
-    prev_s, prev_d = project(np.array([state.x, state.y]))
+    # One row per tick boundary: row i is the state before step i.
+    rows: list[tuple[float, float, float, float]] = [(0.0, state.x, state.y, state.speed)]
+    s0, d0 = project(np.array([state.x, state.y]))
+    progress_s, progress_d = [s0], [d0]  # (s, d) per row
 
     try:
         path = planner(scene)
     except Exception:
         path = None
 
-    t = 0.0
     n_steps = int(math.ceil(horizon / cfg.dt))
-    for _ in range(n_steps):
-        trajectory.append((t, state.x, state.y, state.speed))
-        progress.append((prev_s, prev_d))
-        if path is None:
-            terminated = "failure"
-            break
-        steer, accel = follow_path(state, path, cfg)
-        state = step_ego(state, steer, accel, cfg)
-        t += cfg.dt
-        ego_xy = np.array([state.x, state.y])
-
-        if live.any():
-            d = ego_xy - centers
-            u = np.abs(cos * d[:, 0] + sin * d[:, 1])
-            v = np.abs(-sin * d[:, 0] + cos * d[:, 1])
-            for bi in np.flatnonzero(live & (u <= halves[:, 0]) & (v <= halves[:, 1])):
-                live[bi] = False
-                events.append(InfractionEvent(time=t, kind=kinds[bi],
-                                              penalty=eval_cfg.penalties[kinds[bi]]))
-
-        cur_s, cur_d = project(ego_xy)
-        if (scene.signal_state == "red" and not red_logged
-                and _signal_line_crossed(scene, prev_s, cur_s)):
-            red_logged = True
-            events.append(InfractionEvent(time=t, kind="red_light",
-                                          penalty=eval_cfg.penalties["red_light"]))
-        prev_s, prev_d = cur_s, cur_d
-
-        if cur_d > eval_cfg.deviation_lane_widths * lane_width:
-            deviation_clock += cfg.dt
-            if deviation_clock >= eval_cfg.deviation_seconds:
-                events.append(InfractionEvent(time=t, kind="route_deviation",
-                                              penalty=eval_cfg.penalties["route_deviation"]))
-                terminated = "deviation"
+    kept, terminated = n_steps, "horizon"  # rows the trajectory keeps
+    if path is None:
+        kept, terminated = 1, "failure"
+    t = 0.0
+    deviation_clock = 0.0
+    prev_s = s0
+    step = 0
+    while terminated == "horizon" and step < n_steps:
+        first = len(rows)
+        for _ in range(min(_CHUNK, n_steps - step)):
+            steer, accel = follow_path(state, path, cfg)
+            state = step_ego(state, steer, accel, cfg)
+            t += cfg.dt
+            rows.append((t, state.x, state.y, state.speed))
+        xy = np.array([row[1:3] for row in rows[first:]])
+        s_arr, d_arr = project.project(xy)
+        chunk_s, chunk_d = s_arr.tolist(), d_arr.tolist()
+        entered = _entered_boxes(xy, centers, halves, cos, sin) if live else {}
+        near_end = set(np.flatnonzero(
+            np.linalg.norm(xy - end_xy, axis=1) <= arrival_r * (1.0 + 1e-9)).tolist())
+        for j, (cur_s, cur_d) in enumerate(zip(chunk_s, chunk_d)):
+            step += 1
+            t_j = rows[first + j][0]
+            for bi in entered.get(j, ()):
+                if bi in live:
+                    live.remove(bi)
+                    events.append(InfractionEvent(time=t_j, kind=kinds[bi],
+                                                  penalty=penalties[kinds[bi]]))
+            if red_line is not None and prev_s < red_line <= cur_s:
+                red_line = None
+                events.append(InfractionEvent(time=t_j, kind="red_light",
+                                              penalty=penalties["red_light"]))
+            prev_s = cur_s
+            if cur_d > deviation_d:
+                deviation_clock += cfg.dt
+                if deviation_clock >= eval_cfg.deviation_seconds:
+                    events.append(InfractionEvent(time=t_j, kind="route_deviation",
+                                                  penalty=penalties["route_deviation"]))
+                    kept, terminated = step, "deviation"
+                    break
+            else:
+                deviation_clock = 0.0
+            # the batched norm only nominates steps; the scalar norm decides
+            if ((j in near_end and np.linalg.norm(xy[j] - end_xy) <= arrival_r)
+                    or cur_s >= arrival_s):
+                kept, terminated = step + 1, "completed"
                 break
-        else:
-            deviation_clock = 0.0
+        progress_s += chunk_s
+        progress_d += chunk_d
 
-        if (np.linalg.norm(ego_xy - end_xy) <= eval_cfg.arrival_radius
-                or cur_s >= total_len - eval_cfg.arrival_radius):
-            trajectory.append((t, state.x, state.y, state.speed))
-            progress.append((cur_s, cur_d))
-            terminated = "completed"
-            break
-
-    traj = np.array(trajectory)
-    rc = _progress_fold(progress, lane_width, total_len)
+    traj = np.array(rows[:kept])
+    rc = _progress_fold(zip(progress_s[:kept], progress_d[:kept]), lane_width, total_len)
     log = InfractionLog(events=tuple(events))
     is_score = infraction_score(log)
     ds = 100.0 * rc * is_score
     return EvalReport(ds=ds, rc=rc, is_score=is_score, infractions=log,
                       terminated=terminated, trajectory=traj)
-

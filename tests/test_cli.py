@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -179,6 +180,12 @@ class TestRun:
         pytest.param("spec", lambda obj: obj.pop("spec"), id="spec-missing"),
         pytest.param("route.lane", lambda obj: obj["route"].pop("lane"),
                      id="route.lane-missing"),
+        pytest.param("lane_widths[0]: must be > 0, got -3.5",
+                     lambda obj: obj.update(lane_widths=[-3.5] * len(obj["lane_widths"])),
+                     id="lane_widths-negative"),
+        pytest.param("lane_widths[0]: must be > 0, got 0.0",
+                     lambda obj: obj.update(lane_widths=[0.0] * len(obj["lane_widths"])),
+                     id="lane_widths-zero"),
     ])
     def test_mistyped_scene_field_exits_2_with_one_line(self, tmp_path, fast_config,
                                                         caplog, field, corrupt):
@@ -425,6 +432,15 @@ class TestHostileInputs:
                      id="horizon-bool"),
         pytest.param({"seed_scene": 1.5}, "config.seed_scene: expected int, got float",
                      id="seed_scene-float"),
+        pytest.param({"horizon": math.nan}, "config.horizon: expected a finite float, got nan",
+                     id="horizon-nan"),
+        pytest.param({"horizon": math.inf}, "config.horizon: expected a finite float, got inf",
+                     id="horizon-inf"),
+        pytest.param({"controller": {"dt": -math.inf}},
+                     "config.controller.dt: expected a finite float, got -inf",
+                     id="controller.dt-minus-inf"),
+        pytest.param({"horizon": 10 ** 400}, "config.horizon: int too large to convert to float",
+                     id="horizon-int-beyond-float"),
         pytest.param({"bounds_min": [0, 0]}, "config.bounds_min: expected 3 values, got 2",
                      id="bounds_min-short"),
         pytest.param({"heads": 0}, "config.e_dim 32 not divisible by heads 0", id="heads-zero"),
@@ -446,6 +462,17 @@ class TestHostileInputs:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert field in self.one_error(caplog)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_horizon_eval_exits_2(self, tmp_path, caplog, horizon):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"horizon": horizon}))
+        caplog.clear()
+        code = main(["eval", "--planner", "gt", "--config", str(bad), "--suite", "trivial",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "config.horizon: expected a finite float" in self.one_error(caplog)
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("corrupt, field", [
         (_set("agents[0].extent", [4.0, 2.0]),

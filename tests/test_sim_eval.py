@@ -4,13 +4,21 @@ import math
 import numpy as np
 import pytest
 
+from lanefuse import sim_eval
 from lanefuse.double_edge import PlannedPath, interpret_path
-from lanefuse.geometry import OrientedBox, PolylineProjector, project_point_to_polyline
+from lanefuse.geometry import (
+    OrientedBox,
+    PolylineProjector,
+    SegmentTable,
+    polyline_length,
+    project_point_to_polyline,
+)
 from lanefuse.pipeline import make_gt_planner
 from lanefuse.scene_synth import SceneSpec, generate_scene
 from lanefuse.sim_eval import (
     ControllerConfig,
     EgoState,
+    EvalConfig,
     InfractionEvent,
     InfractionLog,
     follow_path,
@@ -321,16 +329,50 @@ def reference_projection(point, polyline):
     return float(cum[k] + t[k] * seg_len[k]), float(dist[k])
 
 
+def tie_polylines():
+    """Polylines on which grid points sit at equal distance from two or more
+    segments: a square U, a zigzag and a line that doubles back on itself,
+    each with a zero-length segment."""
+    u = np.array([[0, 0, 0], [10, 0, 0], [10, 10, 0], [10, 10, 0], [0, 10, 0]], dtype=float)
+    zigzag = np.array([[0, 0, 0], [4, 4, 0], [8, 0, 0], [8, 0, 0], [12, 4, 0]], dtype=float)
+    back = np.array([[0, 0, 0], [6, 0, 0], [6, 0, 0], [0, 0, 0], [0, 3, 0]], dtype=float)
+    return [u, zigzag, back]
+
+
 def test_polyline_projector_matches_reference_bit_for_bit():
     rng = np.random.default_rng(3)
+    lines = []
     for n in (2, 5, 40):
         poly = np.cumsum(rng.normal(size=(n, 3)), axis=0)
         poly[n // 2] = poly[n // 2 - 1]  # a zero-length segment
+        lines.append((poly, rng.uniform(-10.0, 10.0, (200, 2))))
+    grid = np.array([(x, y) for x in np.arange(-2.0, 13.0, 0.5)
+                     for y in np.arange(-2.0, 13.0, 0.5)])
+    lines += [(poly, grid) for poly in tie_polylines()]
+    for poly, points in lines:
         project = PolylineProjector(poly)
-        for point in rng.uniform(-10.0, 10.0, (200, 2)):
+        s, d = project.project(points)
+        for i, point in enumerate(points):
             expected = reference_projection(point, poly)
             assert project(point) == expected
             assert project_point_to_polyline(point, poly) == expected
+            assert (float(s[i]), float(d[i])) == expected
+
+
+def test_stacked_lanes_min_distance_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(5)
+    lanes = [np.cumsum(rng.normal(size=(n, 3)), axis=0) for n in (3, 12, 30)]
+    lanes[1][4] = lanes[1][3]  # a zero-length segment
+    for group in (lanes, tie_polylines(), lanes[:1]):
+        table = SegmentTable(*group)
+        points = np.vstack([rng.uniform(-10.0, 13.0, (150, 2)),
+                            [(5.0, 5.0), (4.0, 2.0), (3.0, 0.0), (0.0, 0.0)]])
+        got = table.min_distance(points)
+        one_by_one = [table.min_distance(p[None])[0] for p in points]
+        for i, point in enumerate(points):
+            expected = min(reference_projection(point, line)[1] for line in group)
+            assert float(got[i]) == expected
+            assert float(one_by_one[i]) == expected
 
 
 def test_controller_config_validation():
@@ -338,3 +380,219 @@ def test_controller_config_validation():
         ControllerConfig(dt=0.2)
     with pytest.raises(ValueError):
         ControllerConfig(lookahead=0.0)
+
+
+# ---------------------------------------------------------------------------
+# Chunked episode = per-step episode. The reference below is the per-step
+# loop that run_closed_loop replaced: one controller step, one box test, one
+# route projection (table rebuilt per call) and one arrival test per tick.
+# ---------------------------------------------------------------------------
+
+
+def reference_follow_path(state, path, cfg):
+    if len(path.waypoints) == 0:
+        return 0.0, 0.0
+    ego = np.array([state.x, state.y])
+    dists = [math.hypot(w[0] - ego[0], w[1] - ego[1]) for w in path.waypoints]
+    nearest = int(np.argmin(dists))
+    target = path.waypoints[-1]
+    for i in range(nearest, len(path.waypoints)):
+        if dists[i] >= cfg.lookahead:
+            target = path.waypoints[i]
+            break
+    angle_to = math.atan2(target[1] - ego[1], target[0] - ego[0])
+    eta = math.remainder(angle_to - state.heading, 2.0 * math.pi)
+    steer = math.atan(2.0 * cfg.wheelbase * math.sin(eta) / cfg.lookahead)
+    steer = max(-cfg.max_steer, min(cfg.max_steer, steer))
+    accel = cfg.speed_gain * (path.target_speed - state.speed)
+    accel = max(-cfg.max_accel, min(cfg.max_accel, accel))
+    return steer, accel
+
+
+def reference_closed_loop(scene, planner, cfg, horizon, eval_cfg=None):
+    eval_cfg = eval_cfg or EvalConfig()
+    route = scene.route_polyline
+    total_len = polyline_length(route)
+    lane_width = scene.lane_widths[scene.route_lane]
+    end_xy = np.array(scene.route_target[:2])
+    kinds, centers, halves, cos, sin = sim_eval._stack_boxes(scene, eval_cfg.ego_radius)
+    live = np.ones(len(kinds), dtype=bool)
+
+    state = EgoState(x=scene.route_start[0], y=scene.route_start[1],
+                     heading=scene.route_start[2], speed=0.0)
+    events = []
+    red_logged = False
+    trajectory = []
+    progress = []
+    terminated = "horizon"
+    deviation_clock = 0.0
+    prev_s, prev_d = reference_projection(np.array([state.x, state.y]), route)
+
+    try:
+        path = planner(scene)
+    except Exception:
+        path = None
+
+    t = 0.0
+    for _ in range(int(math.ceil(horizon / cfg.dt))):
+        trajectory.append((t, state.x, state.y, state.speed))
+        progress.append((prev_s, prev_d))
+        if path is None:
+            terminated = "failure"
+            break
+        steer, accel = reference_follow_path(state, path, cfg)
+        state = step_ego(state, steer, accel, cfg)
+        t += cfg.dt
+        ego_xy = np.array([state.x, state.y])
+
+        if live.any():
+            d = ego_xy - centers
+            u = np.abs(cos * d[:, 0] + sin * d[:, 1])
+            v = np.abs(-sin * d[:, 0] + cos * d[:, 1])
+            for bi in np.flatnonzero(live & (u <= halves[:, 0]) & (v <= halves[:, 1])):
+                live[bi] = False
+                events.append(InfractionEvent(time=t, kind=kinds[bi],
+                                              penalty=eval_cfg.penalties[kinds[bi]]))
+
+        cur_s, cur_d = reference_projection(ego_xy, route)
+        if (scene.signal_state == "red" and not red_logged
+                and scene.signal_line_s is not None and prev_s < scene.signal_line_s <= cur_s):
+            red_logged = True
+            events.append(InfractionEvent(time=t, kind="red_light",
+                                          penalty=eval_cfg.penalties["red_light"]))
+        prev_s, prev_d = cur_s, cur_d
+
+        if cur_d > eval_cfg.deviation_lane_widths * lane_width:
+            deviation_clock += cfg.dt
+            if deviation_clock >= eval_cfg.deviation_seconds:
+                events.append(InfractionEvent(time=t, kind="route_deviation",
+                                              penalty=eval_cfg.penalties["route_deviation"]))
+                terminated = "deviation"
+                break
+        else:
+            deviation_clock = 0.0
+
+        if (np.linalg.norm(ego_xy - end_xy) <= eval_cfg.arrival_radius
+                or cur_s >= total_len - eval_cfg.arrival_radius):
+            trajectory.append((t, state.x, state.y, state.speed))
+            progress.append((cur_s, cur_d))
+            terminated = "completed"
+            break
+
+    rc = sim_eval._progress_fold(progress, lane_width, total_len)
+    log = InfractionLog(events=tuple(events))
+    is_score = infraction_score(log)
+    return sim_eval.EvalReport(ds=100.0 * rc * is_score, rc=rc, is_score=is_score,
+                               infractions=log, terminated=terminated,
+                               trajectory=np.array(trajectory))
+
+
+def assert_same_report(got, want):
+    assert (got.ds, got.rc, got.is_score) == (want.ds, want.rc, want.is_score)
+    assert got.infractions.events == want.infractions.events
+    assert got.terminated == want.terminated
+    assert got.trajectory.shape == want.trajectory.shape
+    assert got.trajectory.tobytes() == want.trajectory.tobytes()
+
+
+def steps_of(report) -> int:
+    """Controller steps the episode took."""
+    rows = len(report.trajectory)
+    return rows - 1 if report.terminated == "completed" else rows
+
+
+def horizon_for(steps: int, cfg: ControllerConfig) -> float:
+    """A horizon of exactly ``steps`` ticks."""
+    return (steps - 0.5) * cfg.dt
+
+
+def chunk_episodes(run_config):
+    """(name, scene, planner, horizon) per episode kind the scan handles."""
+    gt = make_gt_planner(run_config)
+    plain = straight_scene()
+    red = straight_scene(seed=5, traffic_signal="red")
+    fast_red = PlannedPath(waypoints=tuple(interpret_path(red.ground_truth, 0.0).waypoints),
+                           target_speed=8.0)
+    sideways = PlannedPath(waypoints=tuple((0.0, float(y), 0.0) for y in range(2, 80, 2)),
+                           target_speed=8.0)
+    box = OrientedBox(center=(50.0, 0.0, 0.9), yaw=0.3, extent=(4.0, 12.0, 1.8))
+    two_boxes = dataclasses.replace(plain, agents=(box,), clutter=(box,))
+
+    def broken(sc):
+        raise RuntimeError("sensor dropout")
+
+    return [
+        ("completed", plain, gt, 60.0),
+        ("deviation", plain, FixedPlanner(sideways), 60.0),
+        ("red-light", red, FixedPlanner(fast_red), 60.0),
+        ("two-boxes-one-step", two_boxes, gt, 60.0),
+        ("failure", plain, broken, 10.0),
+        ("empty-path", plain, FixedPlanner(PlannedPath(waypoints=(), target_speed=3.0)), 5.0),
+        ("horizon-not-chunk-multiple", red, gt, 7.3),
+    ]
+
+
+class TestChunkedEpisode:
+    def test_default_chunk_matches_per_step_loop(self, run_config):
+        cfg = ControllerConfig()
+        for name, scene, planner, horizon in chunk_episodes(run_config):
+            want = reference_closed_loop(scene, planner, cfg, horizon)
+            got = run_closed_loop(scene, planner, cfg, horizon)
+            assert_same_report(got, want)
+        assert math.ceil(7.3 / cfg.dt) % sim_eval._CHUNK != 0
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_horizon_around_chunk_boundary(self, run_config, offset):
+        cfg = ControllerConfig()
+        horizon = horizon_for(sim_eval._CHUNK + offset, cfg)
+        scene, gt = straight_scene(), make_gt_planner(run_config)
+        want = reference_closed_loop(scene, gt, cfg, horizon)
+        assert want.terminated == "horizon"
+        assert len(want.trajectory) == sim_eval._CHUNK + offset
+        assert_same_report(run_closed_loop(scene, gt, cfg, horizon), want)
+
+    @pytest.mark.parametrize("kind", ["completed", "deviation", "red-light",
+                                      "two-boxes-one-step"])
+    def test_chunk_boundary_around_events_and_termination(self, run_config, monkeypatch,
+                                                          kind):
+        """Chunks that end one step before, at and one step after the step
+        that logs an event or ends the episode."""
+        cfg = ControllerConfig()
+        (scene, planner, horizon), = [e[1:] for e in chunk_episodes(run_config) if e[0] == kind]
+        want = reference_closed_loop(scene, planner, cfg, horizon)
+        assert want.terminated == ("deviation" if kind == "deviation" else "completed")
+        marks = {steps_of(want)} | {round(ev.time / cfg.dt) for ev in want.infractions.events}
+        for chunk in sorted({1, 7} | {m + k for m in marks for k in (-1, 0, 1)}):
+            monkeypatch.setattr(sim_eval, "_CHUNK", chunk)
+            assert_same_report(run_closed_loop(scene, planner, cfg, horizon), want)
+
+    @pytest.mark.parametrize("kind", ["red-light", "two-boxes-one-step", "deviation"])
+    def test_horizon_around_event_step(self, run_config, kind):
+        """The horizon ends one step before, at and one step after the step
+        that logs an event: the steps past the horizon must log nothing."""
+        cfg = ControllerConfig()
+        (scene, planner, horizon), = [e[1:] for e in chunk_episodes(run_config) if e[0] == kind]
+        events = reference_closed_loop(scene, planner, cfg, horizon).infractions.events
+        mark = round(events[0].time / cfg.dt)
+        for steps in (mark - 1, mark, mark + 1):
+            want = reference_closed_loop(scene, planner, cfg, horizon_for(steps, cfg))
+            assert len(want.infractions) == (steps >= mark) * len(events)
+            got = run_closed_loop(scene, planner, cfg, horizon_for(steps, cfg))
+            assert_same_report(got, want)
+
+    def test_reference_suite_matches_per_step_loop(self, run_config):
+        gt = make_gt_planner(run_config)
+        for spec in run_config.suite_specs():
+            scene = generate_scene(spec, n_p=run_config.n_p)
+            want = reference_closed_loop(scene, gt, run_config.controller, 20.0,
+                                         run_config.eval_config)
+            got = run_closed_loop(scene, gt, run_config.controller, 20.0,
+                                  run_config.eval_config)
+            assert_same_report(got, want)
+
+
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_non_finite_or_non_positive_horizon_rejected(horizon):
+    with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+        run_closed_loop(straight_scene(), FixedPlanner(PlannedPath((), 1.0)),
+                        ControllerConfig(), horizon)
