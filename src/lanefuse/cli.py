@@ -26,7 +26,6 @@ from .double_edge import PlannedPath, interpret_path
 from .fusion import AttentionInvariantError, build_params, load_params
 from .heads_losses import LOSS_NAMES, grad_check
 from .io_utils import atomic_write_bytes, atomic_write_text, dumps, from_json, write_csv
-from .pillar import LaneROI
 from .pipeline import (
     PipelineResult,
     injected_losses,
@@ -133,10 +132,9 @@ def cmd_bench(args) -> int:
     store = build_params(cfg.block_config())
     scenes = [generate_scene(spec, n_p=cfg.n_p) for spec in cfg.suite_specs()]
 
-    zero_roi = LaneROI(points=np.zeros((cfg.n_d, cfg.n_p, 3)))
     count_rows = []
     for idx, scene in enumerate(scenes):
-        counts = scene_feature_counts(scene, cfg, zero_roi)
+        counts = scene_feature_counts(scene, cfg)
         count_rows.append([
             f"scene_{idx:02d}",
             int(counts["voxel_count"]), int(counts["pillar_count"]),
@@ -168,8 +166,7 @@ def _eval_one(scene, scene_id: str, cfg: RunConfig, use_gt: bool, store) -> dict
         def planner(sc):
             runs.append(run_pipeline(sc, cfg, store))
             return runs[-1].path
-    counts = scene_feature_counts(
-        scene, cfg, LaneROI(points=np.zeros((cfg.n_d, cfg.n_p, 3))))
+    counts = scene_feature_counts(scene, cfg)
     report = run_closed_loop(scene, planner, cfg.controller, cfg.horizon,
                              eval_cfg=cfg.eval_config)
     return {

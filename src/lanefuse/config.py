@@ -15,14 +15,12 @@ from .fusion import BlockConfig
 from .heads_losses import LossConfig, LossWeights
 from .io_utils import dumps, from_json
 from .pillar import GridSpec
-from .scene_synth import SceneSpec
+from .scene_synth import SIGNAL_CLASSES, SceneSpec
 from .sim_eval import ControllerConfig, EvalConfig
 
-__all__ = ["RunConfig", "derive_seed", "SUITE_NAMES"]
+__all__ = ["RunConfig", "derive_seed", "SUITE_NAMES", "SIGNAL_CLASSES"]
 
 SUITE_NAMES = ("reference", "trivial")
-
-SIGNAL_CLASSES = ("none", "green", "red")
 
 
 def derive_seed(base: int, index: int) -> int:

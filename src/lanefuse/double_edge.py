@@ -7,27 +7,27 @@ the lane additionally carries intersection and direction flags. A set of
 such lanes is the unit flowing through the whole pipeline, and the
 interpreter turns plan-flagged point pairs into drivable midpoint waypoints.
 
-Coordinates are meters in the ego frame: x forward, y left, z up. All types
-are plain immutable dataclasses; invariants are checked by ``validate``
-(violations are data, not exceptions) so that raw or corrupted inputs can be
-inspected rather than rejected at construction time.
+A set of n_d lanes is five arrays: ``points`` (n_d, n_p, 3), ``occ`` and
+``plan`` (n_d, n_p), ``intersection`` and ``direction`` (n_d,). The first
+n_p/2 slots of a lane hold its left edge and the rest its right edge, each
+nearest-to-ego first, so slot j of the left edge pairs with slot n_p/2 + j.
+
+Coordinates are meters in the ego frame: x forward, y left, z up.
+Construction checks shapes only; flag and position invariants are checked by
+``validate`` (violations are data, not exceptions) so that raw or corrupted
+inputs can be inspected rather than rejected at construction time.
 """
 
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .io_utils import dumps, from_json
 
 __all__ = [
-    "EdgePoint",
-    "Edge",
-    "DoubleEdgeLane",
     "DoubleEdgeSet",
     "PlannedPath",
     "StructuralError",
@@ -37,8 +37,6 @@ __all__ = [
     "interpret_path",
     "serialize",
     "deserialize",
-    "lanes_from_arrays",
-    "lanes_to_arrays",
 ]
 
 
@@ -58,47 +56,46 @@ class ValidationError(ValueError):
         self.diagnostics = diagnostics
 
 
-@dataclass(frozen=True)
-class EdgePoint:
-    """One boundary point: position (x, y, z) plus occupancy and plan flags."""
-
-    position: tuple[float, float, float]
-    occ: int
-    plan: int
-
-
-@dataclass(frozen=True)
-class Edge:
-    """Ordered boundary points, nearest-to-ego first."""
-
-    points: tuple[EdgePoint, ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-
-@dataclass(frozen=True)
-class DoubleEdgeLane:
-    left: Edge
-    right: Edge
-    intersection: int
-    direction: int
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DoubleEdgeSet:
-    lanes: tuple[DoubleEdgeLane, ...]
+    """n_d lanes of n_p boundary slots, left edge first (see the module
+    docstring). Sets compare equal when all five arrays do."""
+
+    points: np.ndarray  # (n_d, n_p, 3) float
+    occ: np.ndarray  # (n_d, n_p)
+    plan: np.ndarray  # (n_d, n_p)
+    intersection: np.ndarray  # (n_d,)
+    direction: np.ndarray  # (n_d,)
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", np.asarray(self.points, dtype=float))
+        for name in ("occ", "plan", "intersection", "direction"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)))
+        if self.points.ndim != 3 or self.points.shape[2] != 3:
+            raise StructuralError(f"points must be (n_d, n_p, 3), got {self.points.shape}")
+        n_d, n_p = self.points.shape[:2]
+        if n_p % 2 != 0:
+            raise StructuralError(f"n_p must be even, got {n_p}")
+        for name, shape in (("occ", (n_d, n_p)), ("plan", (n_d, n_p)),
+                            ("intersection", (n_d,)), ("direction", (n_d,))):
+            if getattr(self, name).shape != shape:
+                raise StructuralError(
+                    f"{name} must have shape {shape}, got {getattr(self, name).shape}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DoubleEdgeSet):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
     @property
     def n_d(self) -> int:
-        return len(self.lanes)
+        return self.points.shape[0]
 
     @property
     def n_p(self) -> int:
-        """Points per lane across both edges (0 for an empty set)."""
-        if not self.lanes:
-            return 0
-        return 2 * len(self.lanes[0].left)
+        """Points per lane across both edges."""
+        return self.points.shape[1]
 
 
 @dataclass(frozen=True)
@@ -113,6 +110,7 @@ class PlannedPath:
 
 
 _FLAGS = (0, 1)
+_outside_flags = np.frompyfunc(lambda v: v not in _FLAGS, 1, 1)
 
 
 def validate(
@@ -123,39 +121,32 @@ def validate(
     """Check every invariant and return a list of human-readable violations.
 
     An empty list means the set is well formed. Violations never raise here;
-    callers that require validity (serialization, the interpreter) raise on a
-    non-empty result.
+    callers that require validity (serialization) raise on a non-empty
+    result. Flags may hold values of any type, as parsed, until they pass.
     """
     diags: list[str] = []
-    if expected_n_d is not None and len(lanes.lanes) != expected_n_d:
-        diags.append(f"set has {len(lanes.lanes)} lanes, expected {expected_n_d}")
-    edge_len: int | None = None
-    for i, lane in enumerate(lanes.lanes):
-        if len(lane.left) != len(lane.right):
-            diags.append(
-                f"lane {i}: left/right length mismatch "
-                f"({len(lane.left)} vs {len(lane.right)})"
-            )
-        if edge_len is None:
-            edge_len = len(lane.left)
-        elif len(lane.left) != edge_len:
-            diags.append(
-                f"lane {i}: edge length {len(lane.left)} differs from lane 0 ({edge_len})"
-            )
-        if lane.intersection not in _FLAGS:
-            diags.append(f"lane {i}: intersection flag {lane.intersection!r} not in {{0,1}}")
-        if lane.direction not in _FLAGS:
-            diags.append(f"lane {i}: direction flag {lane.direction!r} not in {{0,1}}")
-        for side, edge in (("left", lane.left), ("right", lane.right)):
-            for j, pt in enumerate(edge.points):
-                if pt.occ not in _FLAGS:
-                    diags.append(f"lane {i} {side}[{j}]: occ flag {pt.occ!r} not in {{0,1}}")
-                if pt.plan not in _FLAGS:
-                    diags.append(f"lane {i} {side}[{j}]: plan flag {pt.plan!r} not in {{0,1}}")
-                if len(pt.position) != 3 or not all(math.isfinite(c) for c in pt.position):
-                    diags.append(f"lane {i} {side}[{j}]: non-finite or malformed position")
-    if expected_n_p is not None and edge_len is not None and 2 * edge_len != expected_n_p:
-        diags.append(f"edges have {edge_len} points, expected {expected_n_p // 2}")
+    n_d, n_p = lanes.n_d, lanes.n_p
+    if expected_n_d is not None and n_d != expected_n_d:
+        diags.append(f"set has {n_d} lanes, expected {expected_n_d}")
+    half = n_p // 2
+
+    def slot(i: int, s: int) -> str:
+        return f"lane {i} left[{s}]" if s < half else f"lane {i} right[{s - half}]"
+
+    found: list[tuple[int, int, str]] = []  # (lane, slot, text); lane flags take slot -1
+    for name in ("intersection", "direction"):
+        values = getattr(lanes, name).tolist()
+        for (i,) in np.argwhere(_outside_flags(getattr(lanes, name)).astype(bool)):
+            found.append((i, -1, f"lane {i}: {name} flag {values[i]!r} not in {{0,1}}"))
+    for name in ("occ", "plan"):
+        values = getattr(lanes, name).tolist()
+        for i, s in np.argwhere(_outside_flags(getattr(lanes, name)).astype(bool)):
+            found.append((i, s, f"{slot(i, s)}: {name} flag {values[i][s]!r} not in {{0,1}}"))
+    for i, s in np.argwhere(~np.isfinite(lanes.points).all(axis=2)):
+        found.append((i, s, f"{slot(i, s)}: non-finite or malformed position"))
+    diags.extend(text for _, _, text in sorted(found, key=lambda f: f[:2]))
+    if expected_n_p is not None and n_d and n_p != expected_n_p:
+        diags.append(f"edges have {half} points, expected {expected_n_p // 2}")
     return diags
 
 
@@ -166,22 +157,10 @@ def interpret_path(lanes: DoubleEdgeSet, target_speed: float) -> PlannedPath:
     when both paired points carry plan = 1. Lane order, then point order, is
     preserved. Selecting nothing is a valid outcome meaning "no plan".
     """
-    waypoints: list[tuple[float, float, float]] = []
-    for i, lane in enumerate(lanes.lanes):
-        if len(lane.left) != len(lane.right):
-            raise StructuralError(
-                f"lane {i}: cannot pair edges of length {len(lane.left)} and {len(lane.right)}"
-            )
-        for pl, pr in zip(lane.left.points, lane.right.points):
-            if pl.plan == 1 and pr.plan == 1:
-                waypoints.append(
-                    (
-                        (pl.position[0] + pr.position[0]) / 2.0,
-                        (pl.position[1] + pr.position[1]) / 2.0,
-                        (pl.position[2] + pr.position[2]) / 2.0,
-                    )
-                )
-    return PlannedPath(waypoints=tuple(waypoints), target_speed=target_speed)
+    half = lanes.n_p // 2
+    both = (lanes.plan[:, :half] == 1) & (lanes.plan[:, half:] == 1)
+    mid = (lanes.points[:, :half][both] + lanes.points[:, half:][both]) / 2.0
+    return PlannedPath(waypoints=tuple(map(tuple, mid.tolist())), target_speed=target_speed)
 
 
 # ---------------------------------------------------------------------------
@@ -195,50 +174,63 @@ def interpret_path(lanes: DoubleEdgeSet, target_speed: float) -> PlannedPath:
 # ---------------------------------------------------------------------------
 
 
-def _edge_to_obj(edge: Edge) -> list[dict]:
-    return [
-        {"p": [pt.position[0], pt.position[1], pt.position[2]], "occ": pt.occ, "plan": pt.plan}
-        for pt in edge.points
-    ]
-
-
 def serialize(lanes: DoubleEdgeSet) -> bytes:
     """Encode a validating set as canonical JSON bytes."""
     diags = validate(lanes)
     if diags:
         raise ValidationError(diags)
+    points = lanes.points.tolist()
+    occ, plan, intersection, direction = (
+        getattr(lanes, name).astype(np.int64).tolist()
+        for name in ("occ", "plan", "intersection", "direction"))
+    half = lanes.n_p // 2
+
+    def edge(i: int, slots: range) -> list[dict]:
+        return [{"p": points[i][j], "occ": occ[i][j], "plan": plan[i][j]} for j in slots]
+
     obj = {
         "n_d": lanes.n_d,
         "n_p": lanes.n_p,
         "lanes": [
             {
-                "int": lane.intersection,
-                "dir": lane.direction,
-                "left": _edge_to_obj(lane.left),
-                "right": _edge_to_obj(lane.right),
+                "int": intersection[i],
+                "dir": direction[i],
+                "left": edge(i, range(half)),
+                "right": edge(i, range(half, lanes.n_p)),
             }
-            for lane in lanes.lanes
+            for i in range(lanes.n_d)
         ],
     }
     return dumps(obj)
 
 
-def _parse_edge(obj, where: str) -> Edge:
+def _parse_edge(obj, where: str) -> list[tuple]:
+    """``(x, y, z, occ, plan)`` per point; flags are kept as parsed."""
     if not isinstance(obj, list):
         raise ParseError(f"{where}: expected a list of points")
     pts = []
     for j, e in enumerate(obj):
         try:
             p = e["p"]
-            pts.append(EdgePoint(position=(float(p[0]), float(p[1]), float(p[2])),
-                                 occ=e["occ"], plan=e["plan"]))
+            pts.append((float(p[0]), float(p[1]), float(p[2]), e["occ"], e["plan"]))
         except (KeyError, TypeError, IndexError, ValueError) as exc:
             raise ParseError(f"{where}[{j}]: {exc!r}") from exc
-    return Edge(points=tuple(pts))
+    return pts
+
+
+def _as_objects(values: list, shape: tuple[int, ...]) -> np.ndarray:
+    """Parsed flag values, whatever their JSON type, as an object array."""
+    out = np.empty(len(values), dtype=object)
+    for k, v in enumerate(values):
+        out[k] = v
+    return out.reshape(shape)
 
 
 def deserialize(data: bytes) -> DoubleEdgeSet:
-    """Decode and validate JSON bytes produced by :func:`serialize`."""
+    """Decode and validate JSON bytes produced by :func:`serialize`. Edges
+    that cannot fill the arrays (left and right of unequal length, or lanes
+    of unequal length) are a :class:`ValidationError` before any flag is
+    checked; a validating set's flags are returned as int64."""
     try:
         obj = json.loads(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -250,83 +242,31 @@ def deserialize(data: bytes) -> DoubleEdgeSet:
     lanes = []
     for i, lobj in enumerate(obj["lanes"]):
         try:
-            lane = DoubleEdgeLane(
-                left=_parse_edge(lobj["left"], f"lanes[{i}].left"),
-                right=_parse_edge(lobj["right"], f"lanes[{i}].right"),
-                intersection=lobj["int"],
-                direction=lobj["dir"],
-            )
+            lanes.append((_parse_edge(lobj["left"], f"lanes[{i}].left"),
+                          _parse_edge(lobj["right"], f"lanes[{i}].right"),
+                          lobj["int"], lobj["dir"]))
         except (KeyError, TypeError) as exc:
             raise ParseError(f"lanes[{i}]: {exc!r}") from exc
-        lanes.append(lane)
-    out = DoubleEdgeSet(lanes=tuple(lanes))
+    diags = []
+    for i, (left, right, _, _) in enumerate(lanes):
+        if len(left) != len(right):
+            diags.append(f"lane {i}: left/right length mismatch ({len(left)} vs {len(right)})")
+        if len(left) != len(lanes[0][0]):
+            diags.append(
+                f"lane {i}: edge length {len(left)} differs from lane 0 ({len(lanes[0][0])})")
+    if diags:
+        raise ValidationError(diags)
+    slots = [pt for left, right, _, _ in lanes for pt in left + right]
+    shape = (len(lanes), len(slots) // max(len(lanes), 1))
+    out = DoubleEdgeSet(
+        points=np.array([pt[:3] for pt in slots], dtype=float).reshape(*shape, 3),
+        occ=_as_objects([pt[3] for pt in slots], shape),
+        plan=_as_objects([pt[4] for pt in slots], shape),
+        intersection=_as_objects([lane[2] for lane in lanes], shape[:1]),
+        direction=_as_objects([lane[3] for lane in lanes], shape[:1]))
     n_d, n_p = (from_json(int | None, obj.get(key), key) for key in ("n_d", "n_p"))
     diags = validate(out, expected_n_d=n_d, expected_n_p=n_p)
     if diags:
         raise ValidationError(diags)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Array bridge used by the numeric pipeline. Points are laid out as
-# (n_d, n_p, 3) with the first n_p/2 slots holding the left edge and the
-# remainder the right edge; flag arrays share that layout.
-# ---------------------------------------------------------------------------
-
-
-def lanes_from_arrays(
-    points: np.ndarray,
-    occ: np.ndarray,
-    plan: np.ndarray,
-    intersection: Sequence[int] | np.ndarray,
-    direction: Sequence[int] | np.ndarray,
-) -> DoubleEdgeSet:
-    points = np.asarray(points, dtype=float)
-    occ = np.asarray(occ)
-    plan = np.asarray(plan)
-    n_d, n_p, _ = points.shape
-    if n_p % 2 != 0:
-        raise StructuralError(f"n_p must be even, got {n_p}")
-    half = n_p // 2
-    lanes = []
-    for i in range(n_d):
-        edges = []
-        for lo, hi in ((0, half), (half, n_p)):
-            edges.append(Edge(points=tuple(
-                EdgePoint(
-                    position=(float(points[i, j, 0]), float(points[i, j, 1]), float(points[i, j, 2])),
-                    occ=int(occ[i, j]),
-                    plan=int(plan[i, j]),
-                )
-                for j in range(lo, hi)
-            )))
-        lanes.append(DoubleEdgeLane(left=edges[0], right=edges[1],
-                                    intersection=int(intersection[i]), direction=int(direction[i])))
-    return DoubleEdgeSet(lanes=tuple(lanes))
-
-
-def lanes_to_arrays(lanes: DoubleEdgeSet) -> dict[str, np.ndarray]:
-    """Inverse of :func:`lanes_from_arrays`; requires a validating set."""
-    diags = validate(lanes)
-    if diags:
-        raise ValidationError(diags)
-    n_d, n_p = lanes.n_d, lanes.n_p
-    points = np.zeros((n_d, n_p, 3))
-    occ = np.zeros((n_d, n_p), dtype=np.int64)
-    plan = np.zeros((n_d, n_p), dtype=np.int64)
-    intersection = np.zeros(n_d, dtype=np.int64)
-    direction = np.zeros(n_d, dtype=np.int64)
-    half = n_p // 2
-    for i, lane in enumerate(lanes.lanes):
-        intersection[i] = lane.intersection
-        direction[i] = lane.direction
-        for j, pt in enumerate(lane.left.points):
-            points[i, j] = pt.position
-            occ[i, j] = pt.occ
-            plan[i, j] = pt.plan
-        for j, pt in enumerate(lane.right.points):
-            points[i, half + j] = pt.position
-            occ[i, half + j] = pt.occ
-            plan[i, half + j] = pt.plan
-    return {"points": points, "occ": occ, "plan": plan,
-            "intersection": intersection, "direction": direction}
+    return DoubleEdgeSet(out.points, *(getattr(out, name).astype(np.int64)
+                                       for name in ("occ", "plan", "intersection", "direction")))

@@ -15,7 +15,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .double_edge import DoubleEdgeSet, StructuralError, lanes_from_arrays, lanes_to_arrays
+from .double_edge import DoubleEdgeSet, StructuralError
 from .fusion import FeatureSet, ParamStore, _sigmoid
 from .pillar import LaneROI
 
@@ -131,33 +131,32 @@ def predictions_to_double_edge(pred: Predictions) -> DoubleEdgeSet:
     plan = (pred.plan_logits > 0).astype(np.int64)
     intr = (pred.int_logits > 0).astype(np.int64)
     dire = (pred.dir_logits > 0).astype(np.int64)
-    return lanes_from_arrays(pred.points, occ, plan, intr, dire)
+    return DoubleEdgeSet(pred.points, occ, plan, intr, dire)
 
 
 def inject_ground_truth(gt: DoubleEdgeSet, gt_speed: float, gt_signal_class: int,
                         n_d: int, n_signal_classes: int = 3) -> tuple[Predictions, LaneROI]:
     """Predictions that reproduce the ground truth exactly (saturated logits),
     plus the matching ROI. Surplus lane slots are pushed to all-negative."""
-    arrs = lanes_to_arrays(gt)
-    n_gt, n_p = arrs["occ"].shape
+    n_gt, n_p = gt.n_d, gt.n_p
     if n_gt > n_d:
         raise StructuralError(f"{n_gt} ground-truth lanes exceed {n_d} slots")
     points = np.zeros((n_d, n_p, 3))
-    points[:n_gt] = arrs["points"]
+    points[:n_gt] = gt.points
     occ = np.full((n_d, n_p), -_SATURATED_LOGIT)
     plan = np.full((n_d, n_p), -_SATURATED_LOGIT)
     intr = np.full(n_d, -_SATURATED_LOGIT)
     dire = np.full(n_d, -_SATURATED_LOGIT)
-    occ[:n_gt] = np.where(arrs["occ"] == 1, _SATURATED_LOGIT, -_SATURATED_LOGIT)
-    plan[:n_gt] = np.where(arrs["plan"] == 1, _SATURATED_LOGIT, -_SATURATED_LOGIT)
-    intr[:n_gt] = np.where(arrs["intersection"] == 1, _SATURATED_LOGIT, -_SATURATED_LOGIT)
-    dire[:n_gt] = np.where(arrs["direction"] == 1, _SATURATED_LOGIT, -_SATURATED_LOGIT)
+    occ[:n_gt] = np.where(gt.occ == 1, _SATURATED_LOGIT, -_SATURATED_LOGIT)
+    plan[:n_gt] = np.where(gt.plan == 1, _SATURATED_LOGIT, -_SATURATED_LOGIT)
+    intr[:n_gt] = np.where(gt.intersection == 1, _SATURATED_LOGIT, -_SATURATED_LOGIT)
+    dire[:n_gt] = np.where(gt.direction == 1, _SATURATED_LOGIT, -_SATURATED_LOGIT)
     signal = np.full(n_signal_classes, -_SATURATED_LOGIT)
     signal[gt_signal_class] = _SATURATED_LOGIT
     pred = Predictions(points=points, int_logits=intr, dir_logits=dire, occ_logits=occ,
                        plan_logits=plan, speed=float(gt_speed), signal_logits=signal)
     roi = np.zeros((n_d, n_p, 3))
-    roi[:n_gt] = arrs["points"]
+    roi[:n_gt] = gt.points
     return pred, LaneROI(points=roi)
 
 
@@ -191,9 +190,8 @@ def _l1_core(pred_points: np.ndarray, gt: DoubleEdgeSet,
              per_point: bool) -> tuple[float, np.ndarray]:
     """Summed Manhattan mismatch of the ground-truth slots, divided by the
     lane count (roi) or by the lane-point count (``per_point``, edg)."""
-    gt_pts = lanes_to_arrays(gt)["points"]
-    n_gt, n_p, _ = gt_pts.shape
-    res = _gt_slice(pred_points, gt_pts) - gt_pts
+    res = _gt_slice(pred_points, gt.points) - gt.points
+    n_gt, n_p = gt.n_d, gt.n_p
     denom = n_gt * n_p if per_point else n_gt
     value = float(np.abs(res).sum() / denom)
     grad = np.zeros_like(pred_points)
@@ -273,13 +271,10 @@ def cross_entropy(signal_logits: np.ndarray, gt_class: int) -> float:
 
 def _plan_core(plan_logits: np.ndarray, gt: DoubleEdgeSet, target_point: np.ndarray,
                cfg: LossConfig) -> tuple[float, np.ndarray]:
-    arrs = lanes_to_arrays(gt)
-    gt_pts = arrs["points"]
-    y = arrs["plan"].astype(float)
-    n_gt, n_p, _ = gt_pts.shape
+    y = gt.plan.astype(float)
     z = _gt_slice(np.asarray(plan_logits, dtype=float), y)
     target = np.asarray(target_point, dtype=float)
-    d = np.linalg.norm(gt_pts - target, axis=2)
+    d = np.linalg.norm(gt.points - target, axis=2)
     d = np.maximum(d, cfg.d_p2t_floor)
     u = _bce_with_logits(z, y)
     em = np.exp(-u)
@@ -290,7 +285,7 @@ def _plan_core(plan_logits: np.ndarray, gt: DoubleEdgeSet, target_point: np.ndar
     dterm_du = cfg.rho ** 2 * (2.0 * (1.0 - em) * em * u + (1.0 - em) ** 2) / d
     du_dz = _sigmoid(z) - y
     grad = np.zeros_like(np.asarray(plan_logits, dtype=float))
-    grad[:n_gt] = dterm_du * du_dz / 2.0
+    grad[:gt.n_d] = dterm_du * du_dz / 2.0
     return value, grad
 
 
@@ -321,14 +316,13 @@ def compute_losses(pred: Predictions, pred_roi: LaneROI, gt: DoubleEdgeSet,
                    target_point: np.ndarray, gt_speed: float, gt_signal_class: int,
                    cfg: LossConfig, weights: LossWeights) -> LossBreakdown:
     """All components against ground truth, combined per the weight ratios."""
-    arrs = lanes_to_arrays(gt)
-    n_gt = arrs["points"].shape[0]
+    n_gt = gt.n_d
     components = {
         "roi": loss_roi(pred_roi, gt),
         "edg": loss_edge(pred.points, gt),
-        "int": focal_loss(pred.int_logits[:n_gt], arrs["intersection"], cfg),
-        "dir": focal_loss(pred.dir_logits[:n_gt], arrs["direction"], cfg),
-        "occ": focal_loss(pred.occ_logits[:n_gt], arrs["occ"], cfg),
+        "int": focal_loss(pred.int_logits[:n_gt], gt.intersection, cfg),
+        "dir": focal_loss(pred.dir_logits[:n_gt], gt.direction, cfg),
+        "occ": focal_loss(pred.occ_logits[:n_gt], gt.occ, cfg),
         "plan": loss_plan(pred.plan_logits, gt, target_point, cfg),
         "spd": smooth_l1(pred.speed, gt_speed),
         "sig": cross_entropy(pred.signal_logits, gt_signal_class),
@@ -354,7 +348,7 @@ def _random_lane_set(rng: np.random.Generator, n_gt: int, n_p: int) -> DoubleEdg
     plan = rng.integers(0, 2, (n_gt, n_p))
     intr = rng.integers(0, 2, n_gt)
     dire = rng.integers(0, 2, n_gt)
-    return lanes_from_arrays(points, occ, plan, intr, dire)
+    return DoubleEdgeSet(points, occ, plan, intr, dire)
 
 
 def _grad_case(loss_name: str, rng: np.random.Generator,
@@ -363,7 +357,7 @@ def _grad_case(loss_name: str, rng: np.random.Generator,
     n_gt, n_d, n_p = 3, 4, 8
     if loss_name in ("roi", "edg"):
         gt = _random_lane_set(rng, n_gt, n_p)
-        base = lanes_to_arrays(gt)["points"]
+        base = gt.points
         x0 = np.zeros((n_d, n_p, 3))
         x0[:n_gt] = base + rng.uniform(0.1, 1.5, base.shape) * rng.choice([-1.0, 1.0], base.shape)
         x0[n_gt:] = rng.uniform(-5.0, 5.0, (n_d - n_gt, n_p, 3))

@@ -341,17 +341,15 @@ def encode_pillars(lane_pillars: LanePillarSet, weight: np.ndarray,
     return out
 
 
-def feature_count_report(cloud: PointCloud, roi: LaneROI, voxel_spec: GridSpec,
+def feature_count_report(cloud: PointCloud, lane_level: int, voxel_spec: GridSpec,
                          pillar_spec: GridSpec) -> dict[str, float]:
     """Feature counts for the three LiDAR encodings plus reduction ratios.
 
-    The lane-level count is n_d x n_p by construction; ratios are dense
-    count over lane-level count.
+    ``lane_level`` is the lane-level count, n_d x n_p by construction;
+    ratios are dense count over lane-level count.
     """
-    n_d, n_p = roi.points.shape[0], roi.points.shape[1]
     voxel_count, _ = voxelize(cloud, voxel_spec)
     pillars = pillarize(cloud, pillar_spec)
-    lane_level = n_d * n_p
     return {
         "voxel_count": float(voxel_count),
         "pillar_count": float(len(pillars)),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import SIGNAL_CLASSES, RunConfig
+from .config import RunConfig
 from .double_edge import DoubleEdgeSet, PlannedPath, interpret_path
 from .fusion import (
     BlockConfig,
@@ -116,24 +116,31 @@ def run_pipeline(scene: Scene, cfg: RunConfig, store: ParamStore) -> PipelineRes
                           stage_ms=stage_ms)
 
 
+def _scene_losses(pred: Predictions, roi: LaneROI, scene: Scene,
+                  cfg: RunConfig) -> LossBreakdown:
+    return compute_losses(pred, roi, scene.ground_truth, np.asarray(scene.route_target),
+                          scene.gt_speed, scene.signal_class, cfg.loss_config,
+                          cfg.loss_weights)
+
+
 def pipeline_losses(result: PipelineResult, scene: Scene, cfg: RunConfig) -> LossBreakdown:
     """Loss breakdown of a pipeline result against the scene ground truth."""
-    return compute_losses(result.predictions, result.prior.roi, scene.ground_truth,
-                          np.asarray(scene.route_target), scene.gt_speed,
-                          SIGNAL_CLASSES.index(scene.signal_state),
-                          cfg.loss_config, cfg.loss_weights)
+    return _scene_losses(result.predictions, result.prior.roi, scene, cfg)
+
+
+def _gt_plan(scene: Scene, cfg: RunConfig) -> tuple[Predictions, LaneROI, PlannedPath]:
+    """Ground-truth-injected predictions, their ROI, and the path the
+    interpreter makes of them."""
+    pred, roi = inject_ground_truth(scene.ground_truth, scene.gt_speed, scene.signal_class,
+                                    cfg.n_d)
+    path = interpret_path(predictions_to_double_edge(pred), max(0.0, pred.speed))
+    return pred, roi, path
 
 
 def injected_losses(scene: Scene, cfg: RunConfig) -> tuple[LossBreakdown, PlannedPath]:
     """Losses and path for ground-truth-injected predictions (all zeros)."""
-    pred, roi = inject_ground_truth(scene.ground_truth, scene.gt_speed,
-                                    SIGNAL_CLASSES.index(scene.signal_state), cfg.n_d)
-    breakdown = compute_losses(pred, roi, scene.ground_truth,
-                               np.asarray(scene.route_target), scene.gt_speed,
-                               SIGNAL_CLASSES.index(scene.signal_state),
-                               cfg.loss_config, cfg.loss_weights)
-    lanes = predictions_to_double_edge(pred)
-    return breakdown, interpret_path(lanes, max(0.0, pred.speed))
+    pred, roi, path = _gt_plan(scene, cfg)
+    return _scene_losses(pred, roi, scene, cfg), path
 
 
 def make_gt_planner(cfg: RunConfig):
@@ -141,17 +148,14 @@ def make_gt_planner(cfg: RunConfig):
     interpreter."""
 
     def planner(scene: Scene) -> PlannedPath:
-        pred, _ = inject_ground_truth(scene.ground_truth, scene.gt_speed,
-                                      SIGNAL_CLASSES.index(scene.signal_state), cfg.n_d)
-        lanes = predictions_to_double_edge(pred)
-        return interpret_path(lanes, max(0.0, pred.speed))
+        return _gt_plan(scene, cfg)[2]
 
     return planner
 
 
-def scene_feature_counts(scene: Scene, cfg: RunConfig, roi: LaneROI) -> dict[str, float]:
+def scene_feature_counts(scene: Scene, cfg: RunConfig) -> dict[str, float]:
     cloud = render_lidar(scene, cfg.lidar_density, cfg.lidar_noise_sigma, scene.spec.seed)
-    return feature_count_report(cloud, roi, cfg.voxel_spec(), cfg.pillar_spec())
+    return feature_count_report(cloud, cfg.n_d * cfg.n_p, cfg.voxel_spec(), cfg.pillar_spec())
 
 
 # ---------------------------------------------------------------------------

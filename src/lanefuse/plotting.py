@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .double_edge import PlannedPath, lanes_to_arrays
+from .double_edge import PlannedPath
 from .scene_synth import Scene
 
 __all__ = ["bar_chart_svg", "scene_svg"]
@@ -89,8 +89,8 @@ def _box_polygon(box, fill: str, opacity: str = "0.6") -> str:
 def scene_svg(scene: Scene, path: PlannedPath | None = None,
               trajectory: np.ndarray | None = None) -> str:
     """Top-down rendering in world coordinates (x right, y up)."""
-    arrs = lanes_to_arrays(scene.ground_truth)
-    pts = arrs["points"].reshape(-1, 3)
+    gt = scene.ground_truth
+    pts = gt.points.reshape(-1, 3)
     xs = [pts[:, 0]]
     ys = [pts[:, 1]]
     if trajectory is not None and len(trajectory):
@@ -113,16 +113,15 @@ def scene_svg(scene: Scene, path: PlannedPath | None = None,
         f'<g transform="scale({scale},-{scale}) translate({-x0},{-y1})" '
         'stroke-linecap="round">',
     ]
-    n_p = scene.ground_truth.n_p
+    n_p = gt.n_p
     half = n_p // 2
-    for i in range(arrs["points"].shape[0]):
+    for i in range(gt.n_d):
         for sl in (slice(0, half), slice(half, n_p)):
             body.append(
-                f'<polyline class="edge" points="{_points_attr(arrs["points"][i, sl, :2])}" '
+                f'<polyline class="edge" points="{_points_attr(gt.points[i, sl, :2])}" '
                 'fill="none" stroke="#888" stroke-width="0.15"/>'
             )
-        occ_pts = arrs["points"][i][arrs["occ"][i] == 1]
-        for p in occ_pts:
+        for p in gt.points[i][gt.occ[i] == 1]:
             body.append(
                 f'<circle class="occ" cx="{float(p[0])!r}" cy="{float(p[1])!r}" r="0.5" '
                 'fill="#ee8833"/>'

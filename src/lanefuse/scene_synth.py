@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .double_edge import DoubleEdgeSet, deserialize, lanes_from_arrays, serialize, validate
+from .double_edge import DoubleEdgeSet, deserialize, serialize, validate
 from .geometry import (
     OrientedBox,
     SegmentTable,
@@ -44,7 +44,8 @@ __all__ = [
 ]
 
 GEOMETRIES = ("straight", "arc", "intersection")
-SIGNAL_STATES = ("none", "green", "red")
+# signal states, in the order of the signal head's classes
+SIGNAL_CLASSES = ("none", "green", "red")
 
 # rng stream ids, combined with the owning seed as default_rng([seed, STREAM_*])
 _STREAM_SCENE = 0
@@ -85,9 +86,9 @@ class SceneSpec:
             raise GenerationError(f"agent_count must be >= 0, got {self.agent_count}")
         if self.clutter_density < 0:
             raise GenerationError(f"clutter_density must be >= 0, got {self.clutter_density}")
-        if self.traffic_signal not in SIGNAL_STATES:
+        if self.traffic_signal not in SIGNAL_CLASSES:
             raise GenerationError(
-                f"traffic_signal must be one of {SIGNAL_STATES}, got {self.traffic_signal!r}"
+                f"traffic_signal must be one of {SIGNAL_CLASSES}, got {self.traffic_signal!r}"
             )
         if self.geometry == "arc":
             if self.radius is None or self.radius <= self.lane_width:
@@ -131,6 +132,11 @@ class Scene:
     @property
     def route_polyline(self) -> np.ndarray:
         return self.centerlines[self.route_lane]
+
+    @property
+    def signal_class(self) -> int:
+        """Index of ``signal_state`` among the signal head's classes."""
+        return SIGNAL_CLASSES.index(self.signal_state)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +238,7 @@ def _ground_truth(
         occ[i, half:] = lane_occ
         if i == route_lane:
             plan[i, :] = 1
-    return lanes_from_arrays(points, occ, plan, int_flags, dir_flags)
+    return DoubleEdgeSet(points, occ, plan, int_flags, dir_flags)
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +633,8 @@ def scene_from_json(data: bytes) -> Scene:
         raise ValueError(f"scene field route.lane: {route_lane} is not one of the "
                          f"{len(centerlines)} centerlines")
     signal_state = _field(obj, "signal_state", str)
-    if signal_state not in SIGNAL_STATES:
-        raise ValueError(f"scene field signal_state: expected one of {SIGNAL_STATES}, "
+    if signal_state not in SIGNAL_CLASSES:
+        raise ValueError(f"scene field signal_state: expected one of {SIGNAL_CLASSES}, "
                          f"got {signal_state!r}")
     return Scene(
         spec=spec,

@@ -86,6 +86,11 @@ class EvalConfig:
         for kind, value in self.penalties.items():
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"penalties.{kind} must be in (0, 1], got {value!r}")
+        for name in ("arrival_radius", "deviation_lane_widths", "deviation_seconds"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if not self.ego_radius >= 0.0:
+            raise ValueError(f"ego_radius must be >= 0, got {self.ego_radius!r}")
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from lanefuse.config import RunConfig
-from lanefuse.double_edge import DoubleEdgeSet, lanes_from_arrays
+from lanefuse.double_edge import DoubleEdgeSet
 from lanefuse.fusion import build_params
 
 
@@ -12,7 +12,7 @@ def random_lane_set(rng: np.random.Generator, n_d: int, n_p: int) -> DoubleEdgeS
     plan = rng.integers(0, 2, (n_d, n_p))
     intr = rng.integers(0, 2, n_d)
     dire = rng.integers(0, 2, n_d)
-    return lanes_from_arrays(points, occ, plan, intr, dire)
+    return DoubleEdgeSet(points, occ, plan, intr, dire)
 
 
 @pytest.fixture(scope="session")

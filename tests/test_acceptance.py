@@ -35,7 +35,7 @@ from lanefuse.heads_losses import (
     loss_plan,
     total_loss,
 )
-from lanefuse.pillar import LaneROI, LaneWeights, feature_count_report
+from lanefuse.pillar import LaneWeights, feature_count_report
 from lanefuse.pipeline import injected_losses, make_gt_planner, run_pipeline
 from lanefuse.scene_synth import SceneSpec, generate_scene, render_lidar
 from lanefuse.sim_eval import ControllerConfig, run_closed_loop
@@ -78,11 +78,10 @@ def test_criterion_1_feature_reduction(cfg, reference_scenes):
     with criterion(1, "feature reduction: lane-level forced count, voxel >= pillar, "
                       "pillar/lane ratio >= 3 on the reference suite", limit_s=10.0):
         lane_level = cfg.n_d * cfg.n_p
-        roi = LaneROI(points=np.zeros((cfg.n_d, cfg.n_p, 3)))
         for scene in reference_scenes:
             cloud = render_lidar(scene, cfg.lidar_density, cfg.lidar_noise_sigma,
                                  scene.spec.seed)
-            rep = feature_count_report(cloud, roi, cfg.voxel_spec(), cfg.pillar_spec())
+            rep = feature_count_report(cloud, lane_level, cfg.voxel_spec(), cfg.pillar_spec())
             assert rep["lane_level_count"] == lane_level  # (a) exact
             assert rep["voxel_count"] >= rep["pillar_count"]  # (b) exact
             assert rep["ratio_pillar"] >= 3.0  # (c)
@@ -148,10 +147,10 @@ def test_criterion_4_loss_suite(cfg):
             assert getattr(breakdown, name) == 0.0
 
         # hand case: both edges CE = 1 nat at 2 m from the target, rho = 0.25
-        from lanefuse.double_edge import lanes_from_arrays
+        from lanefuse.double_edge import DoubleEdgeSet
 
-        gt = lanes_from_arrays(np.array([[[0.0, 2.0, 0.0], [0.0, -2.0, 0.0]]]),
-                               np.zeros((1, 2), int), np.ones((1, 2), int), [0], [1])
+        gt = DoubleEdgeSet(np.array([[[0.0, 2.0, 0.0], [0.0, -2.0, 0.0]]]),
+                           np.zeros((1, 2), int), np.ones((1, 2), int), [0], [1])
         z = math.log(math.exp(-1.0) / (1.0 - math.exp(-1.0)))
         value = loss_plan(np.array([[z, z]]), gt, np.zeros(3), LossConfig(rho=0.25))
         expected = (0.25 * (1.0 - math.exp(-1.0))) ** 2 * 1.0 / 2.0

@@ -453,6 +453,21 @@ class TestHostileInputs:
         pytest.param({"eval_config": {"penalties": {**DEFAULT_PENALTIES, "red_light": 1.5}}},
                      "config.eval_config.penalties.red_light must be in (0, 1]",
                      id="penalty-range"),
+        pytest.param({"eval_config": {"arrival_radius": -5.0, "ego_radius": -3.0}},
+                     "config.eval_config.arrival_radius must be > 0, got -5.0",
+                     id="arrival_radius-negative"),
+        pytest.param({"eval_config": {"arrival_radius": 0}},
+                     "config.eval_config.arrival_radius must be > 0, got 0",
+                     id="arrival_radius-zero"),
+        pytest.param({"eval_config": {"ego_radius": -3.0}},
+                     "config.eval_config.ego_radius must be >= 0, got -3.0",
+                     id="ego_radius-negative"),
+        pytest.param({"eval_config": {"deviation_seconds": -1.0, "deviation_lane_widths": 0.0}},
+                     "config.eval_config.deviation_lane_widths must be > 0, got 0.0",
+                     id="deviation_lane_widths-zero"),
+        pytest.param({"eval_config": {"deviation_seconds": -1.0}},
+                     "config.eval_config.deviation_seconds must be > 0, got -1.0",
+                     id="deviation_seconds-negative"),
     ])
     def test_config_field_exits_2_naming_it(self, tmp_path, caplog, config, field):
         bad = tmp_path / "bad.json"

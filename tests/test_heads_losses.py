@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lanefuse.double_edge import DoubleEdgeSet, StructuralError, lanes_from_arrays, lanes_to_arrays
+from lanefuse.double_edge import DoubleEdgeSet, StructuralError
 from lanefuse.fusion import FeatureSet
 from lanefuse.heads_losses import (
     LOSS_NAMES,
@@ -35,7 +35,7 @@ def single_pair_set(left, right, plan_l=1, plan_r=1) -> DoubleEdgeSet:
     points = np.array([[left, right]], dtype=float)
     plan = np.array([[plan_l, plan_r]])
     occ = np.zeros((1, 2), dtype=int)
-    return lanes_from_arrays(points, occ, plan, [0], [1])
+    return DoubleEdgeSet(points, occ, plan, [0], [1])
 
 
 class TestHeadsForward:
@@ -70,7 +70,7 @@ class TestHeadsForward:
 class TestLossRoi:
     def test_perfect_prediction_zero(self):
         lanes = random_lane_set(np.random.default_rng(0), 3, 8)
-        pts = lanes_to_arrays(lanes)["points"]
+        pts = lanes.points
         assert loss_roi(LaneROI(points=pts), lanes) == 0.0
 
     def test_hand_case_single_pair(self):
@@ -81,7 +81,7 @@ class TestLossRoi:
     def test_absolute_homogeneity(self):
         rng = np.random.default_rng(2)
         gt = random_lane_set(rng, 2, 6)
-        base = lanes_to_arrays(gt)["points"]
+        base = gt.points
         delta = rng.normal(size=base.shape)
         assert loss_roi(base + 2 * delta, gt) == pytest.approx(
             2 * loss_roi(base + delta, gt), rel=1e-12)
@@ -89,9 +89,10 @@ class TestLossRoi:
     def test_lane_pair_permutation_invariance(self):
         rng = np.random.default_rng(3)
         gt = random_lane_set(rng, 4, 6)
-        pred = lanes_to_arrays(gt)["points"] + rng.normal(size=(4, 6, 3))
+        pred = gt.points + rng.normal(size=(4, 6, 3))
         perm = [2, 0, 3, 1]
-        gt_perm = DoubleEdgeSet(lanes=tuple(gt.lanes[i] for i in perm))
+        gt_perm = DoubleEdgeSet(gt.points[perm], gt.occ[perm], gt.plan[perm],
+                                gt.intersection[perm], gt.direction[perm])
         assert loss_roi(pred[perm], gt_perm) == pytest.approx(loss_roi(pred, gt), rel=1e-12)
 
     def test_too_few_prediction_slots_rejected(self):
@@ -103,7 +104,7 @@ class TestLossRoi:
 class TestLossEdge:
     def test_perfect_zero(self):
         lanes = random_lane_set(np.random.default_rng(0), 2, 8)
-        assert loss_edge(lanes_to_arrays(lanes)["points"], lanes) == 0.0
+        assert loss_edge(lanes.points, lanes) == 0.0
 
     def test_manhattan_sum_before_averaging(self):
         gt = single_pair_set([0.0, 0.0, 0.0], [5.0, 0.0, 0.0])
@@ -114,7 +115,7 @@ class TestLossEdge:
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(5)
         gt = random_lane_set(rng, 3, 10)
-        gt_pts = lanes_to_arrays(gt)["points"]
+        gt_pts = gt.points
         pred = np.zeros((5, 10, 3))
         pred[:3] = gt_pts + rng.normal(size=gt_pts.shape)
         pred[3:] = rng.normal(size=(2, 10, 3))
@@ -259,9 +260,9 @@ class TestInjection:
         gt = random_lane_set(rng, 3, 10)
         pred, _ = inject_ground_truth(gt, 5.0, 0, n_d=5)
         rebuilt = predictions_to_double_edge(pred)
-        assert rebuilt.lanes[:3] == gt.lanes
-        arrs = lanes_to_arrays(rebuilt)
-        assert np.all(arrs["plan"][3:] == 0)
+        assert DoubleEdgeSet(rebuilt.points[:3], rebuilt.occ[:3], rebuilt.plan[:3],
+                             rebuilt.intersection[:3], rebuilt.direction[:3]) == gt
+        assert np.all(rebuilt.plan[3:] == 0)
 
     def test_too_many_gt_lanes_rejected(self):
         gt = random_lane_set(np.random.default_rng(9), 4, 6)

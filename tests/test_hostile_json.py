@@ -10,6 +10,7 @@ ERROR line; an exception escaping ``main`` or any other exit code fails.
 import copy
 import json
 import logging
+import struct
 import tempfile
 from pathlib import Path
 
@@ -104,5 +105,62 @@ def test_retyped_scene_exits_0_or_2(scene_obj):
             scene = Path(tmp) / "scene.json"
             scene.write_text(json.dumps(obj))
             run_main(["run", "--scene", str(scene), "--out", str(Path(tmp) / "o")])
+
+    check()
+
+
+def flip_bit(value: int | float, bit: int) -> int | float:
+    """``value`` with one bit of its binary form inverted: of the IEEE 754
+    double for a float, of the first 63 bits for an int."""
+    if isinstance(value, float):
+        (raw,) = struct.unpack("<Q", struct.pack("<d", value))
+        return struct.unpack("<d", struct.pack("<Q", raw ^ (1 << bit)))[0]
+    return value ^ (1 << (bit % 63))
+
+
+def value_paths(node, path: list) -> list[list]:
+    """Every path under ``node``, its own included, containers before
+    their children."""
+    keys = (range(len(node)) if isinstance(node, list) else sorted(node)
+            if isinstance(node, dict) else ())
+    return [path] + [sub for k in keys for sub in value_paths(node[k], path + [k])]
+
+
+@st.composite
+def hostile_ground_truth(draw, obj):
+    """(path, copy of ``obj`` with one value under ``ground_truth`` re-typed
+    or, for a number, bit-flipped). The path is drawn from all leaves, so
+    most cases hit a point's coordinate or flag, and one time in eight from
+    the containers."""
+    obj = copy.deepcopy(obj)
+    paths = value_paths(obj["ground_truth"], ["ground_truth"])
+    leaves = [p for p in paths if not isinstance(_at(obj, p), (list, dict))]
+    containers = [p for p in paths if isinstance(_at(obj, p), (list, dict))]
+    path = draw(st.sampled_from(containers if draw(st.integers(0, 7)) == 0 else leaves))
+    node, key = _at(obj, path[:-1]), path[-1]
+    old = node[key]
+    if type(old) in (int, float) and draw(st.booleans()):
+        node[key] = flip_bit(old, draw(st.integers(0, 63)))
+    else:
+        node[key] = draw(st.sampled_from([v for v in REPLACEMENTS if type(v) is not type(old)]))
+    return path, obj
+
+
+def _at(obj, path: list):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def test_hostile_ground_truth_exits_0_or_2(scene_obj):
+    @PROPERTY
+    @given(hostile_ground_truth(scene_obj), st.booleans())
+    def check(case, inject_gt):
+        path, obj = case
+        with tempfile.TemporaryDirectory() as tmp:
+            scene = Path(tmp) / "scene.json"
+            scene.write_text(json.dumps(obj))
+            run_main(["run", "--scene", str(scene), "--out", str(Path(tmp) / "o")]
+                     + ["--inject-gt"] * inject_gt)
 
     check()

@@ -386,8 +386,7 @@ class TestFeatureCountReport:
         pts = rng.uniform(-9, 9, (2000, 3))
         pts[:, 2] = rng.uniform(0, 7.9, 2000)
         cloud = PointCloud(points=pts)
-        roi = LaneROI(points=np.zeros((6, 20, 3)))
-        rep = feature_count_report(cloud, roi, make_spec(), pillar_grid_spec())
+        rep = feature_count_report(cloud, 6 * 20, make_spec(), pillar_grid_spec())
         assert rep["lane_level_count"] == 120.0
         assert rep["voxel_count"] >= rep["pillar_count"]
         assert rep["ratio_voxel"] == rep["voxel_count"] / 120.0

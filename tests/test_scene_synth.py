@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lanefuse.config import RunConfig
-from lanefuse.double_edge import interpret_path, lanes_to_arrays, validate
+from lanefuse.double_edge import interpret_path, validate
 from lanefuse.geometry import OrientedBox, polyline_length, resample_polyline
 from lanefuse.scene_synth import (
     GenerationError,
@@ -36,9 +36,9 @@ class TestGenerateScene:
     def test_straight_unoccupied_road(self):
         spec = SceneSpec(seed=42, lane_count=1, geometry="straight", route_length=100.0)
         scene = generate_scene(spec, n_p=20)
-        arrs = lanes_to_arrays(scene.ground_truth)
-        assert np.all(arrs["occ"] == 0)
-        assert np.all(arrs["plan"][scene.route_lane] == 1)
+        gt = scene.ground_truth
+        assert np.all(gt.occ == 0)
+        assert np.all(gt.plan[scene.route_lane] == 1)
 
     def test_determinism_bit_identical(self):
         spec = SceneSpec(seed=1234, lane_count=3, geometry="intersection",
@@ -51,14 +51,14 @@ class TestGenerateScene:
         spec = SceneSpec(seed=77, lane_count=2, geometry="straight", agent_count=3,
                          route_length=80.0)
         scene = generate_scene(spec, n_p=20)
-        arrs = lanes_to_arrays(scene.ground_truth)
+        gt = scene.ground_truth
         half = scene.ground_truth.n_p // 2
         for i in range(scene.ground_truth.n_d):
-            mids = (arrs["points"][i, :half] + arrs["points"][i, half:]) / 2.0
+            mids = (gt.points[i, :half] + gt.points[i, half:]) / 2.0
             for j, m in enumerate(mids):
                 expected = int(any(in_box_oracle(m[0], m[1], b) for b in scene.agents))
-                assert arrs["occ"][i, j] == expected
-                assert arrs["occ"][i, half + j] == expected
+                assert gt.occ[i, j] == expected
+                assert gt.occ[i, half + j] == expected
 
     def test_occupancy_flags_helper_against_oracle(self):
         rng = np.random.default_rng(5)
@@ -92,11 +92,11 @@ class TestGenerateScene:
             scene = generate_scene(spec, n_p=20)
             assert validate(scene.ground_truth) == []
             # plan flags form one contiguous run per lane
-            arrs = lanes_to_arrays(scene.ground_truth)
+            gt = scene.ground_truth
             half = scene.ground_truth.n_p // 2
             for i in range(scene.ground_truth.n_d):
                 for sl in (slice(0, half), slice(half, None)):
-                    run = np.flatnonzero(arrs["plan"][i, sl])
+                    run = np.flatnonzero(gt.plan[i, sl])
                     if run.size:
                         assert np.array_equal(run, np.arange(run[0], run[-1] + 1))
 
@@ -117,10 +117,10 @@ class TestGenerateScene:
     def test_edges_ordered_ego_outward(self):
         spec = SceneSpec(seed=15, lane_count=3, geometry="intersection")
         scene = generate_scene(spec, n_p=20)
-        arrs = lanes_to_arrays(scene.ground_truth)
+        gt = scene.ground_truth
         half = scene.ground_truth.n_p // 2
         for i in range(scene.ground_truth.n_d):
-            mids = (arrs["points"][i, :half] + arrs["points"][i, half:]) / 2.0
+            mids = (gt.points[i, :half] + gt.points[i, half:]) / 2.0
             d = np.linalg.norm(mids[:, :2], axis=1)
             assert d[0] <= d[-1]
 
