@@ -110,7 +110,11 @@ class PlannedPath:
 
 
 _FLAGS = (0, 1)
-_outside_flags = np.frompyfunc(lambda v: v not in _FLAGS, 1, 1)
+# Only the integers 0 and 1 are flags. True == 1 and 1.0 == 1, so the
+# membership test alone would let a bool or a float through.
+_outside_flags = np.frompyfunc(
+    lambda v: isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v not in _FLAGS,
+    1, 1)
 
 
 def validate(
@@ -122,7 +126,8 @@ def validate(
 
     An empty list means the set is well formed. Violations never raise here;
     callers that require validity (serialization) raise on a non-empty
-    result. Flags may hold values of any type, as parsed, until they pass.
+    result. Flags may hold values of any type, as parsed, until they pass;
+    only the integers 0 and 1 pass, so ``True`` or ``1.0`` does not.
     """
     diags: list[str] = []
     n_d, n_p = lanes.n_d, lanes.n_p
@@ -145,7 +150,9 @@ def validate(
     for i, s in np.argwhere(~np.isfinite(lanes.points).all(axis=2)):
         found.append((i, s, f"{slot(i, s)}: non-finite or malformed position"))
     diags.extend(text for _, _, text in sorted(found, key=lambda f: f[:2]))
-    if expected_n_p is not None and n_d and n_p != expected_n_p:
+    if expected_n_p is not None and expected_n_p % 2:
+        diags.append(f"n_p must be even, got {expected_n_p}")
+    elif expected_n_p is not None and n_d and n_p != expected_n_p:
         diags.append(f"edges have {half} points, expected {expected_n_p // 2}")
     return diags
 

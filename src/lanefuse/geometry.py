@@ -93,15 +93,21 @@ class SegmentTable:
 
         The N x S point-segment pairs go through one flat (N * S, 2) dot
         product, the layout a one-point query uses too, so each row is
-        bit-identical to querying its point alone.
+        bit-identical to querying its point alone. The distance is taken
+        per coordinate as ``sqrt(qx * qx + qy * qy)``, the sum
+        ``np.linalg.norm`` forms over a length-2 axis.
         """
         p = np.asarray(points, dtype=float)[:, None, :2]
         n = len(p)
         ab = np.tile(self.ab, (n, 1))
         dot = np.einsum("ij,ij->i", (p - self.a).reshape(-1, 2), ab).reshape(n, -1)
         t = np.clip(dot / self.seg_len2, 0.0, 1.0)
-        dist = np.linalg.norm(self.a + t[:, :, None] * self.ab - p, axis=2)
-        return t, dist
+        qx = self.a[:, 0] + t * self.ab[:, 0] - p[:, :, 0]
+        qy = self.a[:, 1] + t * self.ab[:, 1] - p[:, :, 1]
+        qx *= qx
+        qy *= qy
+        qx += qy
+        return t, np.sqrt(qx, out=qx)
 
     def min_distance(self, points: np.ndarray) -> np.ndarray:
         """(N,) distance from each point to the nearest segment of any line."""

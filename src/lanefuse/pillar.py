@@ -111,9 +111,36 @@ class LanePillarSet:
 
 
 def _in_bounds_mask(pts: np.ndarray, spec: GridSpec) -> np.ndarray:
-    lo = np.array(spec.bounds_min)
-    hi = np.array(spec.bounds_max)
-    return np.all((pts >= lo) & (pts < hi), axis=1)
+    """(N,) True where a point of ``pts`` (N, 3) lies in ``lo <= p < hi`` on
+    every axis; a NaN coordinate is out."""
+    inside = np.ones(len(pts), dtype=bool)
+    for c, (lo, hi) in enumerate(zip(spec.bounds_min, spec.bounds_max)):
+        col = pts[:, c]
+        inside &= col >= lo
+        inside &= col < hi
+    return inside
+
+
+def _cell_count(pts: np.ndarray, inside: np.ndarray, spec: GridSpec, axes: int) -> int:
+    """Number of distinct cells over the first ``axes`` axes among the
+    points ``pts[inside]``: the same ``floor((p - lo) / res)`` keys as
+    :func:`voxelize` (3 axes) and :func:`pillarize` (2 axes) form, counted
+    from one sort without building any per-cell feature."""
+    kept = pts if inside.all() else pts[inside]
+    if len(kept) == 0:
+        return 0
+    keys = None
+    for c in range(axes):
+        q = kept[:, c] - spec.bounds_min[c]
+        q /= spec.resolution[c]
+        idx = np.floor(q, out=q).astype(np.int64)
+        if keys is None:
+            keys = idx
+        else:
+            keys *= int(idx.max()) + 1
+            keys += idx
+    keys.sort()
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
 def voxelize(cloud: PointCloud, spec: GridSpec) -> tuple[int, np.ndarray]:
@@ -233,6 +260,13 @@ def _bin(pts: np.ndarray, keep: np.ndarray, spec: GridSpec) -> PillarSet:
                      offsets=offsets)
 
 
+def _check_single_z_bin(spec: GridSpec) -> None:
+    dz = spec.resolution[2]
+    zspan = spec.bounds_max[2] - spec.bounds_min[2]
+    if not math.isclose(dz, zspan, rel_tol=1e-9):
+        raise ValueError(f"pillar grid needs a single z bin: dz={dz}, z span={zspan}")
+
+
 def pillarize(cloud: PointCloud, spec: GridSpec, roi: LaneROI | None = None,
               r_max: float = 2.0) -> PillarSet:
     """Group points into one vertical pillar per occupied (ix, iy) cell.
@@ -244,10 +278,7 @@ def pillarize(cloud: PointCloud, spec: GridSpec, roi: LaneROI | None = None,
     r_max)`` searches are binned. Each of those cells comes out exactly as
     in the full-cloud set, so the lane samples are the same.
     """
-    dz = spec.resolution[2]
-    zspan = spec.bounds_max[2] - spec.bounds_min[2]
-    if not math.isclose(dz, zspan, rel_tol=1e-9):
-        raise ValueError(f"pillar grid needs a single z bin: dz={dz}, z span={zspan}")
+    _check_single_z_bin(spec)
     pts = np.asarray(cloud.points, dtype=float)
     if roi is not None:
         keep = _window_points(pts, spec, roi, r_max)
@@ -346,14 +377,20 @@ def feature_count_report(cloud: PointCloud, lane_level: int, voxel_spec: GridSpe
     """Feature counts for the three LiDAR encodings plus reduction ratios.
 
     ``lane_level`` is the lane-level count, n_d x n_p by construction;
-    ratios are dense count over lane-level count.
+    ratios are dense count over lane-level count. The dense counts equal
+    ``voxelize(cloud, voxel_spec)[0]`` and ``len(pillarize(cloud,
+    pillar_spec))`` but are counted, without building either encoding.
     """
-    voxel_count, _ = voxelize(cloud, voxel_spec)
-    pillars = pillarize(cloud, pillar_spec)
+    _check_single_z_bin(pillar_spec)
+    pts = np.asarray(cloud.points, dtype=float)
+    if pts.size == 0:
+        pts = np.zeros((0, 3))
+    voxel_count = _cell_count(pts, _in_bounds_mask(pts, voxel_spec), voxel_spec, 3)
+    pillar_count = _cell_count(pts, _in_bounds_mask(pts, pillar_spec), pillar_spec, 2)
     return {
         "voxel_count": float(voxel_count),
-        "pillar_count": float(len(pillars)),
+        "pillar_count": float(pillar_count),
         "lane_level_count": float(lane_level),
         "ratio_voxel": voxel_count / lane_level if lane_level else math.inf,
-        "ratio_pillar": len(pillars) / lane_level if lane_level else math.inf,
+        "ratio_pillar": pillar_count / lane_level if lane_level else math.inf,
     }

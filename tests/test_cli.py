@@ -500,8 +500,18 @@ class TestHostileInputs:
         (_set("lane_widths", []), "scene field lane_widths: expected 2 values"),
         (_set("signal_state", "blue"), "scene field signal_state: expected one of"),
         (_set("ground_truth.n_p", "x"), "scene field ground_truth: n_p: expected int, got str"),
+        (_set("ground_truth.n_p", 21), "scene field ground_truth: n_p must be even, got 21"),
+        (_set("ground_truth.lanes[0].left[0].occ", True),
+         "scene field ground_truth: lane 0 left[0]: occ flag True not in {0,1}"),
+        (_set("ground_truth.lanes[0].right[2].plan", False),
+         "scene field ground_truth: lane 0 right[2]: plan flag False not in {0,1}"),
+        (_set("ground_truth.lanes[1].int", 1.0),
+         "scene field ground_truth: lane 1: intersection flag 1.0 not in {0,1}"),
+        (_set("ground_truth.lanes[0].dir", 0.0),
+         "scene field ground_truth: lane 0: direction flag 0.0 not in {0,1}"),
     ], ids=["agent-extent", "agent-center", "route-start", "centerline-2-columns",
-            "lane-widths-empty", "signal-state-blue", "ground-truth-n_p-str"])
+            "lane-widths-empty", "signal-state-blue", "ground-truth-n_p-str",
+            "ground-truth-n_p-odd", "flag-true", "flag-false", "flag-1.0", "flag-0.0"])
     def test_scene_field_exits_2_naming_it(self, tmp_path, caplog, scene_obj, corrupt, field):
         obj = json.loads(json.dumps(scene_obj))
         corrupt(obj)

@@ -126,6 +126,20 @@ class TestValidate:
         lanes = one_lane([(0, 0, 0)], [(0, 2, 0)], occ=[2, 0])
         assert validate(lanes) == ["lane 0 left[0]: occ flag 2 not in {0,1}"]
 
+    @staticmethod
+    def with_flags(occ: np.ndarray) -> DoubleEdgeSet:
+        return DoubleEdgeSet(np.zeros((1, 2, 3)), occ, np.zeros((1, 2), dtype=occ.dtype),
+                             [0], [1])
+
+    @pytest.mark.parametrize("flag", [True, False, 1.0, 0.0, np.float64(1.0), np.bool_(True)])
+    def test_flag_equal_to_0_or_1_but_not_int_reported(self, flag):
+        lanes = self.with_flags(np.array([[flag, 0]], dtype=object))
+        assert validate(lanes) == [f"lane 0 left[0]: occ flag {flag!r} not in {{0,1}}"]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint8, object])
+    def test_integer_flags_pass(self, dtype):
+        assert validate(self.with_flags(np.array([[1, 0]], dtype=dtype))) == []
+
     def test_non_finite_position_reported(self):
         lanes = one_lane([(float("nan"), 0, 0)], [(0, 2, 0)])
         assert any("position" in d for d in validate(lanes))
@@ -168,11 +182,7 @@ class TestSerialization:
             b'"right":[{"occ":0,"p":[2.0,-1.25,0.0],"plan":1}]}],"n_d":1,"n_p":2}')
 
     def test_loaded_flags_are_int64(self):
-        data = serialize(random_lane_set(np.random.default_rng(3), 2, 4))
-        obj = json.loads(data)
-        obj["lanes"][1]["right"][0]["plan"] = True
-        lanes = deserialize(json.dumps(obj).encode())
-        assert lanes.plan[1, 2] == 1
+        lanes = deserialize(serialize(random_lane_set(np.random.default_rng(3), 2, 4)))
         assert {getattr(lanes, name).dtype for name in FIELDS[1:]} == {np.dtype(np.int64)}
 
     def test_truncated_stream_raises_parse_error(self):

@@ -3,19 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from lanefuse.config import RunConfig
 from lanefuse.pillar import (
     GridSpec,
     LanePillarSet,
     LaneROI,
     LaneWeights,
     RAW_FEATURE_DIM,
+    _cell_count,
+    _in_bounds_mask,
     encode_pillars,
     feature_count_report,
     lane_sample,
     pillarize,
     voxelize,
 )
-from lanefuse.scene_synth import PointCloud
+from lanefuse.scene_synth import PointCloud, generate_scene, render_lidar
 
 
 def make_spec(res=(0.5, 0.5, 0.5), lo=(-10.0, -10.0, 0.0), hi=(10.0, 10.0, 8.0)):
@@ -391,6 +394,66 @@ class TestFeatureCountReport:
         assert rep["voxel_count"] >= rep["pillar_count"]
         assert rep["ratio_voxel"] == rep["voxel_count"] / 120.0
         assert rep["ratio_pillar"] == rep["pillar_count"] / 120.0
+
+
+def counted(pts: np.ndarray, voxel_spec: GridSpec, pillar_spec: GridSpec) -> tuple[int, int]:
+    return (_cell_count(pts, _in_bounds_mask(pts, voxel_spec), voxel_spec, 3),
+            _cell_count(pts, _in_bounds_mask(pts, pillar_spec), pillar_spec, 2))
+
+
+def built(pts: np.ndarray, voxel_spec: GridSpec, pillar_spec: GridSpec) -> tuple[int, int]:
+    cloud = PointCloud(points=pts)
+    return voxelize(cloud, voxel_spec)[0], len(pillarize(cloud, pillar_spec))
+
+
+def assert_counts_match_encodings(pts, voxel_spec, pillar_spec):
+    want = built(pts, voxel_spec, pillar_spec)
+    assert counted(pts, voxel_spec, pillar_spec) == want
+    rep = feature_count_report(PointCloud(points=pts), 120, voxel_spec, pillar_spec)
+    assert (rep["voxel_count"], rep["pillar_count"]) == want
+    return want
+
+
+class TestCellCount:
+    """The counts ``feature_count_report`` takes without building equal the
+    sizes of the dense encodings."""
+
+    @pytest.mark.parametrize("seed", [42, 7331])
+    @pytest.mark.parametrize("density", [3.0, 12.0])
+    def test_reference_clouds(self, seed, density):
+        cfg = RunConfig(seed_scene=seed, suite="reference")
+        for spec in cfg.suite_specs():
+            scene = generate_scene(spec, n_p=cfg.n_p)
+            cloud = render_lidar(scene, density, cfg.lidar_noise_sigma, scene.spec.seed)
+            voxels, pillars = assert_counts_match_encodings(
+                cloud.points, cfg.voxel_spec(), cfg.pillar_spec())
+            assert 0 < pillars <= voxels
+
+    def edge_clouds(self):
+        lo, hi = np.array([-10.0, -10.0, 0.0]), np.array([10.0, 10.0, 8.0])
+        rng = np.random.default_rng(8)
+        inner = rng.uniform(lo, hi, (300, 3))
+        below_hi = np.nextafter(hi, -np.inf)
+        nan_row = np.array([[np.nan, 1.0, 1.0], [1.0, np.nan, 1.0], [1.0, 1.0, np.nan]])
+        return {
+            "empty": np.zeros((0, 3)),
+            "all-out": rng.uniform(lo, hi, (50, 3)) + np.array([30.0, 0.0, 0.0]),
+            "on-bounds": np.vstack([inner, lo, hi, [lo[0], hi[1], 1.0], [hi[0], lo[1], 1.0]]),
+            "ulp-inside-hi": np.vstack([inner, below_hi, [below_hi[0], 0.0, 1.0],
+                                        [0.0, below_hi[1], 1.0]]),
+            "nan-row": np.vstack([inner, nan_row]),
+            "only-edges": np.vstack([lo, hi, below_hi, nan_row]),
+        }
+
+    def test_edge_clouds(self):
+        got = {name: assert_counts_match_encodings(pts, make_spec(), pillar_grid_spec())
+               for name, pts in self.edge_clouds().items()}
+        assert got["empty"] == got["all-out"] == (0, 0)
+        assert got["only-edges"] == (2, 2)  # bounds_min and the point one ulp below hi
+
+    def test_pillar_grid_needs_one_z_bin(self):
+        with pytest.raises(ValueError, match="single z bin"):
+            feature_count_report(PointCloud(points=np.zeros((1, 3))), 120, make_spec(), make_spec())
 
 
 def test_lane_weights_domain_checked():

@@ -375,6 +375,47 @@ def test_stacked_lanes_min_distance_matches_reference_bit_for_bit():
             assert float(one_by_one[i]) == expected
 
 
+def norm_closest(table, points):
+    """``SegmentTable.closest`` with the distance taken by ``np.linalg.norm``
+    over the (N, S, 2) offsets."""
+    p = np.asarray(points, dtype=float)[:, None, :2]
+    n = len(p)
+    ab = np.tile(table.ab, (n, 1))
+    dot = np.einsum("ij,ij->i", (p - table.a).reshape(-1, 2), ab).reshape(n, -1)
+    t = np.clip(dot / table.seg_len2, 0.0, 1.0)
+    dist = np.linalg.norm(table.a + t[:, :, None] * table.ab - p, axis=2)
+    return t, dist
+
+
+def test_closest_matches_norm_formula_bit_for_bit():
+    rng = np.random.default_rng(11)
+    lanes = [np.cumsum(rng.normal(size=(n, 3)), axis=0) for n in (2, 7, 25)]
+    lanes[1][3] = lanes[1][2]  # a zero-length segment
+    lanes[2][10:13] = lanes[2][9]  # two in a row
+    signed_zero = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [-0.0, -0.0, 0.0],
+                            [-0.0, 3.0, 0.0]])
+    big = [line * 1e6 + 1e6 for line in lanes]
+    cases = [
+        (lanes, rng.uniform(-10.0, 13.0, (300, 2))),
+        (tie_polylines(), np.array([(x, y) for x in np.arange(-2.0, 13.0, 0.5)
+                                    for y in np.arange(-2.0, 13.0, 0.5)])),
+        ([signed_zero, lanes[0]], np.array([[0.0, 0.0], [-0.0, -0.0], [0.0, -0.0],
+                                            [-0.0, 0.0], [-0.0, 1.5], [-1.0, -0.0]])),
+        (big, rng.uniform(-1e7, 1e7, (300, 2))),
+        (big, np.vstack([line[:, :2] for line in big])),
+    ]
+    for group, points in cases:
+        table = SegmentTable(*group)
+        want_t, want_d = norm_closest(table, points)
+        got_t, got_d = table.closest(points)
+        assert np.array_equal(got_t.view(np.int64), want_t.view(np.int64))
+        assert np.array_equal(got_d.view(np.int64), want_d.view(np.int64))
+        for i in (0, len(points) // 2, len(points) - 1):  # one-point queries
+            t1, d1 = table.closest(points[i:i + 1])
+            assert np.array_equal(t1.view(np.int64), want_t[i:i + 1].view(np.int64))
+            assert np.array_equal(d1.view(np.int64), want_d[i:i + 1].view(np.int64))
+
+
 def test_controller_config_validation():
     with pytest.raises(ValueError):
         ControllerConfig(dt=0.2)
