@@ -104,18 +104,21 @@ def cmd_run(args) -> int:
         store = load_params(store, args.params)
     out = Path(args.out)
     dump: dict = {"scene": Path(args.scene).name, "injected": bool(args.inject_gt)}
+    kept: dict = {}  # the pass's stage outputs
     if args.inject_gt:
         breakdown, dump["path"] = injected_losses(scene, cfg)
     else:
-        result = run_pipeline(scene, cfg, store)
+        result = run_pipeline(scene, cfg, store, kept)
         breakdown = pipeline_losses(result, scene, cfg)
         dump["path"] = result.path
         dump["predictions"] = result.predictions
         dump["prior_weights"] = result.prior.weights.weights
     dump["losses"] = asdict(breakdown)
     if args.dump_cloud:
-        cloud = render_lidar(scene, cfg.lidar_density, cfg.lidar_noise_sigma,
-                             scene.spec.seed)
+        cloud = kept.get("render_lidar")
+        if cloud is None:  # no pass ran
+            cloud = render_lidar(scene, cfg.lidar_density, cfg.lidar_noise_sigma,
+                                 scene.spec.seed)
         save_point_cloud(out / (Path(args.scene).stem + ".lfpc"), cloud)
     name = f"run_{Path(args.scene).stem}.json"
     atomic_write_bytes(out / name, dumps(dump))
@@ -160,15 +163,16 @@ def cmd_bench(args) -> int:
 def _eval_one(scene, scene_id: str, cfg: RunConfig, use_gt: bool, store) -> dict:
     """The ``eval.json`` row of one closed-loop episode."""
     runs: list[PipelineResult] = []  # the one forward pass the episode plans with
+    kept: dict = {}  # that pass's stage outputs; its cloud is counted below
     if use_gt:
         planner = make_gt_planner(cfg)
     else:
         def planner(sc):
-            runs.append(run_pipeline(sc, cfg, store))
+            runs.append(run_pipeline(sc, cfg, store, kept))
             return runs[-1].path
-    counts = scene_feature_counts(scene, cfg)
     report = run_closed_loop(scene, planner, cfg.controller, cfg.horizon,
                              eval_cfg=cfg.eval_config)
+    counts = scene_feature_counts(scene, cfg, kept.get("render_lidar"))
     return {
         "scene_id": scene_id,
         "ds": report.ds, "rc": report.rc, "is": report.is_score,

@@ -14,7 +14,6 @@ __all__ = [
     "resample_polyline",
     "SegmentTable",
     "PolylineProjector",
-    "project_point_to_polyline",
 ]
 
 
@@ -136,11 +135,3 @@ class PolylineProjector(SegmentTable):
         s, d = self.project(np.asarray(point, dtype=float)[None, :2])
         return float(s[0]), float(d[0])
 
-
-def project_point_to_polyline(point: np.ndarray, polyline: np.ndarray) -> tuple[float, float]:
-    """Project a 2D point onto a polyline.
-
-    Returns (arc length of the closest point, distance to it). Ties across
-    segments resolve to the earliest arc length.
-    """
-    return PolylineProjector(polyline)(point)

@@ -7,7 +7,6 @@ latency benchmarks.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ from .heads_losses import (
     predictions_to_double_edge,
 )
 from .pillar import LanePillarSet, LaneROI, encode_pillars, feature_count_report, lane_sample, pillarize
-from .scene_synth import Scene, render_lidar, synth_view_features
+from .scene_synth import PointCloud, Scene, render_lidar, synth_view_features
 
 __all__ = [
     "PipelineResult",
@@ -108,12 +107,20 @@ def _timed(stage_ms: dict[str, float], name: str, fn, *args):
     return out
 
 
-def run_pipeline(scene: Scene, cfg: RunConfig, store: ParamStore) -> PipelineResult:
+def run_pipeline(scene: Scene, cfg: RunConfig, store: ParamStore,
+                 keep: dict | None = None) -> PipelineResult:
     """One full forward pass; deterministic in (scene, cfg, store).
-    ``stage_ms`` holds each stage row's wall time, in pass order."""
+    ``stage_ms`` holds each stage row's wall time, in pass order. A ``keep``
+    dict also receives each stage's output under its row name, outside the
+    timed region (``keep["render_lidar"]`` is the pass's point cloud)."""
     stage_ms: dict[str, float] = {}
-    return PipelineResult(*_forward(scene, cfg, store, functools.partial(_timed, stage_ms)),
-                          stage_ms=stage_ms)
+    keep = {} if keep is None else keep
+
+    def stage(name, fn, *args):
+        keep[name] = _timed(stage_ms, name, fn, *args)
+        return keep[name]
+
+    return PipelineResult(*_forward(scene, cfg, store, stage), stage_ms=stage_ms)
 
 
 def _scene_losses(pred: Predictions, roi: LaneROI, scene: Scene,
@@ -153,8 +160,12 @@ def make_gt_planner(cfg: RunConfig):
     return planner
 
 
-def scene_feature_counts(scene: Scene, cfg: RunConfig) -> dict[str, float]:
-    cloud = render_lidar(scene, cfg.lidar_density, cfg.lidar_noise_sigma, scene.spec.seed)
+def scene_feature_counts(scene: Scene, cfg: RunConfig,
+                         cloud: PointCloud | None = None) -> dict[str, float]:
+    """Feature counts of the scene's full cloud; ``cloud`` is that cloud
+    when the caller already rendered it."""
+    if cloud is None:
+        cloud = render_lidar(scene, cfg.lidar_density, cfg.lidar_noise_sigma, scene.spec.seed)
     return feature_count_report(cloud, cfg.n_d * cfg.n_p, cfg.voxel_spec(), cfg.pillar_spec())
 
 

@@ -11,6 +11,7 @@ scene, the planner, and the controller configuration.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -195,17 +196,14 @@ def infraction_score(log: InfractionLog) -> float:
 def _stack_boxes(scene: Scene, ego_radius: float):
     """Kinds, centres (K, 2), inflated half-extents (K, 2), cos and sin of
     yaw for the agent boxes followed by the clutter boxes."""
-    kinds, centers, halves, cos, sin = [], [], [], [], []
-    for kind, boxes in (("collision_vehicle", scene.agents),
-                        ("collision_static", scene.clutter)):
-        for box in boxes:
-            kinds.append(kind)
-            centers.append(box.center[:2])
-            halves.append(np.array(box.extent[:2]) / 2.0 + ego_radius)
-            cos.append(math.cos(box.yaw))
-            sin.append(math.sin(box.yaw))
-    return (kinds, np.array(centers, dtype=float).reshape(-1, 2),
-            np.array(halves, dtype=float).reshape(-1, 2), np.array(cos), np.array(sin))
+    boxes = (*scene.agents, *scene.clutter)
+    kinds = (["collision_vehicle"] * len(scene.agents)
+             + ["collision_static"] * len(scene.clutter))
+    centers = np.array([box.center[:2] for box in boxes], dtype=float).reshape(-1, 2)
+    extents = np.array([box.extent[:2] for box in boxes], dtype=float).reshape(-1, 2)
+    return (kinds, centers, extents / 2.0 + ego_radius,
+            np.array([math.cos(box.yaw) for box in boxes]),
+            np.array([math.sin(box.yaw) for box in boxes]))
 
 
 def _entered_boxes(xy: np.ndarray, centers, halves, cos, sin) -> dict[int, list[int]]:
@@ -218,6 +216,10 @@ def _entered_boxes(xy: np.ndarray, centers, halves, cos, sin) -> dict[int, list[
     for row, box in zip(*np.nonzero((u <= halves[:, 0]) & (v <= halves[:, 1]))):
         entered.setdefault(int(row), []).append(int(box))
     return entered
+
+
+def _bits(state: EgoState) -> bytes:
+    return struct.pack("<4d", state.x, state.y, state.heading, state.speed)
 
 
 def run_closed_loop(scene: Scene,
@@ -236,8 +238,17 @@ def run_closed_loop(scene: Scene,
     so they advance :data:`_CHUNK` steps at a time. Each chunk is then
     scored at once (one route projection and one box test over all its
     steps) and scanned in step order, in Python floats, to log events and
-    find the terminating step; the steps after it are dropped. The report
-    is the same, to the bit, as ticking and scoring one step at a time.
+    find the terminating step; the steps after it are dropped.
+
+    Once a step returns the state it was stepped from, bit for bit, the ego
+    is at rest: the controller and the bicycle model are pure, so every
+    later step would return that state too. Later steps call neither, and
+    later chunks reuse the last row's projection and run no box test; the
+    scan still runs, so the deviation clock and the horizon still end the
+    episode.
+
+    The report is the same, to the bit, as ticking and scoring one step at
+    a time.
     """
     if not math.isfinite(horizon) or horizon <= 0:
         raise ValueError(f"horizon must be finite and > 0, got {horizon}")
@@ -276,19 +287,31 @@ def run_closed_loop(scene: Scene,
     deviation_clock = 0.0
     prev_s = s0
     step = 0
+    at_rest = False  # the state is a fixed point of follow_path + step_ego
     while terminated == "horizon" and step < n_steps:
         first = len(rows)
+        rest_chunk = at_rest
         for _ in range(min(_CHUNK, n_steps - step)):
-            steer, accel = follow_path(state, path, cfg)
-            state = step_ego(state, steer, accel, cfg)
+            if not at_rest:
+                steer, accel = follow_path(state, path, cfg)
+                moved = step_ego(state, steer, accel, cfg)
+                at_rest = moved == state and _bits(moved) == _bits(state)
+                state = moved
             t += cfg.dt
             rows.append((t, state.x, state.y, state.speed))
-        xy = np.array([row[1:3] for row in rows[first:]])
-        s_arr, d_arr = project.project(xy)
-        chunk_s, chunk_d = s_arr.tolist(), d_arr.tolist()
-        entered = _entered_boxes(xy, centers, halves, cos, sin) if live else {}
-        near_end = set(np.flatnonzero(
-            np.linalg.norm(xy - end_xy, axis=1) <= arrival_r * (1.0 + 1e-9)).tolist())
+        if rest_chunk:
+            # Every row repeats the last row scored: the same (s, d), and its
+            # boxes and any arrival were handled in that row's chunk.
+            m = len(rows) - first
+            chunk_s, chunk_d = [chunk_s[-1]] * m, [chunk_d[-1]] * m
+            entered, near_end = {}, set()
+        else:
+            xy = np.array([row[1:3] for row in rows[first:]])
+            s_arr, d_arr = project.project(xy)
+            chunk_s, chunk_d = s_arr.tolist(), d_arr.tolist()
+            entered = _entered_boxes(xy, centers, halves, cos, sin) if live else {}
+            near_end = set(np.flatnonzero(
+                np.linalg.norm(xy - end_xy, axis=1) <= arrival_r * (1.0 + 1e-9)).tolist())
         for j, (cur_s, cur_d) in enumerate(zip(chunk_s, chunk_d)):
             step += 1
             t_j = rows[first + j][0]

@@ -257,6 +257,44 @@ def test_stage_names_match_across_run_bench_and_eval(tmp_path, fast_config):
         assert list(s["latency_ms"]) == sorted(stages)  # eval.json sorts its keys
 
 
+@pytest.mark.parametrize("argv", [["eval", "--planner", "pipeline"], ["eval", "--planner", "gt"],
+                                  ["run", "--dump-cloud"],
+                                  ["run", "--dump-cloud", "--inject-gt"]])
+def test_each_scene_rendered_once(tmp_path, fast_config, monkeypatch, argv):
+    """eval counts features from, and run --dump-cloud saves, the cloud the
+    forward pass rendered; both equal a fresh render's."""
+    from lanefuse import cli, pipeline
+    from lanefuse.pipeline import scene_feature_counts
+    from lanefuse.scene_synth import render_lidar, save_point_cloud
+
+    cfg = RunConfig.from_file(fast_config).with_overrides(suite="trivial")
+    scenes = [generate_scene(spec, n_p=cfg.n_p) for spec in cfg.suite_specs()]
+    out = tmp_path / "o"
+    main(["gen-scenes", "--config", fast_config, "--suite", "trivial", "--out", str(out)])
+    rendered = []
+
+    def counting(scene, *args):
+        rendered.append(scene.spec.seed)
+        return render_lidar(scene, *args)
+
+    monkeypatch.setattr(pipeline, "render_lidar", counting)
+    monkeypatch.setattr(cli, "render_lidar", counting)
+    if argv[0] == "run":
+        argv = [*argv, "--scene", str(out / "scene_00.json")]
+        scenes = scenes[:1]
+    assert main([*argv, "--config", fast_config, "--suite", "trivial", "--out", str(out)]) == 0
+    assert rendered == [scene.spec.seed for scene in scenes]
+
+    monkeypatch.undo()
+    if argv[0] == "eval":
+        got = [s["feature_counts"] for s in json.loads((out / "eval.json").read_text())["scenes"]]
+        assert got == [scene_feature_counts(scene, cfg) for scene in scenes]
+    else:
+        save_point_cloud(tmp_path / "fresh.lfpc", render_lidar(
+            scenes[0], cfg.lidar_density, cfg.lidar_noise_sigma, scenes[0].spec.seed))
+        assert (out / "scene_00.lfpc").read_bytes() == (tmp_path / "fresh.lfpc").read_bytes()
+
+
 class TestEval:
     def test_trivial_suite_with_gt_planner_scores_high(self, tmp_path, fast_config):
         out = tmp_path / "e"

@@ -1,10 +1,12 @@
-"""Seeded property tests over re-typed config and scene files.
+"""Seeded property tests over hostile config, scene and weight files.
 
-Each case takes a valid file, replaces the value at one random path with a
-value of another JSON type, and runs it through ``main``: ``gen-scenes
---suite trivial`` (then ``run`` on one of its scenes) for a config, ``run
---scene`` for a scene. Every case must end in exit 0, or in exit 2 with one
-ERROR line; an exception escaping ``main`` or any other exit code fails.
+Each JSON case takes a valid file, replaces the value at one random path
+with a value of another JSON type, and runs it through ``main``:
+``gen-scenes --suite trivial`` (then ``run`` on one of its scenes) for a
+config, ``run --scene`` for a scene. Each weight case truncates a valid LFPW
+file or flips one of its bits and passes it to ``run --params``. Every case
+must end in exit 0, or in exit 2 with one ERROR line; an exception escaping
+``main`` or any other exit code fails.
 """
 
 import copy
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 
 from lanefuse.cli import main
 from lanefuse.config import RunConfig
+from lanefuse.fusion import build_params, save_params
 from lanefuse.scene_synth import generate_scene, scene_to_json
 
 REPLACEMENTS = (None, True, 0, -1, 2.5, "", "x", [], [1.0], {}, {"k": 1})
@@ -162,5 +165,53 @@ def test_hostile_ground_truth_exits_0_or_2(scene_obj):
             scene.write_text(json.dumps(obj))
             run_main(["run", "--scene", str(scene), "--out", str(Path(tmp) / "o")]
                      + ["--inject-gt"] * inject_gt)
+
+    check()
+
+
+@pytest.fixture(scope="module")
+def weight_run(tmp_path_factory):
+    """(valid LFPW bytes, byte offsets of its block headers, ``run`` argv
+    without ``--params``)."""
+    tmp = tmp_path_factory.mktemp("weights")
+    cfg = RunConfig(lidar_density=2.0)
+    (tmp / "config.json").write_bytes(cfg.to_json())
+    spec = cfg.with_overrides(suite="trivial").suite_specs()[0]
+    (tmp / "scene.json").write_bytes(scene_to_json(generate_scene(spec, n_p=cfg.n_p)))
+    store = build_params(cfg.block_config())
+    save_params(store, tmp / "w.lfpw")
+    header, pos = [], 4  # each block: u16 name length, name, u64 count, payload
+    for name in store.names():
+        end = pos + 2 + len(name.encode("utf-8")) + 8
+        header += range(pos, end)
+        pos = end + 8 * store[name].size
+    argv = ["run", "--config", str(tmp / "config.json"), "--scene", str(tmp / "scene.json"),
+            "--out", str(tmp / "o")]
+    return (tmp / "w.lfpw").read_bytes(), header, argv
+
+
+@st.composite
+def hostile_weights(draw, raw: bytes, header: list[int]):
+    """``raw`` cut short, or with one bit flipped: in the magic or a block
+    header half the time, anywhere the other half."""
+    if draw(st.booleans()):
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    pos = draw(st.sampled_from([0, 1, 2, 3, *header]) if draw(st.booleans())
+               else st.integers(0, len(raw) - 1))
+    out = bytearray(raw)
+    out[pos] ^= 1 << draw(st.integers(0, 7))
+    return bytes(out)
+
+
+def test_hostile_weight_file_exits_0_or_2(weight_run):
+    raw, header, argv = weight_run
+
+    @PROPERTY
+    @given(hostile_weights(raw, header))
+    def check(data):
+        with tempfile.TemporaryDirectory() as tmp:
+            weights = Path(tmp) / "w.lfpw"
+            weights.write_bytes(data)
+            run_main([*argv, "--params", str(weights)])
 
     check()

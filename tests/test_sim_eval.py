@@ -11,7 +11,6 @@ from lanefuse.geometry import (
     PolylineProjector,
     SegmentTable,
     polyline_length,
-    project_point_to_polyline,
 )
 from lanefuse.pipeline import make_gt_planner
 from lanefuse.scene_synth import SceneSpec, generate_scene
@@ -355,7 +354,6 @@ def test_polyline_projector_matches_reference_bit_for_bit():
         for i, point in enumerate(points):
             expected = reference_projection(point, poly)
             assert project(point) == expected
-            assert project_point_to_polyline(point, poly) == expected
             assert (float(s[i]), float(d[i])) == expected
 
 
@@ -573,6 +571,29 @@ def chunk_episodes(run_config):
     ]
 
 
+def rest_episodes(run_config):
+    """(name, scene, planner, horizon, eval_cfg) per episode in which the ego
+    comes to rest: a state that steps to itself, bit for bit."""
+    cfg = ControllerConfig()
+    gt = make_gt_planner(run_config)
+    red = straight_scene(seed=5, traffic_signal="red")
+    hold = FixedPlanner(PlannedPath(waypoints=(), target_speed=3.0))
+    parked = OrientedBox(center=(0.5, 0.0, 0.9), yaw=0.2, extent=(4.0, 2.0, 1.8))
+    episodes = [(f"red-{steps}", red, gt, horizon_for(steps, cfg), None)
+                for steps in (63, 64, 65, 1200)]
+    return episodes + [
+        ("empty-path", straight_scene(), hold, horizon_for(300, cfg), None),
+        ("off-route", dataclasses.replace(red, route_start=(0.0, 20.0, 0.0)), gt,
+         horizon_for(300, cfg), EvalConfig(deviation_seconds=5.0)),
+        ("in-clutter-box", dataclasses.replace(red, clutter=(parked,)), gt,
+         horizon_for(200, cfg), None),
+        ("minus-zero-x", dataclasses.replace(red, route_start=(-0.0, 0.0, 0.0)), gt,
+         horizon_for(200, cfg), None),
+        ("minus-zero-y-heading", dataclasses.replace(red, route_start=(0.0, -0.0, -0.0)),
+         gt, horizon_for(200, cfg), None),
+    ]
+
+
 class TestChunkedEpisode:
     def test_default_chunk_matches_per_step_loop(self, run_config):
         cfg = ControllerConfig()
@@ -630,6 +651,39 @@ class TestChunkedEpisode:
             got = run_closed_loop(scene, gt, run_config.controller, 20.0,
                                   run_config.eval_config)
             assert_same_report(got, want)
+
+    @pytest.mark.parametrize("chunk", [sim_eval._CHUNK, 1, 7])
+    def test_rest_matches_per_step_loop(self, run_config, monkeypatch, chunk):
+        monkeypatch.setattr(sim_eval, "_CHUNK", chunk)
+        cfg = ControllerConfig()
+        for name, scene, planner, horizon, eval_cfg in rest_episodes(run_config):
+            want = reference_closed_loop(scene, planner, cfg, horizon, eval_cfg)
+            got = run_closed_loop(scene, planner, cfg, horizon, eval_cfg)
+            assert_same_report(got, want)
+            if name == "off-route":
+                assert want.terminated == "deviation" and steps_of(want) > 64
+            elif name == "in-clutter-box":
+                assert [ev.kind for ev in want.infractions.events] == ["collision_static"]
+            else:
+                assert want.terminated == "horizon"
+
+    @pytest.mark.parametrize("name, steps", [("red-1200", 1), ("empty-path", 1),
+                                             ("off-route", 1), ("minus-zero-x", 2),
+                                             ("minus-zero-y-heading", 3)])
+    def test_controller_stops_at_rest(self, run_config, monkeypatch, name, steps):
+        """The controller runs up to the first step that returns its own
+        input state, bit for bit; a -0.0 that steps to +0.0 is a move."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return follow_path(*args)
+
+        monkeypatch.setattr(sim_eval, "follow_path", counting)
+        (scene, planner, horizon, eval_cfg), = [e[1:] for e in rest_episodes(run_config)
+                                                if e[0] == name]
+        run_closed_loop(scene, planner, ControllerConfig(), horizon, eval_cfg)
+        assert len(calls) == steps
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0, -1.0])
