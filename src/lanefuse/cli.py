@@ -186,9 +186,9 @@ def _eval_one(scene, scene_id: str, cfg: RunConfig, use_gt: bool, store) -> dict
 def cmd_eval(args) -> int:
     cfg = _load_config(args)
     out = Path(args.out)
-    store = build_params(cfg.block_config())
-    scenes = [generate_scene(spec, n_p=cfg.n_p) for spec in cfg.suite_specs()]
     use_gt = args.planner == "gt"
+    store = None if use_gt else build_params(cfg.block_config())  # gt plans without it
+    scenes = [generate_scene(spec, n_p=cfg.n_p) for spec in cfg.suite_specs()]
     scene_objs = []
     for i, scene in enumerate(scenes):
         scene_id = f"scene_{i:02d}"

@@ -15,10 +15,10 @@ from .fusion import BlockConfig
 from .heads_losses import LossConfig, LossWeights
 from .io_utils import dumps, from_json
 from .pillar import GridSpec
-from .scene_synth import SIGNAL_CLASSES, SceneSpec
+from .scene_synth import SceneSpec
 from .sim_eval import ControllerConfig, EvalConfig
 
-__all__ = ["RunConfig", "derive_seed", "SUITE_NAMES", "SIGNAL_CLASSES"]
+__all__ = ["RunConfig", "derive_seed", "SUITE_NAMES"]
 
 SUITE_NAMES = ("reference", "trivial")
 

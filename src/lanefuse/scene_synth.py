@@ -278,32 +278,75 @@ def _place_agents(rng: np.random.Generator, spec: SceneSpec,
     return tuple(agents)
 
 
+# Clutter candidates bounded per numpy pass. An attempt takes 2 doubles of
+# the rng stream and a kept one 4 more, so a window covers 22-64 attempts.
+_CLUTTER_WINDOW = 64
+# Slack on the vertex bound, far above its ~1e-13 m rounding error.
+_CLUTTER_MARGIN = 1e-6
+
+
 def _place_clutter(rng: np.random.Generator, spec: SceneSpec,
                    centerlines: list[np.ndarray]) -> tuple[OrientedBox, ...]:
+    """Rejection-sample ``count`` boxes at least ``road_clear`` off every
+    centerline segment.
+
+    Each attempt draws a center uniform over the padded lane bounds; a kept
+    one then draws its extent and yaw. The doubles come from ``rng.random``
+    blocks and are scaled as ``Generator.uniform`` scales them, so the boxes
+    are the same bits as drawing each value with ``uniform``. ``rng`` is
+    left past the last block, so nothing may draw from it afterwards.
+
+    The distance to the road lies in ``[d_v - L/2, d_v]``, where ``d_v`` is
+    the distance to the nearest vertex and ``L`` the longest segment,
+    because every point of a segment lies within half its length of an
+    endpoint. That bound, taken for a window of candidates at once, decides
+    most attempts; the rest get the exact ``SegmentTable.min_distance``
+    test.
+    """
     if spec.clutter_density <= 0.0:
         return ()
     allpts = np.vstack(centerlines)
     lo = allpts[:, :2].min(axis=0) - 15.0
     hi = allpts[:, :2].max(axis=0) + 15.0
-    band_area = float(np.prod(hi - lo))
+    span = hi - lo
+    band_area = float(np.prod(span))
     count = int(round(spec.clutter_density * band_area / 100.0))
     road_clear = spec.lane_width / 2.0 + 2.0
     lanes = SegmentTable(*centerlines)
+    vx, vy = allpts[:, 0], allpts[:, 1]
+    # squared nearest-vertex distances below / above which the bound decides
+    reject2 = (road_clear - _CLUTTER_MARGIN) ** 2
+    keep2 = (road_clear + float(lanes.seg_len.max()) / 2.0 + _CLUTTER_MARGIN) ** 2
+    stream = np.zeros(0)  # rng doubles not yet consumed start at offset pos
+    pos = 0
     clutter = []
     attempts = 0
     while len(clutter) < count and attempts < count * 200:
+        if pos + 4 >= len(stream):  # the next candidate is past the window
+            stream = np.concatenate([stream[pos:],
+                                     rng.random(2 * _CLUTTER_WINDOW + 4 - len(stream) + pos)])
+            pos = 0
+            cand = lo + span * stream[:2 * _CLUTTER_WINDOW].reshape(-1, 2)
+            dx = cand[:, :1] - vx
+            dy = cand[:, 1:] - vy
+            dx *= dx
+            dy *= dy
+            dx += dy
+            near2 = dx.min(axis=1)
+            rejected, kept = (near2 < reject2).tolist(), (near2 > keep2).tolist()
+            centers = cand.tolist()
         attempts += 1
-        c = rng.uniform(lo, hi)
-        if lanes.min_distance(c[None])[0] < road_clear:
+        k = pos // 2
+        if rejected[k] or (not kept[k]
+                           and lanes.min_distance(cand[k:k + 1])[0] < road_clear):
+            pos += 2
             continue
-        ext = (
-            float(rng.uniform(2.0, 6.0)),
-            float(rng.uniform(2.0, 6.0)),
-            float(rng.uniform(2.0, 5.0)),
-        )
-        yaw = float(rng.uniform(0.0, 2.0 * math.pi))
-        clutter.append(OrientedBox(center=(float(c[0]), float(c[1]), ext[2] / 2.0),
-                                   yaw=yaw, extent=ext))
+        d = stream[pos + 2:pos + 6].tolist()
+        ext = (2.0 + 4.0 * d[0], 2.0 + 4.0 * d[1], 2.0 + 3.0 * d[2])
+        yaw = 2.0 * math.pi * d[3]
+        x, y = centers[k]
+        clutter.append(OrientedBox(center=(x, y, ext[2] / 2.0), yaw=yaw, extent=ext))
+        pos += 6
     return tuple(clutter)
 
 
@@ -365,19 +408,6 @@ def generate_scene(spec: SceneSpec, n_p: int = 20) -> Scene:
 # per-point temporaries small while amortising per-call overhead: drawing a
 # whole 120k-point cloud at once raised peak RSS by ~5 MB and was slower.
 _BLOCK_POINTS = 16384
-
-
-class _CountCarry:
-    """Accumulates fractional point budgets so totals track area*density."""
-
-    def __init__(self) -> None:
-        self.carry = 0.0
-
-    def take(self, budget: float) -> int:
-        self.carry += budget
-        n = int(math.floor(self.carry + 0.5))
-        self.carry -= n
-        return max(0, n)
 
 
 @dataclass(frozen=True)
@@ -476,11 +506,17 @@ def render_lidar(scene: Scene, density: float, noise_sigma: float, seed: int) ->
     parts = (_road_rects(scene), _box_rects((*scene.agents, *scene.clutter)))
     rects = _Rects(*(np.concatenate([getattr(p, f) for p in parts])
                      for f in _Rects.__dataclass_fields__))
-    # Counts come from one scalar pass in drawing order: each depends on
-    # the rounding carried over from the rectangle before.
-    carry = _CountCarry()
-    counts = np.array([carry.take(b) for b in (rects.len_u * rects.len_v * density).tolist()],
-                      dtype=np.int64)
+    # Counts come from one scalar pass in drawing order: each rounds its
+    # budget plus the fraction carried over from the rectangle before, so
+    # totals track area * density.
+    counts = []
+    carry = 0.0
+    for budget in (rects.len_u * rects.len_v * density).tolist():
+        carry += budget
+        n = math.floor(carry + 0.5)
+        carry -= n
+        counts.append(max(0, n))
+    counts = np.array(counts, dtype=np.int64)
     rows = np.flatnonzero(counts)
     n, rects = counts[rows], rects.take(rows)
     ends = np.cumsum(n)

@@ -327,6 +327,22 @@ class TestEval:
             outs.append(obj)
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("planner, builds", [("gt", 0), ("pipeline", 1)])
+    def test_builds_params_only_for_pipeline_planner(self, tmp_path, fast_config,
+                                                     monkeypatch, planner, builds):
+        import lanefuse.cli as cli_mod
+
+        calls = []
+
+        def counting(block):
+            calls.append(block)
+            return build_params(block)
+
+        monkeypatch.setattr(cli_mod, "build_params", counting)
+        assert main(["eval", "--config", fast_config, "--suite", "trivial",
+                     "--out", str(tmp_path / "e"), "--planner", planner]) == 0
+        assert len(calls) == builds
+
     def test_scene_failure_recorded_aggregate_still_produced(self, tmp_path,
                                                              fast_config, monkeypatch):
         import lanefuse.cli as cli_mod

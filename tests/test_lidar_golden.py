@@ -20,11 +20,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from lanefuse.config import SIGNAL_CLASSES, RunConfig
+from lanefuse.config import RunConfig
 from lanefuse.fusion import build_params, coarse_lane_detect, positional_encode
 from lanefuse.heads_losses import inject_ground_truth
 from lanefuse.pillar import lane_sample, pillarize
-from lanefuse.scene_synth import generate_scene, render_lidar, synth_view_features
+from lanefuse.scene_synth import SIGNAL_CLASSES, generate_scene, render_lidar, synth_view_features
 
 KINDS = ("cloud", "pillars", "seeded", "gt")
 

@@ -1,9 +1,9 @@
 """Golden SHA-256 digests of ``gen-scenes`` outputs.
 
-The reference suite at scene seed 42 with the default config writes ten
-scene JSON files and ``manifest.json``. Any change to scene generation, to
-the scene or config JSON schema, or to the canonical JSON writer must leave
-every byte of them unchanged; these digests pin that.
+The reference suite at scene seeds 42 and 7331 with the default config
+writes ten scene JSON files and ``manifest.json`` each. Any change to scene
+generation, to the scene or config JSON schema, or to the canonical JSON
+writer must leave every byte of them unchanged; these digests pin that.
 """
 
 import hashlib
@@ -24,11 +24,32 @@ GOLDEN = {
     "scene_09.json": "eb162303465d294dbf08e37f2a88bf39ebba3bf8e0ac3ad0fda729fb9c35dca1",
 }
 
+GOLDEN_7331 = {
+    "manifest.json": "6c83537cd298a66d95b34530346a880d0d7d45e260397b0ae4004e11281cd9a9",
+    "scene_00.json": "2d17a4e385f60beb9067208ed251997ede428826366c7c68fa6a21bd7526c27b",
+    "scene_01.json": "b7c3bd70865b24e746429395195c6d815db448662ea4dc604ac2f95505fc03ea",
+    "scene_02.json": "ee306e27a85ff25e9e424fc22ce652051a574bc9b130cd761c6040bb24ce42af",
+    "scene_03.json": "35fee368bc29bd46687340d9363657aeab9c2bde02064d1c21008a0cbc8858de",
+    "scene_04.json": "4bc483b79abb8487aa0db52d7006c406c5c059a9b985801937b172282da6c711",
+    "scene_05.json": "e2f4c54a7ccc3ba52831a0a61d54d5561908638c02119f0066e8cc205e8282e6",
+    "scene_06.json": "f73f92dc57e4c4dab6fba5de532c80ccea4e1a0810c654304ea430b3162746f9",
+    "scene_07.json": "8bc43c51f2ceaa5505050629db3f8d1e8c2fb30c6ec6ed624d2f735efce61d5a",
+    "scene_08.json": "5065881d628e71f144af4ef09af9846521836f2c5d98f73a4d734cc5ff803319",
+    "scene_09.json": "426e974a77c2daa1c117e0dad4f51b3273af5f2b13e286ed43bcfbadb4c27be3",
+}
+
+
+def gen_scenes_digests(tmp_path, seed: int) -> dict[str, str]:
+    out = tmp_path / "scenes"
+    assert main(["gen-scenes", "--suite", "reference", "--seed-scene", str(seed),
+                 "--out", str(out)]) == 0
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(out.iterdir()) if p.is_file()}
+
 
 def test_reference_suite_gen_scenes_digests(tmp_path):
-    out = tmp_path / "scenes"
-    assert main(["gen-scenes", "--suite", "reference", "--seed-scene", "42",
-                 "--out", str(out)]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(out.iterdir()) if p.is_file()}
-    assert digests == GOLDEN
+    assert gen_scenes_digests(tmp_path, 42) == GOLDEN
+
+
+def test_reference_suite_gen_scenes_digests_seed_7331(tmp_path):
+    assert gen_scenes_digests(tmp_path, 7331) == GOLDEN_7331

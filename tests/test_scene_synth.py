@@ -1,11 +1,13 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 
+from lanefuse import scene_synth
 from lanefuse.config import RunConfig
 from lanefuse.double_edge import interpret_path, validate
-from lanefuse.geometry import OrientedBox, polyline_length, resample_polyline
+from lanefuse.geometry import OrientedBox, SegmentTable, polyline_length, resample_polyline
 from lanefuse.scene_synth import (
     GenerationError,
     PointCloud,
@@ -136,6 +138,150 @@ class TestGenerateScene:
         spec = SceneSpec(seed=0, geometry="arc", radius=10.0, route_length=100.0)
         with pytest.raises(GenerationError, match="unreachable"):
             generate_scene(spec, n_p=20)
+
+
+def place_clutter_reference(rng, spec, centerlines):
+    """The per-attempt placement loop: every value drawn by its own
+    ``rng.uniform`` call and every center tested by the exact segment
+    distance. Returns the boxes and the number of attempts."""
+    if spec.clutter_density <= 0.0:
+        return (), 0
+    allpts = np.vstack(centerlines)
+    lo = allpts[:, :2].min(axis=0) - 15.0
+    hi = allpts[:, :2].max(axis=0) + 15.0
+    count = int(round(spec.clutter_density * float(np.prod(hi - lo)) / 100.0))
+    road_clear = spec.lane_width / 2.0 + 2.0
+    lanes = SegmentTable(*centerlines)
+    clutter = []
+    attempts = 0
+    while len(clutter) < count and attempts < count * 200:
+        attempts += 1
+        c = rng.uniform(lo, hi)
+        if lanes.min_distance(c[None])[0] < road_clear:
+            continue
+        ext = (float(rng.uniform(2.0, 6.0)), float(rng.uniform(2.0, 6.0)),
+               float(rng.uniform(2.0, 5.0)))
+        yaw = float(rng.uniform(0.0, 2.0 * math.pi))
+        clutter.append(OrientedBox(center=(float(c[0]), float(c[1]), ext[2] / 2.0),
+                                   yaw=yaw, extent=ext))
+    return tuple(clutter), attempts
+
+
+def box_bits(boxes) -> bytes:
+    return b"".join(struct.pack("<7d", *b.center, b.yaw, *b.extent) for b in boxes)
+
+
+def scene_rng(spec):
+    return np.random.default_rng([spec.seed, scene_synth._STREAM_SCENE])
+
+
+def layout(spec):
+    lines = scene_synth._lane_layout(spec)[0]
+    return [scene_synth._orient_ego_outward(line, np.zeros(2)) for line in lines]
+
+
+# Hand-made centerlines with ~50 m segments: the vertex bound is 25 m loose,
+# so the exact test decides every attempt near the road.
+LONG_SEGMENTS = {
+    "one-segment": [np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]])],
+    "diagonal": [np.array([[0.0, 0.0, 0.0], [30.0, 40.0, 0.0]])],
+    "bend": [np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0], [50.0, 48.0, 0.0]])],
+    "two-lines": [np.array([[0.0, 0.0, 0.0], [50.0, 0.0, 0.0]]),
+                  np.array([[0.0, 9.0, 0.0], [52.0, 9.0, 0.0]])],
+    "zero-length-segment": [np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [45.0, 20.0, 0.0]])],
+}
+
+
+def _layout_cases():
+    geoms = (("straight", None), ("arc", 60.0), ("intersection", None))
+    cases = []
+    for i in range(36):
+        geom, radius = geoms[i % 3]
+        spec = SceneSpec(seed=1000 + i, geometry=geom, radius=radius, lane_count=1 + i % 4,
+                         lane_width=(2.5, 3.5, 5.0)[i // 12],
+                         route_length=(60.0, 100.0, 140.0)[(i // 3) % 3],
+                         clutter_density=(0.5, 1.5, 3.0, 6.0)[(i // 4) % 4])
+        cases.append(pytest.param(spec, id=f"{geom}-{spec.lane_count}lanes-{i}"))
+    return cases
+
+
+class TestPlaceClutter:
+    """Clutter placement decides most attempts by a nearest-vertex bound;
+    boxes and their order must equal the per-attempt loop's to the bit."""
+
+    @pytest.mark.parametrize("spec", _layout_cases())
+    def test_matches_per_attempt_loop_bit_for_bit(self, spec):
+        lines = layout(spec)
+        want, attempts = place_clutter_reference(scene_rng(spec), spec, lines)
+        got = scene_synth._place_clutter(scene_rng(spec), spec, lines)
+        assert attempts > len(want) > 0
+        assert box_bits(got) == box_bits(want)
+
+    @pytest.mark.parametrize("name", sorted(LONG_SEGMENTS))
+    @pytest.mark.parametrize("lane_width, density", [(2.5, 2.0), (3.5, 6.0), (8.0, 4.0)])
+    def test_long_segments_fall_back_to_exact_test(self, monkeypatch, name, lane_width,
+                                                   density):
+        lines = LONG_SEGMENTS[name]
+        for seed in range(4):
+            spec = SceneSpec(seed=seed, lane_width=lane_width, clutter_density=density)
+            want, _ = place_clutter_reference(scene_rng(spec), spec, lines)
+            exact = []
+            real = SegmentTable.min_distance
+            monkeypatch.setattr(SegmentTable, "min_distance",
+                                lambda table, pts: exact.append(1) or real(table, pts))
+            got = scene_synth._place_clutter(scene_rng(spec), spec, lines)
+            monkeypatch.undo()
+            assert box_bits(got) == box_bits(want), (name, seed)
+            assert exact  # the loose bound left some attempts to the exact test
+
+    @pytest.mark.parametrize("seed", [2, 6])
+    @pytest.mark.parametrize("gap", [-5e-7, 5e-7])
+    def test_near_ties_go_to_the_exact_test(self, seed, gap):
+        """A first candidate ``road_clear + gap`` from its nearest vertex,
+        inside the bound's margin: rejected at gap < 0, kept at gap > 0."""
+        spec = SceneSpec(seed=seed, clutter_density=0.5)
+        road_clear = spec.lane_width / 2.0 + 2.0
+        # two 100 m lines fix the bounds to [-15, 115] x [-15, 75]
+        frame = [np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]]),
+                 np.array([[0.0, 60.0, 0.0], [100.0, 60.0, 0.0]])]
+        lo, hi = np.array([-15.0, -15.0]), np.array([115.0, 75.0])
+        c0 = lo + (hi - lo) * scene_rng(spec).random(2)
+        assert 10.0 < c0[1] < 50.0 and 0.0 < c0[0] < 80.0
+        x, y = c0[0] + road_clear + gap, c0[1]
+        lines = [*frame, np.array([[x, y, 0.0], [x + 10.0, y, 0.0]])]
+        want, _ = place_clutter_reference(scene_rng(spec), spec, lines)
+        assert (want[0].center[:2] == tuple(c0)) == (gap > 0)
+        got = scene_synth._place_clutter(scene_rng(spec), spec, lines)
+        assert box_bits(got) == box_bits(want)
+
+    @pytest.mark.parametrize("density", [0.1, 0.4])
+    def test_attempt_cap_when_the_road_fills_the_band(self, density):
+        # road_clear = 22 m exceeds the 15 m padding: every attempt is
+        # rejected, so placement stops after count * 200 attempts.
+        spec = SceneSpec(seed=3, lane_width=40.0, clutter_density=density)
+        lines = layout(spec)
+        want, attempts = place_clutter_reference(scene_rng(spec), spec, lines)
+        assert want == () and attempts == 200 * round(density * 130 * 30 / 100)
+        assert scene_synth._place_clutter(scene_rng(spec), spec, lines) == ()
+
+    @pytest.mark.parametrize("seed", [42, 7331])
+    def test_reference_suite_matches_and_rarely_measures(self, monkeypatch, seed):
+        attempts = 0
+        exact = []
+        real = SegmentTable.min_distance
+        for spec in RunConfig(seed_scene=seed).suite_specs():
+            lines = layout(spec)
+            rng = scene_rng(spec)
+            scene_synth._place_agents(rng, spec, lines)
+            want, n = place_clutter_reference(rng, spec, lines)
+            attempts += n
+            monkeypatch.setattr(SegmentTable, "min_distance",
+                                lambda table, pts: exact.append(1) or real(table, pts))
+            got = generate_scene(spec, n_p=20).clutter
+            monkeypatch.undo()
+            assert box_bits(got) == box_bits(want), spec
+        assert attempts > 600
+        assert len(exact) <= 0.05 * attempts
 
 
 def render_lidar_reference(scene, density, noise_sigma, seed):
