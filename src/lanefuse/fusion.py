@@ -2,10 +2,18 @@
 head, from-scratch multi-head attention blocks for the image and LiDAR
 branches, confidence-weighted query integration and feature enhancement.
 
-All parameters live in a named :class:`ParamStore`, are initialized from a
-seeded uniform distribution scaled by 1/sqrt(E), and can be overwritten from
-a binary weight file ("LFPW"). Every forward computation is a pure function
-of its inputs and the store, bit-identical across runs and thread counts.
+All parameters live in a :class:`ParamStore`, which is the model: it keeps
+every block by name (``store["img_dec0.ln2.g"]``) in one fixed layout order,
+and its constructor, the only place block names and shapes are spelled,
+groups them into what the forward pass reads: ``AttentionLayerParams`` per
+attention block, ``(g, b)`` layer norm tuples, ``(g, b, w1, b1, w2, b2)``
+feed-forward tuples, ``(w, b)`` lifts and heads, plus ``img_dec0_self``,
+the first decoder self-attention over the parameter ``q_image``, which runs
+once per store. Blocks are initialized from a seeded uniform distribution
+scaled by 1/sqrt(E) and can be overwritten from a binary weight file
+("LFPW"); ``replaced`` and ``load_params`` build a new store. Every forward
+computation is a pure function of its inputs and the store, bit-identical
+across runs and thread counts.
 """
 
 from __future__ import annotations
@@ -14,11 +22,12 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .pillar import LaneROI, LaneWeights
-from .scene_synth import ViewFeatureGrid
+from .scene_synth import SIGNAL_CLASSES, ViewFeatureGrid
 
 __all__ = [
     "TokenSequence",
@@ -47,6 +56,7 @@ __all__ = [
 LAYER_NORM_EPS = 1e-5
 ROW_SUM_TOL = 1e-9
 _FFN_MULT = 4
+COARSE_HIDDEN = 64  # width of the coarse prior head's hidden layer
 
 
 class AttentionInvariantError(RuntimeError):
@@ -95,7 +105,7 @@ class CoarseLanePrior:
 @dataclass(frozen=True)
 class BlockConfig:
     """Transformer stack shape: K layers, head count, embedding width, seed,
-    plus the head dimensions the coarse prior and prediction heads need."""
+    plus the lane-query grid (n_d, n_p) and the view feature channels."""
 
     layers: int = 2
     heads: int = 4
@@ -104,8 +114,6 @@ class BlockConfig:
     n_d: int = 6
     n_p: int = 20
     c_channels: int = 16
-    coarse_hidden: int = 64
-    n_signal_classes: int = 3
 
     def __post_init__(self):
         if self.layers < 1:
@@ -122,18 +130,78 @@ class BlockConfig:
 
 
 class ParamStore:
-    """Ordered mapping of block name -> float64 array, frozen after build."""
+    """The model: every parameter block by name, in layout order, plus the
+    per-layer groups the forward pass reads, for the :class:`BlockConfig`
+    in ``cfg``. Every array it holds is read-only."""
 
-    def __init__(self, blocks: dict[str, np.ndarray]):
-        for arr in blocks.values():
+    def __init__(self, cfg: BlockConfig,
+                 source: Callable[[str, tuple[int, ...], float | None], np.ndarray]):
+        """Lay the blocks out in their fixed order, taking each array from
+        ``source(name, shape, fill)``; ``fill`` is a layer norm block's
+        starting constant, None for a drawn block. This is the only place
+        block names and shapes are spelled."""
+        self.cfg = cfg
+        self._blocks: dict[str, np.ndarray] = {}
+        e = cfg.embed
+
+        def block(name: str, *shape: int, fill: float | None = None) -> np.ndarray:
+            arr = source(name, shape, fill)
             arr.setflags(write=False)
-        self._blocks = dict(blocks)
+            self._blocks[name] = arr
+            return arr
+
+        def affine(prefix: str, n_out: int, n_in: int) -> tuple:
+            return block(f"{prefix}.w", n_out, n_in), block(f"{prefix}.b", n_out)
+
+        def mlp(prefix: str, n_in: int, n_hidden: int, n_out: int) -> tuple:
+            return (block(f"{prefix}.w1", n_hidden, n_in), block(f"{prefix}.b1", n_hidden),
+                    block(f"{prefix}.w2", n_out, n_hidden), block(f"{prefix}.b2", n_out))
+
+        def norm(prefix: str) -> tuple:
+            return block(f"{prefix}.g", e, fill=1.0), block(f"{prefix}.b", e, fill=0.0)
+
+        def attn(ln: str, prefix: str) -> AttentionLayerParams:
+            g, b = norm(ln)
+            w = [block(f"{prefix}.{n}", e, e) for n in ("wq", "wk", "wv", "wo")]
+            bias = [block(f"{prefix}.{n}", e) for n in ("bq", "bk", "bv", "bo")]
+            return AttentionLayerParams(g, b, AttentionParams(*w, *bias, heads=cfg.heads))
+
+        def ffn(ln: str, prefix: str) -> tuple:
+            return norm(ln) + mlp(prefix, e, _FFN_MULT * e, e)
+
+        layers = range(cfg.layers)
+        self.tok_proj = block("tok_proj.w", e, cfg.c_channels)
+        self.coarse = mlp("coarse", e, COARSE_HIDDEN, cfg.n_d * cfg.n_p * 3 + cfg.n_d)
+        self.q_image = block("q_image", cfg.n_d, cfg.n_p, e)
+        self.img_enc = tuple((attn(f"img_enc{i}.ln1", f"img_enc{i}.attn"),
+                              ffn(f"img_enc{i}.ln2", f"img_enc{i}.ffn")) for i in layers)
+        self.img_enc_final = norm("img_enc_final")
+        self.img_dec = tuple((attn(f"img_dec{i}.ln1", f"img_dec{i}.self"),
+                              attn(f"img_dec{i}.ln2", f"img_dec{i}.cross"),
+                              ffn(f"img_dec{i}.ln3", f"img_dec{i}.ffn")) for i in layers)
+        self.img_dec_final = norm("img_dec_final")
+        self.pillar_enc = affine("pillar_enc", cfg.c_channels, 9)
+        self.q_lift = affine("q_lift", e, cfg.c_channels)
+        self.kv_lift = affine("kv_lift", e, cfg.c_channels)
+        self.lid = tuple((attn(f"lid{i}.ln1", f"lid{i}.attn"),
+                          ffn(f"lid{i}.ln2", f"lid{i}.ffn")) for i in layers)
+        self.lid_final = norm("lid_final")
+        self.head_pts = affine("head_pts", 3, e)
+        self.head_occ = affine("head_occ", 1, e)
+        self.head_plan = affine("head_plan", 1, e)
+        self.head_int = affine("head_int", 1, e)
+        self.head_dir = affine("head_dir", 1, e)
+        self.head_spd = affine("head_spd", 1, e)
+        self.head_sig = affine("head_sig", len(SIGNAL_CLASSES), e)
+
+        # img_dec0's self-attention reads only the parameter q_image, so it
+        # runs here, once per store, and the first decoder layer starts from it
+        q = self.q_image.reshape(cfg.n_d * cfg.n_p, e)
+        self.img_dec0_self = attention_layer(q, q, q, self.img_dec[0][0])
+        self.img_dec0_self.setflags(write=False)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self._blocks[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._blocks
 
     def names(self) -> list[str]:
         return list(self._blocks)
@@ -148,85 +216,24 @@ class ParamStore:
                     f"block {name!r}: expected {merged[name].size} elements, got {arr.size}"
                 )
             merged[name] = arr.reshape(merged[name].shape).astype(float)
-        return ParamStore(merged)
-
-
-def _attn_block_names(prefix: str) -> list[tuple[str, str]]:
-    return [(f"{prefix}.{p}", p) for p in
-            ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")]
+        return ParamStore(self.cfg, lambda name, shape, fill: merged[name])
 
 
 def build_params(cfg: BlockConfig) -> ParamStore:
-    """Create every parameter block in a fixed order from the config seed.
+    """Create every parameter block in layout order from the config seed.
 
     Affine weights and biases draw from U(-1, 1)/sqrt(E); layer norm gains
     and biases start at identity.
     """
     rng = np.random.default_rng([cfg.seed])
-    e = cfg.embed
-    scale = 1.0 / math.sqrt(e)
-    blocks: dict[str, np.ndarray] = {}
+    scale = 1.0 / math.sqrt(cfg.embed)
 
-    def add(name: str, *shape: int) -> None:
-        blocks[name] = rng.uniform(-1.0, 1.0, shape) * scale
+    def draw(name: str, shape: tuple[int, ...], fill: float | None) -> np.ndarray:
+        if fill is not None:
+            return np.full(shape, fill)
+        return rng.uniform(-1.0, 1.0, shape) * scale
 
-    def add_ln(prefix: str) -> None:
-        blocks[f"{prefix}.g"] = np.ones(e)
-        blocks[f"{prefix}.b"] = np.zeros(e)
-
-    def add_attn(prefix: str) -> None:
-        for w in ("wq", "wk", "wv", "wo"):
-            add(f"{prefix}.{w}", e, e)
-        for b in ("bq", "bk", "bv", "bo"):
-            add(f"{prefix}.{b}", e)
-
-    def add_ffn(prefix: str) -> None:
-        add(f"{prefix}.w1", _FFN_MULT * e, e)
-        add(f"{prefix}.b1", _FFN_MULT * e)
-        add(f"{prefix}.w2", e, _FFN_MULT * e)
-        add(f"{prefix}.b2", e)
-
-    add("tok_proj.w", e, cfg.c_channels)
-    coarse_out = cfg.n_d * cfg.n_p * 3 + cfg.n_d
-    add("coarse.w1", cfg.coarse_hidden, e)
-    add("coarse.b1", cfg.coarse_hidden)
-    add("coarse.w2", coarse_out, cfg.coarse_hidden)
-    add("coarse.b2", coarse_out)
-    add("q_image", cfg.n_d, cfg.n_p, e)
-    for i in range(cfg.layers):
-        add_ln(f"img_enc{i}.ln1")
-        add_attn(f"img_enc{i}.attn")
-        add_ln(f"img_enc{i}.ln2")
-        add_ffn(f"img_enc{i}.ffn")
-    add_ln("img_enc_final")
-    for i in range(cfg.layers):
-        add_ln(f"img_dec{i}.ln1")
-        add_attn(f"img_dec{i}.self")
-        add_ln(f"img_dec{i}.ln2")
-        add_attn(f"img_dec{i}.cross")
-        add_ln(f"img_dec{i}.ln3")
-        add_ffn(f"img_dec{i}.ffn")
-    add_ln("img_dec_final")
-    add("pillar_enc.w", cfg.c_channels, 9)
-    add("pillar_enc.b", cfg.c_channels)
-    add("q_lift.w", e, cfg.c_channels)
-    add("q_lift.b", e)
-    add("kv_lift.w", e, cfg.c_channels)
-    add("kv_lift.b", e)
-    for i in range(cfg.layers):
-        add_ln(f"lid{i}.ln1")
-        add_attn(f"lid{i}.attn")
-        add_ln(f"lid{i}.ln2")
-        add_ffn(f"lid{i}.ffn")
-    add_ln("lid_final")
-    add("head_pts.w", 3, e)
-    add("head_pts.b", 3)
-    for name in ("head_occ", "head_plan", "head_int", "head_dir", "head_spd"):
-        add(f"{name}.w", 1, e)
-        add(f"{name}.b", 1)
-    add("head_sig.w", cfg.n_signal_classes, e)
-    add("head_sig.b", cfg.n_signal_classes)
-    return ParamStore(blocks)
+    return ParamStore(cfg, draw)
 
 
 _PW_MAGIC = b"LFPW"
@@ -314,7 +321,7 @@ def positional_encode(grid: ViewFeatureGrid, store: ParamStore) -> TokenSequence
     add the fixed sinusoidal encoding per view."""
     views = np.asarray(grid.views, dtype=float)
     n_views, c, h, w = views.shape
-    proj = store["tok_proj.w"]
+    proj = store.tok_proj
     enc = sinusoidal_encoding_2d(h, w, proj.shape[0])
     per_view = [proj @ views[v].reshape(c, h * w) + enc for v in range(n_views)]
     return TokenSequence(tokens=np.concatenate(per_view, axis=1))
@@ -330,15 +337,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def coarse_lane_detect(tokens: TokenSequence, store: ParamStore,
-                       cfg: BlockConfig) -> CoarseLanePrior:
+def coarse_lane_detect(tokens: TokenSequence, store: ParamStore) -> CoarseLanePrior:
     """Mean-pool the tokens and run the two-layer ReLU head producing the
     (n_d, n_p, 3) lane ROI and logistic-squashed per-lane weights."""
+    w1, b1, w2, b2 = store.coarse
     pooled = tokens.tokens.mean(axis=1)
-    h1 = np.maximum(store["coarse.w1"] @ pooled + store["coarse.b1"], 0.0)
-    out = store["coarse.w2"] @ h1 + store["coarse.b2"]
-    split = cfg.n_d * cfg.n_p * 3
-    roi = out[:split].reshape(cfg.n_d, cfg.n_p, 3)
+    h1 = np.maximum(w1 @ pooled + b1, 0.0)
+    out = w2 @ h1 + b2
+    n_d, n_p = store.cfg.n_d, store.cfg.n_p
+    split = n_d * n_p * 3
+    roi = out[:split].reshape(n_d, n_p, 3)
     weights = _sigmoid(out[split:])
     return CoarseLanePrior(roi=LaneROI(points=roi), weights=LaneWeights(weights=weights))
 
@@ -379,10 +387,6 @@ class AttentionParams:
     bv: np.ndarray
     bo: np.ndarray
     heads: int
-
-    @classmethod
-    def from_store(cls, store: ParamStore, prefix: str, heads: int) -> "AttentionParams":
-        return cls(*(store[name] for name, _ in _attn_block_names(prefix)), heads=heads)
 
 
 def multi_head_attention(q_in: np.ndarray, k_in: np.ndarray, v_in: np.ndarray,
@@ -425,12 +429,6 @@ class AttentionLayerParams:
     ln_b: np.ndarray
     attn: AttentionParams
 
-    @classmethod
-    def from_store(cls, store: ParamStore, ln_prefix: str, attn_prefix: str,
-                   heads: int) -> "AttentionLayerParams":
-        return cls(ln_g=store[f"{ln_prefix}.g"], ln_b=store[f"{ln_prefix}.b"],
-                   attn=AttentionParams.from_store(store, attn_prefix, heads))
-
 
 def attention_layer(queries: np.ndarray, keys: np.ndarray, values: np.ndarray,
                     params: AttentionLayerParams) -> np.ndarray:
@@ -442,10 +440,17 @@ def attention_layer(queries: np.ndarray, keys: np.ndarray, values: np.ndarray,
     return queries + multi_head_attention(qn, kn, vn, params.attn)
 
 
-def _ffn(x: np.ndarray, store: ParamStore, ln_prefix: str, ffn_prefix: str) -> np.ndarray:
-    xn = _layer_norm(x, store[f"{ln_prefix}.g"], store[f"{ln_prefix}.b"])
-    h = np.maximum(xn @ store[f"{ffn_prefix}.w1"].T + store[f"{ffn_prefix}.b1"], 0.0)
-    return x + h @ store[f"{ffn_prefix}.w2"].T + store[f"{ffn_prefix}.b2"]
+def _affine(x: np.ndarray, p: tuple) -> np.ndarray:
+    """``x @ w.T + b`` for a lift or head ``p = (w, b)``."""
+    w, b = p
+    return x @ w.T + b
+
+
+def _ffn(x: np.ndarray, p: tuple) -> np.ndarray:
+    """Pre-norm residual feed-forward block; ``p`` is (g, b, w1, b1, w2, b2)."""
+    g, b, w1, b1, w2, b2 = p
+    h = np.maximum(_layer_norm(x, g, b) @ w1.T + b1, 0.0)
+    return x + h @ w2.T + b2
 
 
 # ---------------------------------------------------------------------------
@@ -453,36 +458,28 @@ def _ffn(x: np.ndarray, store: ParamStore, ln_prefix: str, ffn_prefix: str) -> n
 # ---------------------------------------------------------------------------
 
 
-def _encode_tokens(tokens: TokenSequence, store: ParamStore, cfg: BlockConfig) -> np.ndarray:
-    x = tokens.tokens.T
-    for i in range(cfg.layers):
-        p = AttentionLayerParams.from_store(store, f"img_enc{i}.ln1", f"img_enc{i}.attn", cfg.heads)
-        x = attention_layer(x, x, x, p)
-        x = _ffn(x, store, f"img_enc{i}.ln2", f"img_enc{i}.ffn")
-    return _layer_norm(x, store["img_enc_final.g"], store["img_enc_final.b"])
-
-
-def image_transformer(tokens: TokenSequence, q_image: QuerySet, store: ParamStore,
-                      cfg: BlockConfig) -> FeatureSet:
+def image_transformer(tokens: TokenSequence, store: ParamStore) -> FeatureSet:
     """K encoder layers over the tokens, then K decoder layers in which the
-    lane-level image queries cross-attend to the encoded memory."""
-    memory = _encode_tokens(tokens, store, cfg)
-    n_d, n_p, e = q_image.queries.shape
-    x = q_image.queries.reshape(n_d * n_p, e)
-    for i in range(cfg.layers):
-        p_self = AttentionLayerParams.from_store(store, f"img_dec{i}.ln1", f"img_dec{i}.self", cfg.heads)
-        x = attention_layer(x, x, x, p_self)
-        p_cross = AttentionLayerParams.from_store(store, f"img_dec{i}.ln2", f"img_dec{i}.cross", cfg.heads)
+    lane-level image queries ``store.q_image`` cross-attend to the encoded
+    memory. The first decoder layer's self-attention is the store's
+    ``img_dec0_self``."""
+    x = tokens.tokens.T
+    for p_attn, p_ffn in store.img_enc:
+        x = _ffn(attention_layer(x, x, x, p_attn), p_ffn)
+    memory = _layer_norm(x, *store.img_enc_final)
+    x = store.img_dec0_self
+    for i, (p_self, p_cross, p_ffn) in enumerate(store.img_dec):
+        if i > 0:
+            x = attention_layer(x, x, x, p_self)
         x = attention_layer(x, memory, memory, p_cross)
-        x = _ffn(x, store, f"img_dec{i}.ln3", f"img_dec{i}.ffn")
-    x = _layer_norm(x, store["img_dec_final.g"], store["img_dec_final.b"])
-    return FeatureSet(features=x.reshape(n_d, n_p, e))
+        x = _ffn(x, p_ffn)
+    x = _layer_norm(x, *store.img_dec_final)
+    return FeatureSet(features=x.reshape(store.q_image.shape))
 
 
 def init_lidar_queries(f_lane: np.ndarray, store: ParamStore) -> QuerySet:
     """Affine lift of encoded lane pillar features (n_d, n_p, C) to E."""
-    q = f_lane @ store["q_lift.w"].T + store["q_lift.b"]
-    return QuerySet(queries=q)
+    return QuerySet(queries=_affine(f_lane, store.q_lift))
 
 
 def integrate_queries(q_image: QuerySet, q_lidar: QuerySet, w: LaneWeights) -> QuerySet:
@@ -497,18 +494,16 @@ def integrate_queries(q_image: QuerySet, q_lidar: QuerySet, w: LaneWeights) -> Q
     return QuerySet(queries=(1.0 - alpha) * q_image.queries + alpha * q_lidar.queries)
 
 
-def lidar_transformer(q_integrated: QuerySet, f_lane: np.ndarray, store: ParamStore,
-                      cfg: BlockConfig) -> FeatureSet:
+def lidar_transformer(q_integrated: QuerySet, f_lane: np.ndarray,
+                      store: ParamStore) -> FeatureSet:
     """K attention blocks with lanes as a leading batch dimension, so lanes
     stay independent: queries start from the integrated queries, keys and
     values come from the lifted lane features of the same lane."""
-    kv = f_lane @ store["kv_lift.w"].T + store["kv_lift.b"]
+    kv = _affine(f_lane, store.kv_lift)
     x = q_integrated.queries
-    for i in range(cfg.layers):
-        p = AttentionLayerParams.from_store(store, f"lid{i}.ln1", f"lid{i}.attn", cfg.heads)
-        x = attention_layer(x, kv, kv, p)
-        x = _ffn(x, store, f"lid{i}.ln2", f"lid{i}.ffn")
-    return FeatureSet(features=_layer_norm(x, store["lid_final.g"], store["lid_final.b"]))
+    for p_attn, p_ffn in store.lid:
+        x = _ffn(attention_layer(x, kv, kv, p_attn), p_ffn)
+    return FeatureSet(features=_layer_norm(x, *store.lid_final))
 
 
 def enhance_features(f_image: FeatureSet, f_lidar: FeatureSet, w: LaneWeights) -> FeatureSet:

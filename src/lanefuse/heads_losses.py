@@ -16,8 +16,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .double_edge import DoubleEdgeSet, StructuralError
-from .fusion import FeatureSet, ParamStore, _sigmoid
+from .fusion import FeatureSet, ParamStore, _affine, _sigmoid
 from .pillar import LaneROI
+from .scene_synth import SIGNAL_CLASSES
 
 __all__ = [
     "Predictions",
@@ -112,15 +113,17 @@ def heads_forward(f_enhanced: FeatureSet, store: ParamStore) -> Predictions:
     """Affine prediction heads: per point for geometry/occ/plan, per lane
     (mean-pooled) for int/dir, global (mean-pooled) for speed and signal."""
     f = f_enhanced.features
-    points = f @ store["head_pts.w"].T + store["head_pts.b"]
-    occ = (f @ store["head_occ.w"].T + store["head_occ.b"])[..., 0]
-    plan = (f @ store["head_plan.w"].T + store["head_plan.b"])[..., 0]
+    points = _affine(f, store.head_pts)
+    occ = _affine(f, store.head_occ)[..., 0]
+    plan = _affine(f, store.head_plan)[..., 0]
     lane_pool = f.mean(axis=1)
-    int_logits = (lane_pool @ store["head_int.w"].T + store["head_int.b"])[:, 0]
-    dir_logits = (lane_pool @ store["head_dir.w"].T + store["head_dir.b"])[:, 0]
+    int_logits = _affine(lane_pool, store.head_int)[:, 0]
+    dir_logits = _affine(lane_pool, store.head_dir)[:, 0]
     g = f.mean(axis=(0, 1))
-    speed = float((store["head_spd.w"] @ g + store["head_spd.b"])[0])
-    signal = store["head_sig.w"] @ g + store["head_sig.b"]
+    w_spd, b_spd = store.head_spd
+    speed = float((w_spd @ g + b_spd)[0])
+    w_sig, b_sig = store.head_sig
+    signal = w_sig @ g + b_sig
     return Predictions(points=points, int_logits=int_logits, dir_logits=dir_logits,
                        occ_logits=occ, plan_logits=plan, speed=speed, signal_logits=signal)
 
@@ -135,7 +138,7 @@ def predictions_to_double_edge(pred: Predictions) -> DoubleEdgeSet:
 
 
 def inject_ground_truth(gt: DoubleEdgeSet, gt_speed: float, gt_signal_class: int,
-                        n_d: int, n_signal_classes: int = 3) -> tuple[Predictions, LaneROI]:
+                        n_d: int) -> tuple[Predictions, LaneROI]:
     """Predictions that reproduce the ground truth exactly (saturated logits),
     plus the matching ROI. Surplus lane slots are pushed to all-negative."""
     n_gt, n_p = gt.n_d, gt.n_p
@@ -151,7 +154,7 @@ def inject_ground_truth(gt: DoubleEdgeSet, gt_speed: float, gt_signal_class: int
     plan[:n_gt] = np.where(gt.plan == 1, _SATURATED_LOGIT, -_SATURATED_LOGIT)
     intr[:n_gt] = np.where(gt.intersection == 1, _SATURATED_LOGIT, -_SATURATED_LOGIT)
     dire[:n_gt] = np.where(gt.direction == 1, _SATURATED_LOGIT, -_SATURATED_LOGIT)
-    signal = np.full(n_signal_classes, -_SATURATED_LOGIT)
+    signal = np.full(len(SIGNAL_CLASSES), -_SATURATED_LOGIT)
     signal[gt_signal_class] = _SATURATED_LOGIT
     pred = Predictions(points=points, int_logits=intr, dir_logits=dire, occ_logits=occ,
                        plan_logits=plan, speed=float(gt_speed), signal_logits=signal)

@@ -15,7 +15,6 @@ import numpy as np
 from .config import RunConfig
 from .double_edge import DoubleEdgeSet, PlannedPath, interpret_path
 from .fusion import (
-    BlockConfig,
     CoarseLanePrior,
     ParamStore,
     QuerySet,
@@ -59,44 +58,13 @@ class PipelineResult:
     stage_ms: dict[str, float]
 
 
-def _fusion(f_image, f_lane, q_image: QuerySet, prior: CoarseLanePrior,
-            store: ParamStore, bc: BlockConfig):
+def _fusion(f_image, f_lane, prior: CoarseLanePrior, store: ParamStore):
     """LiDAR queries integrated with the image queries, the LiDAR
     transformer, and the prior-weighted feature enhancement."""
     q_lidar = init_lidar_queries(f_lane, store)
-    q_integrated = integrate_queries(q_image, q_lidar, prior.weights)
-    f_lidar = lidar_transformer(q_integrated, f_lane, store, bc)
+    q_integrated = integrate_queries(QuerySet(queries=store.q_image), q_lidar, prior.weights)
+    f_lidar = lidar_transformer(q_integrated, f_lane, store)
     return enhance_features(f_image, f_lidar, prior.weights)
-
-
-def _forward(scene: Scene, cfg: RunConfig, store: ParamStore, stage):
-    """The forward pass, written once. Every layer call goes through
-    ``stage(name, fn, *args)``, which must return ``fn(*args)``; the names
-    are the stage rows of the run, bench and eval reports, in order.
-
-    Returns the fields of :class:`PipelineResult` before ``stage_ms``.
-    """
-    bc = cfg.block_config()
-    grid = stage("view_synth", synth_view_features, scene, cfg.c_channels,
-                 cfg.view_h, cfg.view_w, cfg.seed_params)
-    tokens = stage("positional_encode", positional_encode, grid, store)
-    prior = stage("coarse_prior", coarse_lane_detect, tokens, store, bc)
-    q_image = QuerySet(queries=store["q_image"])
-    f_image = stage("image_transformer", image_transformer, tokens, q_image, store, bc)
-
-    cloud = stage("render_lidar", render_lidar, scene, cfg.lidar_density,
-                  cfg.lidar_noise_sigma, scene.spec.seed)
-    pillars = stage("pillarize", pillarize, cloud, cfg.pillar_spec(), prior.roi, cfg.r_max)
-    lane_pillars = stage("lane_sample", lane_sample, pillars, prior.roi, cfg.r_max)
-    f_lane = stage("encode", encode_pillars, lane_pillars,
-                   store["pillar_enc.w"], store["pillar_enc.b"])
-    f_enhanced = stage("fusion", _fusion, f_image, f_lane, q_image, prior, store, bc)
-
-    predictions = stage("heads", heads_forward, f_enhanced, store)
-    predicted_lanes = stage("decode", predictions_to_double_edge, predictions)
-    path = stage("interpret", interpret_path, predicted_lanes,
-                 max(0.0, predictions.speed))
-    return prior, lane_pillars, predictions, predicted_lanes, path
 
 
 def _timed(stage_ms: dict[str, float], name: str, fn, *args):
@@ -109,10 +77,11 @@ def _timed(stage_ms: dict[str, float], name: str, fn, *args):
 
 def run_pipeline(scene: Scene, cfg: RunConfig, store: ParamStore,
                  keep: dict | None = None) -> PipelineResult:
-    """One full forward pass; deterministic in (scene, cfg, store).
-    ``stage_ms`` holds each stage row's wall time, in pass order. A ``keep``
-    dict also receives each stage's output under its row name, outside the
-    timed region (``keep["render_lidar"]`` is the pass's point cloud)."""
+    """The forward pass, written once; deterministic in (scene, cfg, store).
+    ``stage_ms`` holds each stage row's wall time, in pass order; the row
+    names are those of the run, bench and eval reports. A ``keep`` dict
+    also receives each stage's output under its row name, outside the timed
+    region (``keep["render_lidar"]`` is the pass's point cloud)."""
     stage_ms: dict[str, float] = {}
     keep = {} if keep is None else keep
 
@@ -120,7 +89,24 @@ def run_pipeline(scene: Scene, cfg: RunConfig, store: ParamStore,
         keep[name] = _timed(stage_ms, name, fn, *args)
         return keep[name]
 
-    return PipelineResult(*_forward(scene, cfg, store, stage), stage_ms=stage_ms)
+    grid = stage("view_synth", synth_view_features, scene, cfg.c_channels,
+                 cfg.view_h, cfg.view_w, cfg.seed_params)
+    tokens = stage("positional_encode", positional_encode, grid, store)
+    prior = stage("coarse_prior", coarse_lane_detect, tokens, store)
+    f_image = stage("image_transformer", image_transformer, tokens, store)
+
+    cloud = stage("render_lidar", render_lidar, scene, cfg.lidar_density,
+                  cfg.lidar_noise_sigma, scene.spec.seed)
+    pillars = stage("pillarize", pillarize, cloud, cfg.pillar_spec(), prior.roi, cfg.r_max)
+    lane_pillars = stage("lane_sample", lane_sample, pillars, prior.roi, cfg.r_max)
+    f_lane = stage("encode", encode_pillars, lane_pillars, *store.pillar_enc)
+    f_enhanced = stage("fusion", _fusion, f_image, f_lane, prior, store)
+
+    predictions = stage("heads", heads_forward, f_enhanced, store)
+    predicted_lanes = stage("decode", predictions_to_double_edge, predictions)
+    path = stage("interpret", interpret_path, predicted_lanes,
+                 max(0.0, predictions.speed))
+    return PipelineResult(prior, lane_pillars, predictions, predicted_lanes, path, stage_ms)
 
 
 def _scene_losses(pred: Predictions, roi: LaneROI, scene: Scene,
@@ -197,7 +183,7 @@ def bench_suite(scenes: list[Scene], cfg: RunConfig, store: ParamStore,
     widely in cost; p95 is taken over all pooled samples.
     """
     spec = cfg.pillar_spec()
-    w_enc, b_enc = store["pillar_enc.w"], store["pillar_enc.b"]
+    w_enc, b_enc = store.pillar_enc
     clouds = [render_lidar(scene, cfg.lidar_density, cfg.lidar_noise_sigma, scene.spec.seed)
               for scene in scenes]
     dense_counts: list[float] = []

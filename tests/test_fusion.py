@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lanefuse.fusion import (
+    COARSE_HIDDEN,
     LAYER_NORM_EPS,
     AttentionInvariantError,
     AttentionLayerParams,
@@ -13,6 +14,7 @@ from lanefuse.fusion import (
     FeatureSet,
     QuerySet,
     TokenSequence,
+    _ffn,
     _layer_norm,
     attention_layer,
     build_params,
@@ -72,6 +74,47 @@ def random_attention_params(rng, e, heads):
     )
 
 
+def image_transformer_unfolded(tokens, store):
+    """``image_transformer`` with every decoder self-attention run in the
+    pass and every layer read from the store by block name."""
+    cfg = store.cfg
+
+    def attn(ln, prefix):
+        names = ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo")
+        return AttentionLayerParams(store[f"{ln}.g"], store[f"{ln}.b"], AttentionParams(
+            *(store[f"{prefix}.{n}"] for n in names), heads=cfg.heads))
+
+    def ffn(ln, prefix):
+        return (store[f"{ln}.g"], store[f"{ln}.b"],
+                *(store[f"{prefix}.{n}"] for n in ("w1", "b1", "w2", "b2")))
+
+    x = tokens.tokens.T
+    for i in range(cfg.layers):
+        x = attention_layer(x, x, x, attn(f"img_enc{i}.ln1", f"img_enc{i}.attn"))
+        x = _ffn(x, ffn(f"img_enc{i}.ln2", f"img_enc{i}.ffn"))
+    memory = _layer_norm(x, store["img_enc_final.g"], store["img_enc_final.b"])
+    x = store["q_image"].reshape(cfg.n_d * cfg.n_p, cfg.embed)
+    for i in range(cfg.layers):
+        x = attention_layer(x, x, x, attn(f"img_dec{i}.ln1", f"img_dec{i}.self"))
+        x = attention_layer(x, memory, memory, attn(f"img_dec{i}.ln2", f"img_dec{i}.cross"))
+        x = _ffn(x, ffn(f"img_dec{i}.ln3", f"img_dec{i}.ffn"))
+    x = _layer_norm(x, store["img_dec_final.g"], store["img_dec_final.b"])
+    return x.reshape(store["q_image"].shape)
+
+
+def held_arrays(obj):
+    """Every array reachable from ``obj`` through attributes, tuples and dicts."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from held_arrays(item)
+    elif isinstance(obj, dict):
+        yield from held_arrays(list(obj.values()))
+    elif hasattr(obj, "__dict__"):
+        yield from held_arrays(vars(obj))
+
+
 class TestSinusoidalEncoding:
     def test_origin_token_sin_zero_cos_one(self):
         enc = sinusoidal_encoding_2d(4, 4, 16)
@@ -107,39 +150,37 @@ class TestPositionalEncode:
 
 
 class TestCoarseLaneDetect:
-    def test_weights_within_unit_interval(self, param_store, run_config):
+    def test_weights_within_unit_interval(self, param_store):
         rng = np.random.default_rng(0)
-        bc = run_config.block_config()
         for _ in range(10):
             tokens = TokenSequence(tokens=rng.normal(scale=5.0, size=(32, 64)))
-            prior = coarse_lane_detect(tokens, param_store, bc)
+            prior = coarse_lane_detect(tokens, param_store)
             assert np.all(prior.weights.weights >= 0.0)
             assert np.all(prior.weights.weights <= 1.0)
             assert prior.roi.points.shape == (6, 20, 3)
 
-    def test_deterministic(self, param_store, run_config):
+    def test_deterministic(self, param_store):
         tokens = TokenSequence(tokens=np.random.default_rng(1).normal(size=(32, 48)))
-        bc = run_config.block_config()
-        a = coarse_lane_detect(tokens, param_store, bc)
-        b = coarse_lane_detect(tokens, param_store, bc)
+        a = coarse_lane_detect(tokens, param_store)
+        b = coarse_lane_detect(tokens, param_store)
         assert np.array_equal(a.roi.points, b.roi.points)
         assert np.array_equal(a.weights.weights, b.weights.weights)
 
     def test_planted_parameters_match_hand_computation(self):
-        bc = BlockConfig(layers=1, heads=2, embed=8, seed=0, n_d=2, n_p=4,
-                         c_channels=3, coarse_hidden=8)
+        bc = BlockConfig(layers=1, heads=2, embed=8, seed=0, n_d=2, n_p=4, c_channels=3)
         store = build_params(bc)
         rng = np.random.default_rng(5)
         w2 = rng.normal(size=(2 * 4 * 3 + 2, 8))
         b2 = rng.normal(size=2 * 4 * 3 + 2)
+        # the first 8 hidden units copy the pooled tokens, the others stay 0
         store = store.replaced({
-            "coarse.w1": np.eye(8),
-            "coarse.b1": np.zeros(8),
-            "coarse.w2": w2,
+            "coarse.w1": np.eye(COARSE_HIDDEN, 8),
+            "coarse.b1": np.zeros(COARSE_HIDDEN),
+            "coarse.w2": np.pad(w2, ((0, 0), (0, COARSE_HIDDEN - 8))),
             "coarse.b2": b2,
         })
         toks = np.abs(rng.normal(size=(8, 10))) + 0.1  # positive: ReLU passes pooled through
-        prior = coarse_lane_detect(TokenSequence(tokens=toks), store, bc)
+        prior = coarse_lane_detect(TokenSequence(tokens=toks), store)
         pooled = toks.mean(axis=1)
         expected = w2 @ pooled + b2
         assert np.allclose(prior.roi.points.ravel(), expected[:24], atol=1e-12)
@@ -199,10 +240,9 @@ class TestAttentionCore:
         ref = mha_reference(q_in, kv_in, kv_in, p)
         assert np.allclose(out, ref, atol=1e-12)
 
-    def test_layer_adds_residual(self, param_store, run_config):
+    def test_layer_adds_residual(self, param_store):
         rng = np.random.default_rng(5)
-        p = AttentionLayerParams.from_store(param_store, "img_enc0.ln1",
-                                            "img_enc0.attn", 4)
+        p = param_store.img_enc[0][0]
         x = rng.normal(size=(6, 32))
         out = attention_layer(x, x, x, p)
         assert out.shape == x.shape
@@ -215,7 +255,7 @@ class TestAttentionBytes:
 
     def test_stacked_lanes_equal_per_lane_calls(self, param_store):
         rng = np.random.default_rng(6)
-        p = AttentionParams.from_store(param_store, "lid0.attn", 4)
+        p = param_store.lid[0][0].attn
         q_in = rng.normal(size=(6, 20, 32))
         kv_in = rng.normal(size=(6, 20, 32))
         stacked = multi_head_attention(q_in, kv_in, kv_in, p)
@@ -257,33 +297,38 @@ class TestAttentionBytes:
 
 
 class TestImageTransformer:
-    def test_output_shape_contract(self, param_store, run_config):
+    def test_output_shape_contract(self, param_store):
         rng = np.random.default_rng(0)
-        bc = run_config.block_config()
         tokens = TokenSequence(tokens=rng.normal(size=(32, 100)))
-        q = QuerySet(queries=param_store["q_image"])
-        out = image_transformer(tokens, q, param_store, bc)
+        out = image_transformer(tokens, param_store)
         assert out.features.shape == (6, 20, 32)
 
-    def test_token_permutation_invariance(self, param_store, run_config):
+    def test_token_permutation_invariance(self, param_store):
         rng = np.random.default_rng(1)
-        bc = run_config.block_config()
         toks = rng.normal(size=(32, 40))
-        q = QuerySet(queries=param_store["q_image"])
-        base = image_transformer(TokenSequence(tokens=toks), q, param_store, bc)
+        base = image_transformer(TokenSequence(tokens=toks), param_store)
         perm = rng.permutation(40)
-        permuted = image_transformer(TokenSequence(tokens=toks[:, perm]), q,
-                                     param_store, bc)
+        permuted = image_transformer(TokenSequence(tokens=toks[:, perm]), param_store)
         assert np.allclose(base.features, permuted.features, rtol=1e-9, atol=1e-9)
 
-    def test_bit_identical_reruns(self, param_store, run_config):
+    def test_bit_identical_reruns(self, param_store):
         rng = np.random.default_rng(2)
-        bc = run_config.block_config()
         tokens = TokenSequence(tokens=rng.normal(size=(32, 64)))
-        q = QuerySet(queries=param_store["q_image"])
-        a = image_transformer(tokens, q, param_store, bc)
-        b = image_transformer(tokens, q, param_store, bc)
+        a = image_transformer(tokens, param_store)
+        b = image_transformer(tokens, param_store)
         assert np.array_equal(a.features, b.features)
+
+    @pytest.mark.parametrize("name", ["img_dec0.self.wq", "img_dec0.ln1.g"])
+    def test_folded_self_attention_follows_replaced_blocks(self, param_store, name):
+        rng = np.random.default_rng(11)
+        tokens = TokenSequence(tokens=rng.normal(size=(32, 64)))
+        base = image_transformer(tokens, param_store).features
+        assert np.array_equal(base, image_transformer_unfolded(tokens, param_store))
+        old = param_store[name]
+        store = param_store.replaced({name: old + rng.normal(scale=0.1, size=old.shape)})
+        got = image_transformer(tokens, store).features
+        assert np.array_equal(got, image_transformer_unfolded(tokens, store))
+        assert not np.allclose(got, base)
 
 
 class TestLidarPath:
@@ -303,25 +348,22 @@ class TestLidarPath:
         q = init_lidar_queries(f_lane, store)
         assert np.array_equal(q.queries, f_lane)
 
-    def test_lidar_transformer_shape_and_determinism(self, param_store, run_config):
+    def test_lidar_transformer_shape_and_determinism(self, param_store):
         rng = np.random.default_rng(3)
-        bc = run_config.block_config()
         q = QuerySet(queries=rng.normal(size=(6, 20, 32)))
         f_lane = rng.normal(size=(6, 20, 16))
-        a = lidar_transformer(q, f_lane, param_store, bc)
-        b = lidar_transformer(q, f_lane, param_store, bc)
+        a = lidar_transformer(q, f_lane, param_store)
+        b = lidar_transformer(q, f_lane, param_store)
         assert a.features.shape == (6, 20, 32)
         assert np.array_equal(a.features, b.features)
 
-    def test_lane_permutation_permutes_outputs_exactly(self, param_store, run_config):
+    def test_lane_permutation_permutes_outputs_exactly(self, param_store):
         rng = np.random.default_rng(4)
-        bc = run_config.block_config()
         q = rng.normal(size=(6, 20, 32))
         f_lane = rng.normal(size=(6, 20, 16))
-        base = lidar_transformer(QuerySet(queries=q), f_lane, param_store, bc)
+        base = lidar_transformer(QuerySet(queries=q), f_lane, param_store)
         perm = np.array([3, 1, 5, 0, 2, 4])
-        permuted = lidar_transformer(QuerySet(queries=q[perm]), f_lane[perm],
-                                     param_store, bc)
+        permuted = lidar_transformer(QuerySet(queries=q[perm]), f_lane[perm], param_store)
         assert np.array_equal(permuted.features, base.features[perm])
 
 
@@ -428,6 +470,22 @@ class TestParamStore:
         with pytest.raises(ValueError):
             param_store["q_image"][0, 0, 0] = 1.0
 
+    def test_every_held_array_read_only(self, param_store, tmp_path):
+        path = tmp_path / "weights.lfpw"
+        save_params(param_store.replaced({"q_image": np.ones(6 * 20 * 32)}), path)
+        stores = {
+            "build_params": param_store,
+            "replaced": param_store.replaced({"img_dec0.self.wq": np.ones((32, 32))}),
+            "load_params": load_params(param_store, path),
+        }
+        for how, store in stores.items():
+            arrays = list(held_arrays(store))
+            # each block once by name and once in its group, plus the folded block
+            assert len(arrays) == 2 * len(store.names()) + 1, how
+            assert any(a is store.img_dec0_self for a in arrays), how
+            writable = [a.shape for a in arrays if a.flags.writeable]
+            assert not writable, f"{how}: writable arrays of shapes {writable}"
+
 
 def test_shape_contracts_across_random_configs():
     rng = np.random.default_rng(9)
@@ -440,13 +498,13 @@ def test_shape_contracts_across_random_configs():
         store = build_params(bc)
         tokens = TokenSequence(tokens=rng.normal(size=(e, 30)))
         q = QuerySet(queries=store["q_image"])
-        f_img = image_transformer(tokens, q, store, bc)
+        f_img = image_transformer(tokens, store)
         assert f_img.features.shape == (bc.n_d, bc.n_p, e)
         f_lane = rng.normal(size=(bc.n_d, bc.n_p, bc.c_channels))
         q_lidar = init_lidar_queries(f_lane, store)
         prior_w = LaneWeights(weights=rng.uniform(0, 1, bc.n_d))
         q_int = integrate_queries(q, q_lidar, prior_w)
-        f_lid = lidar_transformer(q_int, f_lane, store, bc)
+        f_lid = lidar_transformer(q_int, f_lane, store)
         assert f_lid.features.shape == (bc.n_d, bc.n_p, e)
         out = enhance_features(f_img, f_lid, prior_w)
         assert out.features.shape == (bc.n_d, bc.n_p, e)

@@ -6,8 +6,9 @@ At scene seed 42 (parameter seed 7, default config), every scene pins:
 * ``lidar``: the ``lidar_transformer`` features;
 * ``fusion``: the enhanced features the ``fusion`` stage returns.
 
-The inputs are taken from the forward pass itself, through a stage hook that
-keeps the arguments of the ``fusion`` row. Rewrites of the attention
+The inputs are taken from the forward pass itself, through the ``keep``
+dict of ``run_pipeline``: the ``image_transformer``, ``encode``,
+``coarse_prior`` and ``fusion`` stage outputs. Rewrites of the attention
 primitives, the layer norm or the LiDAR transformer's lane handling must
 leave every digest unchanged.
 """
@@ -18,8 +19,14 @@ import numpy as np
 import pytest
 
 from lanefuse.config import RunConfig
-from lanefuse.fusion import build_params, init_lidar_queries, integrate_queries, lidar_transformer
-from lanefuse.pipeline import _forward
+from lanefuse.fusion import (
+    QuerySet,
+    build_params,
+    init_lidar_queries,
+    integrate_queries,
+    lidar_transformer,
+)
+from lanefuse.pipeline import run_pipeline
 from lanefuse.scene_synth import generate_scene
 
 KINDS = ("image", "lidar", "fusion")
@@ -77,20 +84,14 @@ def stack_digests() -> dict[str, list[str]]:
     got: dict[str, list[str]] = {k: [] for k in KINDS}
     for spec in cfg.suite_specs():
         kept = {}
-
-        def keep(name, fn, *args):
-            out = fn(*args)
-            if name == "fusion":
-                kept["args"], kept["out"] = args, out
-            return out
-
-        _forward(generate_scene(spec, n_p=cfg.n_p), cfg, store, keep)
-        f_image, f_lane, q_image, prior, _, bc = kept["args"]
-        q_integrated = integrate_queries(q_image, init_lidar_queries(f_lane, store),
-                                         prior.weights)
-        got["image"].append(digest(f_image.features))
-        got["lidar"].append(digest(lidar_transformer(q_integrated, f_lane, store, bc).features))
-        got["fusion"].append(digest(kept["out"].features))
+        run_pipeline(generate_scene(spec, n_p=cfg.n_p), cfg, store, kept)
+        f_lane = kept["encode"]
+        q_integrated = integrate_queries(QuerySet(queries=store.q_image),
+                                         init_lidar_queries(f_lane, store),
+                                         kept["coarse_prior"].weights)
+        got["image"].append(digest(kept["image_transformer"].features))
+        got["lidar"].append(digest(lidar_transformer(q_integrated, f_lane, store).features))
+        got["fusion"].append(digest(kept["fusion"].features))
     return got
 
 

@@ -159,13 +159,12 @@ def lane_digest(lane) -> str:
 def suite():
     cfg = RunConfig(seed_scene=42, suite="reference")
     store = build_params(cfg.block_config())
-    bc = cfg.block_config()
     out = []
     for spec in cfg.suite_specs():
         scene = generate_scene(spec, n_p=cfg.n_p)
         grid = synth_view_features(scene, cfg.c_channels, cfg.view_h, cfg.view_w,
                                    cfg.seed_params)
-        seeded = coarse_lane_detect(positional_encode(grid, store), store, bc).roi
+        seeded = coarse_lane_detect(positional_encode(grid, store), store).roi
         _, gt = inject_ground_truth(scene.ground_truth, scene.gt_speed,
                                     SIGNAL_CLASSES.index(scene.signal_state), cfg.n_d)
         out.append((scene, seeded, gt))
