@@ -177,7 +177,7 @@ def _eval_one(scene, scene_id: str, cfg: RunConfig, use_gt: bool, store) -> dict
         "scene_id": scene_id,
         "ds": report.ds, "rc": report.rc, "is": report.is_score,
         "terminated": report.terminated,
-        "infractions": report.infractions.events,
+        "infractions": report.infractions,
         "feature_counts": counts,
         "latency_ms": runs[0].stage_ms if runs else {},
     }

@@ -23,7 +23,6 @@ __all__ = [
     "LaneROI",
     "LaneWeights",
     "RAW_FEATURE_DIM",
-    "voxelize",
     "pillarize",
     "lane_sample",
     "encode_pillars",
@@ -123,9 +122,9 @@ def _in_bounds_mask(pts: np.ndarray, spec: GridSpec) -> np.ndarray:
 
 def _cell_count(pts: np.ndarray, inside: np.ndarray, spec: GridSpec, axes: int) -> int:
     """Number of distinct cells over the first ``axes`` axes among the
-    points ``pts[inside]``: the same ``floor((p - lo) / res)`` keys as
-    :func:`voxelize` (3 axes) and :func:`pillarize` (2 axes) form, counted
-    from one sort without building any per-cell feature."""
+    points ``pts[inside]``: occupied voxels for 3 axes, and for 2 axes the
+    pillars :func:`pillarize` forms from the same ``floor((p - lo) / res)``
+    keys, counted from one sort without building any per-cell feature."""
     kept = pts if inside.all() else pts[inside]
     if len(kept) == 0:
         return 0
@@ -141,32 +140,6 @@ def _cell_count(pts: np.ndarray, inside: np.ndarray, spec: GridSpec, axes: int) 
             keys += idx
     keys.sort()
     return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
-
-
-def voxelize(cloud: PointCloud, spec: GridSpec) -> tuple[int, np.ndarray]:
-    """Count occupied voxels and compute their (count, centroid) features.
-
-    Points outside the bounds are discarded; a voxel is occupied when it
-    contains at least one point. Returns the count and an (M, 4) matrix of
-    [count, centroid x, y, z] rows in sorted voxel order.
-    """
-    pts = np.asarray(cloud.points, dtype=float)
-    if pts.size:
-        pts = pts[_in_bounds_mask(pts, spec)]
-    if pts.size == 0:
-        return 0, np.zeros((0, 4))
-    res = np.array(spec.resolution)
-    idx = np.floor((pts - np.array(spec.bounds_min)) / res).astype(np.int64)
-    # scalar cell keys sort far faster than row-wise unique
-    ky = int(idx[:, 1].max()) + 1
-    kz = int(idx[:, 2].max()) + 1
-    keys = (idx[:, 0] * ky + idx[:, 1]) * kz + idx[:, 2]
-    _, inverse = np.unique(keys, return_inverse=True)
-    inverse = inverse.ravel()
-    counts = np.bincount(inverse).astype(float)
-    sums = np.column_stack([np.bincount(inverse, weights=pts[:, c]) for c in range(3)])
-    mat = np.column_stack([counts, sums / counts[:, None]])
-    return len(mat), mat
 
 
 def _search_rings(spec: GridSpec, r_max: float) -> int:
@@ -377,9 +350,9 @@ def feature_count_report(cloud: PointCloud, lane_level: int, voxel_spec: GridSpe
     """Feature counts for the three LiDAR encodings plus reduction ratios.
 
     ``lane_level`` is the lane-level count, n_d x n_p by construction;
-    ratios are dense count over lane-level count. The dense counts equal
-    ``voxelize(cloud, voxel_spec)[0]`` and ``len(pillarize(cloud,
-    pillar_spec))`` but are counted, without building either encoding.
+    ratios are dense count over lane-level count. The dense counts are the
+    occupied voxels and pillars (``len(pillarize(cloud, pillar_spec))``),
+    counted without building either encoding.
     """
     _check_single_z_bin(pillar_spec)
     pts = np.asarray(cloud.points, dtype=float)

@@ -26,11 +26,9 @@ __all__ = [
     "ControllerConfig",
     "EvalConfig",
     "InfractionEvent",
-    "InfractionLog",
     "EvalReport",
     "step_ego",
     "follow_path",
-    "route_completion",
     "infraction_score",
     "run_closed_loop",
     "DEFAULT_PENALTIES",
@@ -102,19 +100,11 @@ class InfractionEvent:
 
 
 @dataclass(frozen=True)
-class InfractionLog:
-    events: tuple[InfractionEvent, ...]
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-@dataclass(frozen=True)
 class EvalReport:
     ds: float
     rc: float
     is_score: float
-    infractions: InfractionLog
+    infractions: tuple[InfractionEvent, ...]
     terminated: str  # completed | horizon | deviation | failure
     trajectory: np.ndarray  # (T, 4): t, x, y, speed
 
@@ -170,25 +160,14 @@ def _progress_fold(projections, lane_width: float, total: float) -> float:
     return min(1.0, progress / total)
 
 
-def route_completion(route: np.ndarray, trajectory: np.ndarray,
-                     lane_width: float) -> float:
-    """Fraction of the route polyline covered by the trajectory's furthest
-    monotone progress point, counting only passes within half a lane width."""
-    total = polyline_length(route)
-    if total <= 0.0 or len(trajectory) == 0:
-        return 0.0
-    s, d = PolylineProjector(route).project(np.atleast_2d(trajectory)[:, :2])
-    return _progress_fold(zip(s.tolist(), d.tolist()), lane_width, total)
-
-
-def infraction_score(log: InfractionLog) -> float:
+def infraction_score(events: tuple[InfractionEvent, ...]) -> float:
     """Product of per-event penalty factors; 1.0 for a clean run.
 
     Factors multiply in sorted order so the score never depends on event
     ordering, including at floating-point precision.
     """
     score = 1.0
-    for penalty in sorted(ev.penalty for ev in log.events):
+    for penalty in sorted(ev.penalty for ev in events):
         score *= penalty
     return score
 
@@ -344,8 +323,8 @@ def run_closed_loop(scene: Scene,
 
     traj = np.array(rows[:kept])
     rc = _progress_fold(zip(progress_s[:kept], progress_d[:kept]), lane_width, total_len)
-    log = InfractionLog(events=tuple(events))
-    is_score = infraction_score(log)
+    infractions = tuple(events)
+    is_score = infraction_score(infractions)
     ds = 100.0 * rc * is_score
-    return EvalReport(ds=ds, rc=rc, is_score=is_score, infractions=log,
+    return EvalReport(ds=ds, rc=rc, is_score=is_score, infractions=infractions,
                       terminated=terminated, trajectory=traj)

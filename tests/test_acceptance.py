@@ -216,7 +216,7 @@ def test_criterion_7_closed_loop_sanity(cfg):
                                          ControllerConfig(), horizon=60.0)
         assert blocked_report.is_score < 1.0
         assert any(ev.kind.startswith("collision") or ev.kind == "route_deviation"
-                   for ev in blocked_report.infractions.events)
+                   for ev in blocked_report.infractions)
 
 
 def test_criterion_8_latency_benchmark(cfg, store, reference_scenes):

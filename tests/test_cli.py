@@ -522,6 +522,25 @@ class TestHostileInputs:
         pytest.param({"eval_config": {"deviation_seconds": -1.0}},
                      "config.eval_config.deviation_seconds must be > 0, got -1.0",
                      id="deviation_seconds-negative"),
+        pytest.param({"e_dim": 0}, "config.e_dim must be >= 1, got 0", id="e_dim-zero"),
+        pytest.param({"n_d": -1}, "config.n_d must be >= 1, got -1", id="n_d-negative"),
+        pytest.param({"view_h": 0}, "config.view_h must be >= 1, got 0", id="view_h-zero"),
+        pytest.param({"view_w": -1}, "config.view_w must be >= 1, got -1", id="view_w-negative"),
+        pytest.param({"c_channels": -1}, "config.c_channels must be >= 1, got -1",
+                     id="c_channels-negative"),
+        pytest.param({"r_max": 0.0}, "config.r_max must be > 0, got 0.0", id="r_max-zero"),
+        pytest.param({"lidar_density": 0.0}, "config.lidar_density must be > 0, got 0.0",
+                     id="lidar_density-zero"),
+        pytest.param({"lidar_noise_sigma": -1.0},
+                     "config.lidar_noise_sigma must be >= 0, got -1.0",
+                     id="lidar_noise_sigma-negative"),
+        pytest.param({"horizon": 0.0}, "config.horizon must be > 0, got 0.0", id="horizon-zero"),
+        pytest.param({"horizon": 1e7},
+                     "config.horizon 10000000.0 s at controller.dt 0.05 s takes more than "
+                     "1000000 steps", id="horizon-beyond-step-cap"),
+        pytest.param({"controller": {"dt": 1e-9}},
+                     "config.horizon 60.0 s at controller.dt 1e-09 s takes more than "
+                     "1000000 steps", id="dt-beyond-step-cap"),
     ])
     def test_config_field_exits_2_naming_it(self, tmp_path, caplog, config, field):
         bad = tmp_path / "bad.json"
@@ -532,15 +551,19 @@ class TestHostileInputs:
         assert code == 2
         assert field in self.one_error(caplog)
 
-    @pytest.mark.parametrize("horizon", [math.nan, math.inf], ids=["nan", "inf"])
-    def test_non_finite_horizon_eval_exits_2(self, tmp_path, caplog, horizon):
+    @pytest.mark.parametrize("horizon, field", [
+        (math.nan, "config.horizon: expected a finite float"),
+        (math.inf, "config.horizon: expected a finite float"),
+        (1e7, "config.horizon 10000000.0 s at controller.dt 0.05 s takes more than"),
+    ], ids=["nan", "inf", "beyond-step-cap"])
+    def test_non_finite_horizon_eval_exits_2(self, tmp_path, caplog, horizon, field):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"horizon": horizon}))
         caplog.clear()
         code = main(["eval", "--planner", "gt", "--config", str(bad), "--suite", "trivial",
                      "--out", str(tmp_path / "o")])
         assert code == 2
-        assert "config.horizon: expected a finite float" in self.one_error(caplog)
+        assert field in self.one_error(caplog)
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("corrupt, field", [

@@ -16,7 +16,6 @@ from lanefuse.pillar import (
     feature_count_report,
     lane_sample,
     pillarize,
-    voxelize,
 )
 from lanefuse.scene_synth import PointCloud, generate_scene, render_lidar
 
@@ -42,6 +41,21 @@ def voxel_count_oracle(pts, spec: GridSpec) -> int:
     return len(seen)
 
 
+def voxel_count(pts, spec: GridSpec) -> int:
+    """Distinct rows of the quantized in-bounds points, by ``np.unique``."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    lo, hi = np.array(spec.bounds_min), np.array(spec.bounds_max)
+    p = pts[np.all((pts >= lo) & (pts < hi), axis=1)]
+    return len(np.unique(np.floor((p - lo) / np.array(spec.resolution)).astype(np.int64),
+                         axis=0))
+
+
+def counted_voxels(pts, spec: GridSpec) -> int:
+    """The voxel count ``feature_count_report`` takes."""
+    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
+    return _cell_count(pts, _in_bounds_mask(pts, spec), spec, 3)
+
+
 def feature_row(pillars, key):
     """The feature row of cell ``key``, found by a scan of ``keys``."""
     rows = np.flatnonzero(np.all(pillars.keys == np.asarray(key), axis=1))
@@ -64,9 +78,11 @@ def nearest_pillar_oracle(pillars, px, py, r_max):
 
 
 class TestVoxelize:
+    """The voxel count against the ``np.unique`` and pure-Python oracles."""
+
     def test_empty_cloud(self):
-        count, feats = voxelize(PointCloud(points=np.zeros((0, 3))), make_spec())
-        assert count == 0 and feats.shape == (0, 4)
+        assert counted_voxels(np.zeros((0, 3)), make_spec()) == 0
+        assert voxel_count(np.zeros((0, 3)), make_spec()) == 0
 
     def test_eight_points_in_eight_cells(self):
         spec = make_spec()
@@ -79,8 +95,7 @@ class TestVoxelize:
                         spec.bounds_min[1] + (iy + 0.5) * 0.5,
                         spec.bounds_min[2] + (iz + 0.5) * 0.5,
                     ])
-        count, _ = voxelize(PointCloud(points=np.array(centers)), spec)
-        assert count == 8
+        assert counted_voxels(centers, spec) == voxel_count(centers, spec) == 8
 
     def test_matches_quantization_oracle_randomized(self):
         rng = np.random.default_rng(10)
@@ -88,17 +103,13 @@ class TestVoxelize:
         for _ in range(10):
             pts = rng.uniform(-12, 12, (500, 3)) * [1, 1, 0.4]
             pts[:, 2] = np.abs(pts[:, 2])
-            count, _ = voxelize(PointCloud(points=pts), spec)
-            assert count == voxel_count_oracle(pts, spec)
+            want = voxel_count_oracle(pts, spec)
+            assert counted_voxels(pts, spec) == voxel_count(pts, spec) == want
 
     def test_out_of_bounds_discarded(self):
         spec = make_spec()
         pts = np.array([[100.0, 0.0, 0.0], [0.0, 0.0, 0.25]])
-        count, feats = voxelize(PointCloud(points=pts), spec)
-        assert count == 1
-        feat, = feats
-        assert feat[0] == 1.0
-        assert np.allclose(feat[1:], pts[1])
+        assert counted_voxels(pts, spec) == voxel_count(pts, spec) == 1
 
 
 class TestPillarize:
@@ -117,7 +128,7 @@ class TestPillarize:
             pts = rng.uniform(-9, 9, (800, 3))
             pts[:, 2] = rng.uniform(0, 7.9, 800)
             cloud = PointCloud(points=pts)
-            vcount, _ = voxelize(cloud, make_spec())
+            vcount = voxel_count(pts, make_spec())
             pcount = len(pillarize(cloud, pillar_grid_spec()))
             assert vcount >= pcount
 
@@ -397,13 +408,12 @@ class TestFeatureCountReport:
 
 
 def counted(pts: np.ndarray, voxel_spec: GridSpec, pillar_spec: GridSpec) -> tuple[int, int]:
-    return (_cell_count(pts, _in_bounds_mask(pts, voxel_spec), voxel_spec, 3),
+    return (counted_voxels(pts, voxel_spec),
             _cell_count(pts, _in_bounds_mask(pts, pillar_spec), pillar_spec, 2))
 
 
 def built(pts: np.ndarray, voxel_spec: GridSpec, pillar_spec: GridSpec) -> tuple[int, int]:
-    cloud = PointCloud(points=pts)
-    return voxelize(cloud, voxel_spec)[0], len(pillarize(cloud, pillar_spec))
+    return voxel_count(pts, voxel_spec), len(pillarize(PointCloud(points=pts), pillar_spec))
 
 
 def assert_counts_match_encodings(pts, voxel_spec, pillar_spec):
@@ -416,7 +426,7 @@ def assert_counts_match_encodings(pts, voxel_spec, pillar_spec):
 
 class TestCellCount:
     """The counts ``feature_count_report`` takes without building equal the
-    sizes of the dense encodings."""
+    ``np.unique`` voxel count and the size of the dense pillar set."""
 
     @pytest.mark.parametrize("seed", [42, 7331])
     @pytest.mark.parametrize("density", [3.0, 12.0])

@@ -460,6 +460,38 @@ class TestPersistence:
         with pytest.raises(ValueError, match="payload"):
             load_point_cloud(path)
 
+    def test_hostile_point_cloud_loads_finite_or_raises_value_error(self, tmp_path):
+        """A dumped reference cloud cut at every header length and at seeded
+        payload lengths, or with one bit flipped: every header bit and seeded
+        payload bits. Each case loads as finite points or raises ValueError."""
+        cfg = RunConfig()
+        scene = generate_scene(cfg.suite_specs()[1], n_p=cfg.n_p)
+        path = tmp_path / "cloud.lfpc"
+        save_point_cloud(path, render_lidar(scene, cfg.lidar_density, cfg.lidar_noise_sigma,
+                                            scene.spec.seed))
+        raw = path.read_bytes()
+        rng = np.random.default_rng(2024)
+        cases = [raw[:n] for n in range(9)]
+        cases += [raw[:n] for n in rng.integers(9, len(raw), 300)]
+        bits = [(pos, bit) for pos in range(8) for bit in range(8)]
+        bits += zip(rng.integers(8, len(raw), 600).tolist(), rng.integers(0, 8, 600).tolist())
+        for pos, bit in bits:
+            flipped = bytearray(raw)
+            flipped[pos] ^= 1 << bit
+            cases.append(bytes(flipped))
+        loaded = 0
+        for data in cases:
+            path.write_bytes(data)
+            try:
+                with np.errstate(invalid="ignore"):  # as ``main`` runs it: a NaN cast warns
+                    cloud = load_point_cloud(path)
+            except ValueError:
+                continue
+            assert cloud.points.shape == ((len(data) - 8) // 12, 3)
+            assert np.isfinite(cloud.points).all()
+            loaded += 1
+        assert 0 < loaded < len(cases)
+
 
 def test_route_plan_path_follows_centerline():
     scene = generate_scene(SceneSpec(seed=42, lane_count=1, geometry="straight"), n_p=20)

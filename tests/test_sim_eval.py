@@ -19,10 +19,8 @@ from lanefuse.sim_eval import (
     EgoState,
     EvalConfig,
     InfractionEvent,
-    InfractionLog,
     follow_path,
     infraction_score,
-    route_completion,
     run_closed_loop,
     step_ego,
 )
@@ -116,24 +114,35 @@ class TestFollowPath:
         assert steer == 0.1
 
 
+def trajectory_rc(route, xy, lane_width):
+    """Route completion of the (N, 2) points ``xy``: the progress fold
+    ``run_closed_loop`` applies, over their projections onto ``route``."""
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    if len(xy) == 0:
+        return 0.0
+    s, d = PolylineProjector(route).project(xy)
+    return sim_eval._progress_fold(zip(s.tolist(), d.tolist()), lane_width,
+                                   polyline_length(route))
+
+
 class TestRouteCompletion:
     def test_full_route(self):
         route = np.column_stack([np.linspace(0, 100, 101), np.zeros(101), np.zeros(101)])
-        assert route_completion(route, route[:, :2], lane_width=3.5) == 1.0
+        assert trajectory_rc(route, route[:, :2], lane_width=3.5) == 1.0
 
     def test_empty_trajectory(self):
         route = np.column_stack([np.linspace(0, 100, 101), np.zeros(101), np.zeros(101)])
-        assert route_completion(route, np.zeros((0, 2)), lane_width=3.5) == 0.0
+        assert trajectory_rc(route, np.zeros((0, 2)), lane_width=3.5) == 0.0
 
     def test_half_route(self):
         route = np.column_stack([np.linspace(0, 100, 201), np.zeros(201), np.zeros(201)])
         traj = np.column_stack([np.linspace(0, 50, 120), np.zeros(120)])
-        assert route_completion(route, traj, lane_width=3.5) == pytest.approx(0.5, abs=0.01)
+        assert trajectory_rc(route, traj, lane_width=3.5) == pytest.approx(0.5, abs=0.01)
 
     def test_off_corridor_passes_do_not_count(self):
         route = np.column_stack([np.linspace(0, 100, 101), np.zeros(101), np.zeros(101)])
         traj = np.column_stack([np.linspace(0, 100, 50), np.full(50, 5.0)])
-        assert route_completion(route, traj, lane_width=3.5) == 0.0
+        assert trajectory_rc(route, traj, lane_width=3.5) == 0.0
 
     def test_monotone_over_prefixes(self):
         rng = np.random.default_rng(0)
@@ -142,27 +151,27 @@ class TestRouteCompletion:
                                 rng.uniform(-1.0, 1.0, 200)])
         prev = 0.0
         for n in range(0, 201, 20):
-            rc = route_completion(route, traj[:n], lane_width=3.5)
+            rc = trajectory_rc(route, traj[:n], lane_width=3.5)
             assert rc >= prev
             prev = rc
 
 
 class TestInfractionScore:
     def test_empty_log(self):
-        assert infraction_score(InfractionLog(events=())) == 1.0
+        assert infraction_score(()) == 1.0
 
     def test_product_of_penalties(self):
-        log = InfractionLog(events=(
+        log = (
             InfractionEvent(time=1.0, kind="collision_vehicle", penalty=0.60),
             InfractionEvent(time=2.0, kind="red_light", penalty=0.70),
-        ))
+        )
         assert infraction_score(log) == pytest.approx(0.42, rel=1e-12)
 
     def test_order_independent(self):
         evs = [InfractionEvent(time=float(i), kind="collision_static", penalty=p)
                for i, p in enumerate((0.65, 0.7, 0.6))]
-        a = infraction_score(InfractionLog(events=tuple(evs)))
-        b = infraction_score(InfractionLog(events=tuple(reversed(evs))))
+        a = infraction_score(tuple(evs))
+        b = infraction_score(tuple(reversed(evs)))
         assert a == b
 
     def test_non_increasing_as_events_append(self):
@@ -170,7 +179,7 @@ class TestInfractionScore:
         prev = 1.0
         for i in range(5):
             evs.append(InfractionEvent(time=float(i), kind="red_light", penalty=0.7))
-            score = infraction_score(InfractionLog(events=tuple(evs)))
+            score = infraction_score(tuple(evs))
             assert score <= prev
             prev = score
 
@@ -205,7 +214,7 @@ class TestClosedLoop:
         blocked = dataclasses.replace(scene, agents=(block,))
         report = run_closed_loop(blocked, make_gt_planner(run_config),
                                  ControllerConfig(), horizon=60.0)
-        kinds = {ev.kind for ev in report.infractions.events}
+        kinds = {ev.kind for ev in report.infractions}
         assert "collision_vehicle" in kinds
         assert report.is_score < 1.0
 
@@ -230,14 +239,14 @@ class TestClosedLoop:
         report = run_closed_loop(scene, FixedPlanner(sideways), ControllerConfig(),
                                  horizon=60.0)
         assert report.terminated == "deviation"
-        assert any(ev.kind == "route_deviation" for ev in report.infractions.events)
+        assert any(ev.kind == "route_deviation" for ev in report.infractions)
 
     def test_red_light_crossing_logged(self):
         scene = straight_scene(seed=5, traffic_signal="red")
         fast = PlannedPath(waypoints=tuple(interpret_path(scene.ground_truth, 0.0).waypoints),
                            target_speed=8.0)
         report = run_closed_loop(scene, FixedPlanner(fast), ControllerConfig(), 60.0)
-        kinds = [ev.kind for ev in report.infractions.events]
+        kinds = [ev.kind for ev in report.infractions]
         assert kinds.count("red_light") == 1
         assert report.is_score == pytest.approx(0.70)
 
@@ -287,7 +296,7 @@ class TestClosedLoop:
         both = dataclasses.replace(scene, agents=(box,), clutter=(box,))
         report = run_closed_loop(both, make_gt_planner(run_config),
                                  ControllerConfig(), horizon=60.0)
-        events = report.infractions.events
+        events = report.infractions
         assert [ev.kind for ev in events] == ["collision_vehicle", "collision_static"]
         assert events[0].time == events[1].time
         assert report.is_score == pytest.approx(0.60 * 0.65)
@@ -307,7 +316,7 @@ class TestClosedLoop:
             scene = generate_scene(spec, n_p=run_config.n_p)
             report = run_closed_loop(scene, make_gt_planner(run_config),
                                      run_config.controller, horizon=20.0)
-            assert report.rc == route_completion(
+            assert report.rc == trajectory_rc(
                 scene.route_polyline, report.trajectory[:, 1:3],
                 scene.lane_widths[scene.route_lane])
 
@@ -519,7 +528,7 @@ def reference_closed_loop(scene, planner, cfg, horizon, eval_cfg=None):
             break
 
     rc = sim_eval._progress_fold(progress, lane_width, total_len)
-    log = InfractionLog(events=tuple(events))
+    log = tuple(events)
     is_score = infraction_score(log)
     return sim_eval.EvalReport(ds=100.0 * rc * is_score, rc=rc, is_score=is_score,
                                infractions=log, terminated=terminated,
@@ -528,7 +537,7 @@ def reference_closed_loop(scene, planner, cfg, horizon, eval_cfg=None):
 
 def assert_same_report(got, want):
     assert (got.ds, got.rc, got.is_score) == (want.ds, want.rc, want.is_score)
-    assert got.infractions.events == want.infractions.events
+    assert got.infractions == want.infractions
     assert got.terminated == want.terminated
     assert got.trajectory.shape == want.trajectory.shape
     assert got.trajectory.tobytes() == want.trajectory.tobytes()
@@ -623,7 +632,7 @@ class TestChunkedEpisode:
         (scene, planner, horizon), = [e[1:] for e in chunk_episodes(run_config) if e[0] == kind]
         want = reference_closed_loop(scene, planner, cfg, horizon)
         assert want.terminated == ("deviation" if kind == "deviation" else "completed")
-        marks = {steps_of(want)} | {round(ev.time / cfg.dt) for ev in want.infractions.events}
+        marks = {steps_of(want)} | {round(ev.time / cfg.dt) for ev in want.infractions}
         for chunk in sorted({1, 7} | {m + k for m in marks for k in (-1, 0, 1)}):
             monkeypatch.setattr(sim_eval, "_CHUNK", chunk)
             assert_same_report(run_closed_loop(scene, planner, cfg, horizon), want)
@@ -634,7 +643,7 @@ class TestChunkedEpisode:
         that logs an event: the steps past the horizon must log nothing."""
         cfg = ControllerConfig()
         (scene, planner, horizon), = [e[1:] for e in chunk_episodes(run_config) if e[0] == kind]
-        events = reference_closed_loop(scene, planner, cfg, horizon).infractions.events
+        events = reference_closed_loop(scene, planner, cfg, horizon).infractions
         mark = round(events[0].time / cfg.dt)
         for steps in (mark - 1, mark, mark + 1):
             want = reference_closed_loop(scene, planner, cfg, horizon_for(steps, cfg))
@@ -663,7 +672,7 @@ class TestChunkedEpisode:
             if name == "off-route":
                 assert want.terminated == "deviation" and steps_of(want) > 64
             elif name == "in-clutter-box":
-                assert [ev.kind for ev in want.infractions.events] == ["collision_static"]
+                assert [ev.kind for ev in want.infractions] == ["collision_static"]
             else:
                 assert want.terminated == "horizon"
 
