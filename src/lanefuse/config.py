@@ -70,6 +70,12 @@ class RunConfig:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         if not self.lidar_noise_sigma >= 0.0:
             raise ValueError(f"lidar_noise_sigma must be >= 0, got {self.lidar_noise_sigma!r}")
+        for name in ("voxel_resolution", "pillar_resolution"):
+            if not all(r > 0.0 for r in getattr(self, name)):
+                raise ValueError(f"{name} must be > 0 on every axis, got {getattr(self, name)!r}")
+        if not all(lo < hi for lo, hi in zip(self.bounds_min, self.bounds_max)):
+            raise ValueError(f"bounds_min must be below bounds_max on every axis, got "
+                             f"{self.bounds_min!r} and {self.bounds_max!r}")
         if self.horizon / self.controller.dt > MAX_EPISODE_STEPS:
             raise ValueError(f"horizon {self.horizon!r} s at controller.dt {self.controller.dt!r} s "
                              f"takes more than {MAX_EPISODE_STEPS} steps")
@@ -91,7 +97,7 @@ class RunConfig:
     def block_config(self) -> BlockConfig:
         return BlockConfig(layers=self.k_layers, heads=self.heads, embed=self.e_dim,
                            seed=self.seed_params, n_d=self.n_d, n_p=self.n_p,
-                           c_channels=self.c_channels)
+                           c_channels=self.c_channels, view_h=self.view_h, view_w=self.view_w)
 
     def voxel_spec(self) -> GridSpec:
         return GridSpec(resolution=self.voxel_resolution,

@@ -105,7 +105,8 @@ class CoarseLanePrior:
 @dataclass(frozen=True)
 class BlockConfig:
     """Transformer stack shape: K layers, head count, embedding width, seed,
-    plus the lane-query grid (n_d, n_p) and the view feature channels."""
+    plus the lane-query grid (n_d, n_p), the view feature channels and the
+    view grid (view_h, view_w) the positional encoding covers."""
 
     layers: int = 2
     heads: int = 4
@@ -114,6 +115,8 @@ class BlockConfig:
     n_d: int = 6
     n_p: int = 20
     c_channels: int = 16
+    view_h: int = 8
+    view_w: int = 8
 
     def __post_init__(self):
         if self.layers < 1:
@@ -122,6 +125,9 @@ class BlockConfig:
             raise ValueError(f"embed {self.embed} not divisible by heads {self.heads}")
         if self.embed % 4 != 0:
             raise ValueError(f"embed must be divisible by 4 for 2D encoding, got {self.embed}")
+        for name in ("view_h", "view_w"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +137,9 @@ class BlockConfig:
 
 class ParamStore:
     """The model: every parameter block by name, in layout order, plus the
-    per-layer groups the forward pass reads, for the :class:`BlockConfig`
-    in ``cfg``. Every array it holds is read-only."""
+    per-layer groups the forward pass reads and the fixed positional
+    encoding of the view grid, for the :class:`BlockConfig` in ``cfg``.
+    Every array it holds is read-only."""
 
     def __init__(self, cfg: BlockConfig,
                  source: Callable[[str, tuple[int, ...], float | None], np.ndarray]):
@@ -170,6 +177,9 @@ class ParamStore:
             return norm(ln) + mlp(prefix, e, _FFN_MULT * e, e)
 
         layers = range(cfg.layers)
+        # fixed, not a parameter block: no name, so never saved or loaded
+        self.pos_enc = sinusoidal_encoding_2d(cfg.view_h, cfg.view_w, e)
+        self.pos_enc.setflags(write=False)
         self.tok_proj = block("tok_proj.w", e, cfg.c_channels)
         self.coarse = mlp("coarse", e, COARSE_HIDDEN, cfg.n_d * cfg.n_p * 3 + cfg.n_d)
         self.q_image = block("q_image", cfg.n_d, cfg.n_p, e)
@@ -318,11 +328,13 @@ def sinusoidal_encoding_2d(h: int, w: int, e: int) -> np.ndarray:
 
 def positional_encode(grid: ViewFeatureGrid, store: ParamStore) -> TokenSequence:
     """1x1-project C channels to E, flatten each view to a token sequence and
-    add the fixed sinusoidal encoding per view."""
+    add the store's fixed sinusoidal encoding per view."""
     views = np.asarray(grid.views, dtype=float)
     n_views, c, h, w = views.shape
-    proj = store.tok_proj
-    enc = sinusoidal_encoding_2d(h, w, proj.shape[0])
+    if (h, w) != (store.cfg.view_h, store.cfg.view_w):
+        raise ValueError(f"view grid {h}x{w} differs from the store's "
+                         f"{store.cfg.view_h}x{store.cfg.view_w}")
+    proj, enc = store.tok_proj, store.pos_enc
     per_view = [proj @ views[v].reshape(c, h * w) + enc for v in range(n_views)]
     return TokenSequence(tokens=np.concatenate(per_view, axis=1))
 

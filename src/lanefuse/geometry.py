@@ -90,19 +90,24 @@ class SegmentTable:
         """For (N, 2) points, the (N, S) clamped segment parameters of the
         closest point on each segment and the distances to it.
 
-        The N x S point-segment pairs go through one flat (N * S, 2) dot
-        product, the layout a one-point query uses too, so each row is
-        bit-identical to querying its point alone. The distance is taken
-        per coordinate as ``sqrt(qx * qx + qy * qy)``, the sum
-        ``np.linalg.norm`` forms over a length-2 axis.
+        Each (N, S) array is broadcast from the point and segment columns.
+        The dot product is ``(px - ax) * abx``, then ``+ 0.0``, then
+        ``+ (py - ay) * aby``: the sum starts at +0.0 as ``einsum``'s does, so
+        two -0.0 products still sum to +0.0. Each row depends only on its
+        point, so it is bit-identical to querying that point alone. The
+        distance is taken per coordinate as ``sqrt(qx * qx + qy * qy)``, the
+        sum ``np.linalg.norm`` forms over a length-2 axis.
         """
-        p = np.asarray(points, dtype=float)[:, None, :2]
-        n = len(p)
-        ab = np.tile(self.ab, (n, 1))
-        dot = np.einsum("ij,ij->i", (p - self.a).reshape(-1, 2), ab).reshape(n, -1)
+        p = np.asarray(points, dtype=float)
+        px, py = p[:, 0, None], p[:, 1, None]
+        ax, ay = self.a[:, 0], self.a[:, 1]
+        abx, aby = self.ab[:, 0], self.ab[:, 1]
+        dot = (px - ax) * abx
+        dot += 0.0
+        dot += (py - ay) * aby
         t = np.clip(dot / self.seg_len2, 0.0, 1.0)
-        qx = self.a[:, 0] + t * self.ab[:, 0] - p[:, :, 0]
-        qy = self.a[:, 1] + t * self.ab[:, 1] - p[:, :, 1]
+        qx = ax + t * abx - px
+        qy = ay + t * aby - py
         qx *= qx
         qy *= qy
         qx += qy

@@ -708,7 +708,7 @@ def load_point_cloud(path: str | Path) -> PointCloud:
     body = raw[8:]
     if len(body) != count * 12:
         raise ValueError(f"{path}: expected {count * 12} payload bytes, got {len(body)}")
-    pts = np.frombuffer(body, dtype="<f4").reshape(count, 3).astype(float)
-    if not np.isfinite(pts).all():
+    pts = np.frombuffer(body, dtype="<f4").reshape(count, 3)
+    if not np.isfinite(pts).all():  # before the cast, which warns on a NaN payload
         raise ValueError(f"{path}: non-finite point coordinates")
-    return PointCloud(points=pts)
+    return PointCloud(points=pts.astype(float))

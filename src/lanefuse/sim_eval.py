@@ -22,7 +22,6 @@ from .geometry import PolylineProjector, polyline_length
 from .scene_synth import Scene
 
 __all__ = [
-    "EgoState",
     "ControllerConfig",
     "EvalConfig",
     "InfractionEvent",
@@ -46,14 +45,6 @@ DEFAULT_PENALTIES = {
 
 
 @dataclass(frozen=True)
-class EgoState:
-    x: float
-    y: float
-    heading: float
-    speed: float
-
-
-@dataclass(frozen=True)
 class ControllerConfig:
     lookahead: float = 3.0
     wheelbase: float = 2.5
@@ -64,9 +55,9 @@ class ControllerConfig:
 
     def __post_init__(self):
         for name in ("lookahead", "wheelbase", "speed_gain", "dt", "max_steer", "max_accel"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.dt > 0.1:
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
+        if not self.dt <= 0.1:
             raise ValueError(f"dt must be <= 0.1 s, got {self.dt}")
 
 
@@ -109,41 +100,44 @@ class EvalReport:
     trajectory: np.ndarray  # (T, 4): t, x, y, speed
 
 
-def step_ego(state: EgoState, steer: float, accel: float, cfg: ControllerConfig) -> EgoState:
-    """One kinematic bicycle step; steering and acceleration must be within
-    the configured limits."""
+def step_ego(x: float, y: float, heading: float, speed: float, steer: float, accel: float,
+             cfg: ControllerConfig) -> tuple[float, float, float, float]:
+    """One kinematic bicycle step of the state (x, y, heading, speed);
+    steering and acceleration must be within the configured limits."""
     if abs(steer) > cfg.max_steer + 1e-12:
         raise ValueError(f"steer {steer} exceeds limit {cfg.max_steer}")
     if abs(accel) > cfg.max_accel + 1e-12:
         raise ValueError(f"accel {accel} exceeds limit {cfg.max_accel}")
-    x = state.x + state.speed * math.cos(state.heading) * cfg.dt
-    y = state.y + state.speed * math.sin(state.heading) * cfg.dt
-    heading = state.heading + state.speed / cfg.wheelbase * math.tan(steer) * cfg.dt
-    speed = max(0.0, state.speed + accel * cfg.dt)
-    return EgoState(x=x, y=y, heading=heading, speed=speed)
+    dt = cfg.dt
+    return (x + speed * math.cos(heading) * dt,
+            y + speed * math.sin(heading) * dt,
+            heading + speed / cfg.wheelbase * math.tan(steer) * dt,
+            max(0.0, speed + accel * dt))
 
 
-def follow_path(state: EgoState, path: PlannedPath, cfg: ControllerConfig) -> tuple[float, float]:
-    """Pure pursuit toward the first waypoint at least one lookahead away,
-    plus proportional speed control toward the path's target speed.
+def follow_path(x: float, y: float, heading: float, speed: float,
+                waypoints: list[tuple[float, float]], target_speed: float,
+                cfg: ControllerConfig) -> tuple[float, float]:
+    """Pure pursuit toward the first (x, y) waypoint at least one lookahead
+    away, plus proportional speed control toward ``target_speed``.
 
-    An empty path yields zero controls (hold).
+    An empty waypoint list yields zero controls (hold).
     """
-    if len(path.waypoints) == 0:
+    if not waypoints:
         return 0.0, 0.0
-    x, y = state.x, state.y
-    dists = [math.hypot(w[0] - x, w[1] - y) for w in path.waypoints]
+    # math.dist forms |w - here| as math.hypot(wx - x, wy - y) does, bit for bit
+    dists = list(map(math.dist, waypoints, [(x, y)] * len(waypoints)))
     nearest = dists.index(min(dists))
-    target = path.waypoints[-1]
-    for i in range(nearest, len(path.waypoints)):
-        if dists[i] >= cfg.lookahead:
-            target = path.waypoints[i]
+    tx, ty = waypoints[-1]
+    lookahead = cfg.lookahead
+    for i in range(nearest, len(waypoints)):
+        if dists[i] >= lookahead:
+            tx, ty = waypoints[i]
             break
-    angle_to = math.atan2(target[1] - y, target[0] - x)
-    eta = math.remainder(angle_to - state.heading, 2.0 * math.pi)
-    steer = math.atan(2.0 * cfg.wheelbase * math.sin(eta) / cfg.lookahead)
+    eta = math.remainder(math.atan2(ty - y, tx - x) - heading, 2.0 * math.pi)
+    steer = math.atan(2.0 * cfg.wheelbase * math.sin(eta) / lookahead)
     steer = max(-cfg.max_steer, min(cfg.max_steer, steer))
-    accel = cfg.speed_gain * (path.target_speed - state.speed)
+    accel = cfg.speed_gain * (target_speed - speed)
     accel = max(-cfg.max_accel, min(cfg.max_accel, accel))
     return steer, accel
 
@@ -178,27 +172,33 @@ def _stack_boxes(scene: Scene, ego_radius: float):
     boxes = (*scene.agents, *scene.clutter)
     kinds = (["collision_vehicle"] * len(scene.agents)
              + ["collision_static"] * len(scene.clutter))
-    centers = np.array([box.center[:2] for box in boxes], dtype=float).reshape(-1, 2)
-    extents = np.array([box.extent[:2] for box in boxes], dtype=float).reshape(-1, 2)
-    return (kinds, centers, extents / 2.0 + ego_radius,
-            np.array([math.cos(box.yaw) for box in boxes]),
-            np.array([math.sin(box.yaw) for box in boxes]))
+    cols = np.array([(*box.center[:2], *box.extent[:2], math.cos(box.yaw), math.sin(box.yaw))
+                     for box in boxes], dtype=float).reshape(-1, 6)
+    return kinds, cols[:, 0:2], cols[:, 2:4] / 2.0 + ego_radius, cols[:, 4], cols[:, 5]
 
 
 def _entered_boxes(xy: np.ndarray, centers, halves, cos, sin) -> dict[int, list[int]]:
     """Box test of (m, 2) ego points against the K stacked boxes: for every
-    row that lies in at least one box, the box indices it lies in, ascending."""
-    d = xy[:, None, :] - centers
-    u = np.abs(cos * d[..., 0] + sin * d[..., 1])
-    v = np.abs(-sin * d[..., 0] + cos * d[..., 1])
+    row that lies in at least one box, the box indices it lies in, ascending.
+
+    A point inside a box with inflated half-extents (hx, hy) is within
+    hx + hy of its centre along both x and y, whatever the yaw, so only the
+    boxes whose centre lies within that reach (plus 1e-6 m for rounding) of
+    the points' bounding box go through the exact test.
+    """
+    reach = (halves[:, 0] + halves[:, 1] + 1e-6)[:, None]
+    near = np.flatnonzero(((centers >= xy.min(axis=0) - reach)
+                           & (centers <= xy.max(axis=0) + reach)).all(axis=1))
+    if not len(near):
+        return {}
+    d = xy[:, None, :] - centers[near]
+    c, s = cos[near], sin[near]
+    u = np.abs(c * d[..., 0] + s * d[..., 1])
+    v = np.abs(-s * d[..., 0] + c * d[..., 1])
     entered: dict[int, list[int]] = {}
-    for row, box in zip(*np.nonzero((u <= halves[:, 0]) & (v <= halves[:, 1]))):
-        entered.setdefault(int(row), []).append(int(box))
+    for row, k in zip(*np.nonzero((u <= halves[near, 0]) & (v <= halves[near, 1]))):
+        entered.setdefault(int(row), []).append(int(near[k]))
     return entered
-
-
-def _bits(state: EgoState) -> bytes:
-    return struct.pack("<4d", state.x, state.y, state.heading, state.speed)
 
 
 def run_closed_loop(scene: Scene,
@@ -214,10 +214,11 @@ def run_closed_loop(scene: Scene,
     failure marker and a trajectory holding only the start row.
 
     Only the controller and the bicycle model feed back into the next step,
-    so they advance :data:`_CHUNK` steps at a time. Each chunk is then
-    scored at once (one route projection and one box test over all its
-    steps) and scanned in step order, in Python floats, to log events and
-    find the terminating step; the steps after it are dropped.
+    so they advance :data:`_CHUNK` steps at a time, on the state as four
+    floats and the path's waypoints read once as (x, y) floats. Each chunk
+    is then scored at once (one route projection and one box test over all
+    its steps) and scanned in step order, in Python floats, to log events
+    and find the terminating step; the steps after it are dropped.
 
     Once a step returns the state it was stepped from, bit for bit, the ego
     is at rest: the controller and the bicycle model are pure, so every
@@ -245,18 +246,18 @@ def run_closed_loop(scene: Scene,
     arrival_s = total_len - arrival_r
     penalties = eval_cfg.penalties
 
-    state = EgoState(x=scene.route_start[0], y=scene.route_start[1],
-                     heading=scene.route_start[2], speed=0.0)
+    state = (*scene.route_start[:3], 0.0)  # x, y, heading, speed
     events: list[InfractionEvent] = []
     # One row per tick boundary: row i is the state before step i.
-    rows: list[tuple[float, float, float, float]] = [(0.0, state.x, state.y, state.speed)]
-    s0, d0 = project(np.array([state.x, state.y]))
+    rows: list[tuple[float, float, float, float]] = [(0.0, state[0], state[1], state[3])]
+    s0, d0 = project(np.array(state[:2]))
     progress_s, progress_d = [s0], [d0]  # (s, d) per row
 
     try:
         path = planner(scene)
     except Exception:
         path = None
+    waypoints = [] if path is None else [(float(w[0]), float(w[1])) for w in path.waypoints]
 
     n_steps = int(math.ceil(horizon / cfg.dt))
     kept, terminated = n_steps, "horizon"  # rows the trajectory keeps
@@ -272,12 +273,14 @@ def run_closed_loop(scene: Scene,
         rest_chunk = at_rest
         for _ in range(min(_CHUNK, n_steps - step)):
             if not at_rest:
-                steer, accel = follow_path(state, path, cfg)
-                moved = step_ego(state, steer, accel, cfg)
-                at_rest = moved == state and _bits(moved) == _bits(state)
+                steer, accel = follow_path(*state, waypoints, path.target_speed, cfg)
+                moved = step_ego(*state, steer, accel, cfg)
+                # == alone would take a -0.0 that steps to +0.0 for rest
+                at_rest = (moved == state
+                           and struct.pack("<4d", *moved) == struct.pack("<4d", *state))
                 state = moved
             t += cfg.dt
-            rows.append((t, state.x, state.y, state.speed))
+            rows.append((t, state[0], state[1], state[3]))
         if rest_chunk:
             # Every row repeats the last row scored: the same (s, d), and its
             # boxes and any arrival were handled in that row's chunk.

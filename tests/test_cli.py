@@ -541,6 +541,18 @@ class TestHostileInputs:
         pytest.param({"controller": {"dt": 1e-9}},
                      "config.horizon 60.0 s at controller.dt 1e-09 s takes more than "
                      "1000000 steps", id="dt-beyond-step-cap"),
+        pytest.param({"voxel_resolution": [0.0, 0.5, 0.5]},
+                     "config.voxel_resolution must be > 0 on every axis, got (0.0, 0.5, 0.5)",
+                     id="voxel_resolution-zero"),
+        pytest.param({"pillar_resolution": [0.5, -0.5, 8.0]},
+                     "config.pillar_resolution must be > 0 on every axis",
+                     id="pillar_resolution-negative"),
+        pytest.param({"bounds_min": [200.0, -60.0, 0.0]},
+                     "config.bounds_min must be below bounds_max on every axis, got "
+                     "(200.0, -60.0, 0.0) and (170.0, 130.0, 8.0)", id="bounds-inverted"),
+        pytest.param({"bounds_max": [170.0, -60.0, 8.0]},
+                     "config.bounds_min must be below bounds_max on every axis",
+                     id="bounds-empty"),
     ])
     def test_config_field_exits_2_naming_it(self, tmp_path, caplog, config, field):
         bad = tmp_path / "bad.json"

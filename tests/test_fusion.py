@@ -148,6 +148,17 @@ class TestPositionalEncode:
         delta = tokens.tokens[:, i] - tokens.tokens[:, j]
         assert np.allclose(delta, enc[:, i] - enc[:, j], atol=1e-12)
 
+    def test_store_holds_the_encoding_of_its_view_grid(self):
+        store = build_params(BlockConfig(embed=16, heads=2, view_h=3, view_w=5))
+        assert np.array_equal(store.pos_enc, sinusoidal_encoding_2d(3, 5, 16))
+        tokens = positional_encode(ViewFeatureGrid(views=np.zeros((2, 16, 3, 5))), store)
+        assert np.array_equal(tokens.tokens, np.tile(store.pos_enc, (1, 2)))
+
+    @pytest.mark.parametrize("h, w", [(8, 4), (4, 8), (16, 16)])
+    def test_grid_other_than_the_stores_rejected(self, param_store, h, w):
+        with pytest.raises(ValueError, match=f"view grid {h}x{w} differs from the store's 8x8"):
+            positional_encode(ViewFeatureGrid(views=np.zeros((4, 16, h, w))), param_store)
+
 
 class TestCoarseLaneDetect:
     def test_weights_within_unit_interval(self, param_store):
@@ -480,9 +491,11 @@ class TestParamStore:
         }
         for how, store in stores.items():
             arrays = list(held_arrays(store))
-            # each block once by name and once in its group, plus the folded block
-            assert len(arrays) == 2 * len(store.names()) + 1, how
+            # each block once by name and once in its group, plus the folded
+            # block and the positional encoding
+            assert len(arrays) == 2 * len(store.names()) + 2, how
             assert any(a is store.img_dec0_self for a in arrays), how
+            assert any(a is store.pos_enc for a in arrays), how
             writable = [a.shape for a in arrays if a.flags.writeable]
             assert not writable, f"{how}: writable arrays of shapes {writable}"
 
@@ -517,3 +530,7 @@ def test_invalid_block_configs_rejected():
         BlockConfig(embed=30, heads=4)
     with pytest.raises(ValueError):
         BlockConfig(embed=6, heads=2)  # not divisible by 4
+    with pytest.raises(ValueError, match="view_h must be >= 1, got 0"):
+        BlockConfig(view_h=0)
+    with pytest.raises(ValueError, match="view_w must be >= 1, got -1"):
+        BlockConfig(view_w=-1)

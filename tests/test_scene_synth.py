@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -483,14 +484,27 @@ class TestPersistence:
         for data in cases:
             path.write_bytes(data)
             try:
-                with np.errstate(invalid="ignore"):  # as ``main`` runs it: a NaN cast warns
-                    cloud = load_point_cloud(path)
+                cloud = load_point_cloud(path)
             except ValueError:
                 continue
             assert cloud.points.shape == ((len(data) - 8) // 12, 3)
             assert np.isfinite(cloud.points).all()
             loaded += 1
         assert 0 < loaded < len(cases)
+
+
+    @pytest.mark.parametrize("word", [0x7F800001, 0xFF800001, 0x7FC00000, 0x7F800000],
+                             ids=["snan", "negative-snan", "qnan", "inf"])
+    def test_non_finite_payload_raises_value_error_without_warning(self, tmp_path, word):
+        path = tmp_path / "cloud.lfpc"
+        save_point_cloud(path, PointCloud(points=np.ones((3, 3))))
+        raw = bytearray(path.read_bytes())
+        raw[8 + 12 + 4:8 + 12 + 8] = struct.pack("<I", word)
+        path.write_bytes(bytes(raw))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite point coordinates"):
+                load_point_cloud(path)
 
 
 def test_route_plan_path_follows_centerline():

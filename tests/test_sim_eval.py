@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from lanefuse.pipeline import make_gt_planner
 from lanefuse.scene_synth import SceneSpec, generate_scene
 from lanefuse.sim_eval import (
     ControllerConfig,
-    EgoState,
     EvalConfig,
     InfractionEvent,
     follow_path,
@@ -38,64 +38,57 @@ def fit_circle_radius(xy: np.ndarray) -> float:
 class TestStepEgo:
     def test_straight_line_integration(self):
         cfg = ControllerConfig(dt=0.05)
-        state = EgoState(x=0.0, y=0.0, heading=0.0, speed=1.0)
-        out = step_ego(state, steer=0.0, accel=0.0, cfg=cfg)
-        assert out.x == pytest.approx(0.05)
-        assert out.y == 0.0
-        assert out.heading == 0.0
-        assert out.speed == 1.0
+        x, y, heading, speed = step_ego(0.0, 0.0, 0.0, 1.0, steer=0.0, accel=0.0, cfg=cfg)
+        assert x == pytest.approx(0.05)
+        assert y == 0.0
+        assert heading == 0.0
+        assert speed == 1.0
 
     def test_stationary_state_unchanged(self):
         cfg = ControllerConfig()
-        state = EgoState(x=3.0, y=-2.0, heading=0.7, speed=0.0)
-        out = step_ego(state, steer=0.2, accel=0.0, cfg=cfg)
-        assert (out.x, out.y, out.heading, out.speed) == (3.0, -2.0, 0.7, 0.0)
+        out = step_ego(3.0, -2.0, 0.7, 0.0, steer=0.2, accel=0.0, cfg=cfg)
+        assert out == (3.0, -2.0, 0.7, 0.0)
 
     def test_constant_steer_traces_circle_of_expected_radius(self):
         cfg = ControllerConfig(dt=0.01, wheelbase=2.5, max_steer=0.6)
         steer = 0.3
         expected_r = cfg.wheelbase / math.tan(steer)
-        state = EgoState(x=0.0, y=0.0, heading=0.0, speed=1.0)
+        state = (0.0, 0.0, 0.0, 1.0)
         pts = []
         for _ in range(int(2 * math.pi * expected_r / 1.0 / cfg.dt)):
-            state = step_ego(state, steer=steer, accel=0.0, cfg=cfg)
-            pts.append((state.x, state.y))
+            state = step_ego(*state, steer=steer, accel=0.0, cfg=cfg)
+            pts.append(state[:2])
         fitted = fit_circle_radius(np.array(pts))
         assert abs(fitted - expected_r) / expected_r < 0.01
 
     def test_speed_clamped_at_zero(self):
         cfg = ControllerConfig()
-        state = EgoState(x=0.0, y=0.0, heading=0.0, speed=0.05)
-        out = step_ego(state, steer=0.0, accel=-3.0, cfg=cfg)
-        assert out.speed == 0.0
+        out = step_ego(0.0, 0.0, 0.0, 0.05, steer=0.0, accel=-3.0, cfg=cfg)
+        assert out[3] == 0.0
 
     def test_limits_enforced(self):
         cfg = ControllerConfig()
-        state = EgoState(x=0.0, y=0.0, heading=0.0, speed=1.0)
         with pytest.raises(ValueError):
-            step_ego(state, steer=1.0, accel=0.0, cfg=cfg)
+            step_ego(0.0, 0.0, 0.0, 1.0, steer=1.0, accel=0.0, cfg=cfg)
         with pytest.raises(ValueError):
-            step_ego(state, steer=0.0, accel=10.0, cfg=cfg)
+            step_ego(0.0, 0.0, 0.0, 1.0, steer=0.0, accel=10.0, cfg=cfg)
 
 
 class TestFollowPath:
     def test_aligned_straight_path_zero_steer(self):
         cfg = ControllerConfig()
-        path = PlannedPath(waypoints=tuple((float(x), 0.0, 0.0) for x in range(1, 20)),
-                           target_speed=5.0)
-        steer, _ = follow_path(EgoState(x=0.0, y=0.0, heading=0.0, speed=3.0), path, cfg)
+        waypoints = [(float(x), 0.0) for x in range(1, 20)]
+        steer, _ = follow_path(0.0, 0.0, 0.0, 3.0, waypoints, 5.0, cfg)
         assert abs(steer) < 1e-9
 
     def test_at_target_speed_zero_accel(self):
         cfg = ControllerConfig()
-        path = PlannedPath(waypoints=((10.0, 0.0, 0.0),), target_speed=5.0)
-        _, accel = follow_path(EgoState(x=0.0, y=0.0, heading=0.0, speed=5.0), path, cfg)
+        _, accel = follow_path(0.0, 0.0, 0.0, 5.0, [(10.0, 0.0)], 5.0, cfg)
         assert accel == 0.0
 
     def test_waypoint_left_gives_positive_steer_closed_form(self):
         cfg = ControllerConfig(lookahead=3.0, wheelbase=2.5, max_steer=1.5)
-        path = PlannedPath(waypoints=((0.0, 3.0, 0.0),), target_speed=2.0)
-        steer, _ = follow_path(EgoState(x=0.0, y=0.0, heading=0.0, speed=1.0), path, cfg)
+        steer, _ = follow_path(0.0, 0.0, 0.0, 1.0, [(0.0, 3.0)], 2.0, cfg)
         eta = math.pi / 2.0
         expected = math.atan(2.0 * cfg.wheelbase * math.sin(eta) / cfg.lookahead)
         assert steer == pytest.approx(expected)
@@ -103,14 +96,12 @@ class TestFollowPath:
 
     def test_empty_path_zero_controls(self):
         cfg = ControllerConfig()
-        steer, accel = follow_path(EgoState(x=0.0, y=0.0, heading=0.0, speed=2.0),
-                                   PlannedPath(waypoints=(), target_speed=0.0), cfg)
+        steer, accel = follow_path(0.0, 0.0, 0.0, 2.0, [], 0.0, cfg)
         assert (steer, accel) == (0.0, 0.0)
 
     def test_steer_clamped(self):
         cfg = ControllerConfig(max_steer=0.1)
-        path = PlannedPath(waypoints=((0.0, 3.0, 0.0),), target_speed=2.0)
-        steer, _ = follow_path(EgoState(x=0.0, y=0.0, heading=0.0, speed=1.0), path, cfg)
+        steer, _ = follow_path(0.0, 0.0, 0.0, 1.0, [(0.0, 3.0)], 2.0, cfg)
         assert steer == 0.1
 
 
@@ -428,6 +419,70 @@ def test_controller_config_validation():
         ControllerConfig(dt=0.2)
     with pytest.raises(ValueError):
         ControllerConfig(lookahead=0.0)
+    for field in dataclasses.fields(ControllerConfig):
+        with pytest.raises(ValueError, match=f"^{field.name} must be"):
+            ControllerConfig(**{field.name: math.nan})
+
+
+def unfiltered_entered(xy, centers, halves, cos, sin):
+    """The box test over every (point, box) pair: for each row inside at
+    least one box, the box indices it lies in, ascending."""
+    d = xy[:, None, :] - centers
+    u = np.abs(cos * d[..., 0] + sin * d[..., 1])
+    v = np.abs(-sin * d[..., 0] + cos * d[..., 1])
+    inside = (u <= halves[:, 0]) & (v <= halves[:, 1])
+    return {int(row): np.flatnonzero(inside[row]).tolist()
+            for row in np.flatnonzero(inside.any(axis=1))}
+
+
+def stacked_boxes(centers, extents, yaws, ego_radius):
+    boxes = tuple(OrientedBox(center=(float(cx), float(cy), 0.9), yaw=float(yaw),
+                              extent=(float(ex), float(ey), 1.8))
+                  for (cx, cy), (ex, ey), yaw in zip(centers, extents, yaws))
+    scene = types.SimpleNamespace(agents=boxes[:len(boxes) // 2],
+                                  clutter=boxes[len(boxes) // 2:])
+    return sim_eval._stack_boxes(scene, ego_radius)[1:]
+
+
+def box_outline_points(centers, halves, cos, sin, shrink):
+    """Each box's inflated corners and edge midpoints, pulled toward its
+    centre by the factor ``1 - shrink``."""
+    out = []
+    for (cx, cy), (hx, hy), c, s in zip(centers, halves, cos, sin):
+        for fu, fv in ((1, 1), (-1, 1), (-1, -1), (1, -1), (1, 0), (-1, 0), (0, 1), (0, -1)):
+            u, v = fu * hx * (1.0 - shrink), fv * hy * (1.0 - shrink)
+            out.append((cx + c * u - s * v, cy + s * u + c * v))
+    return np.array(out).reshape(-1, 2)
+
+
+def test_entered_boxes_matches_unfiltered_test():
+    """The bounding-box prefilter drops no box the exact test would find:
+    random chunks and boxes, points on and just inside the inflated edges
+    and corners (alone and as one chunk), 45-degree boxes, coordinates near
+    1e6, ego_radius 0 and a chunk far from every box."""
+    rng = np.random.default_rng(17)
+    hits = 0
+    for trial in range(60):
+        origin = (0.0, 1e6, -1e6)[trial % 3]
+        k = int(rng.integers(1, 30))
+        centers = origin + rng.uniform(-25.0, 25.0, (k, 2))
+        extents = rng.uniform(0.0, 6.0, (k, 2))
+        yaws = np.where(rng.random(k) < 0.3, math.pi / 4, rng.uniform(-math.pi, math.pi, k))
+        ego_radius = (0.0, 1.0, float(rng.uniform(0.0, 2.0)))[trial // 3 % 3]
+        boxes = stacked_boxes(centers, extents, yaws, ego_radius)
+        walk = np.cumsum(rng.normal(0.0, 0.6, (int(rng.integers(1, 65)), 2)), axis=0)
+        far = walk + origin + 1e3
+        assert not unfiltered_entered(far, *boxes)
+        chunks = [centers[rng.integers(k)] + rng.uniform(-8.0, 8.0, 2) + walk, far]
+        for shrink in (0.0, 1e-9):
+            outline = box_outline_points(*boxes, shrink)
+            chunks.append(outline)
+            chunks += [point[None] for point in outline]
+        for xy in chunks:
+            want = unfiltered_entered(xy, *boxes)
+            assert sim_eval._entered_boxes(xy, *boxes) == want
+            hits += len(want)
+    assert hits > 5_000  # the outlines do land inside their boxes
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +495,7 @@ def test_controller_config_validation():
 def reference_follow_path(state, path, cfg):
     if len(path.waypoints) == 0:
         return 0.0, 0.0
-    ego = np.array([state.x, state.y])
+    ego = np.array(state[:2])
     dists = [math.hypot(w[0] - ego[0], w[1] - ego[1]) for w in path.waypoints]
     nearest = int(np.argmin(dists))
     target = path.waypoints[-1]
@@ -449,10 +504,10 @@ def reference_follow_path(state, path, cfg):
             target = path.waypoints[i]
             break
     angle_to = math.atan2(target[1] - ego[1], target[0] - ego[0])
-    eta = math.remainder(angle_to - state.heading, 2.0 * math.pi)
+    eta = math.remainder(angle_to - state[2], 2.0 * math.pi)
     steer = math.atan(2.0 * cfg.wheelbase * math.sin(eta) / cfg.lookahead)
     steer = max(-cfg.max_steer, min(cfg.max_steer, steer))
-    accel = cfg.speed_gain * (path.target_speed - state.speed)
+    accel = cfg.speed_gain * (path.target_speed - state[3])
     accel = max(-cfg.max_accel, min(cfg.max_accel, accel))
     return steer, accel
 
@@ -466,15 +521,14 @@ def reference_closed_loop(scene, planner, cfg, horizon, eval_cfg=None):
     kinds, centers, halves, cos, sin = sim_eval._stack_boxes(scene, eval_cfg.ego_radius)
     live = np.ones(len(kinds), dtype=bool)
 
-    state = EgoState(x=scene.route_start[0], y=scene.route_start[1],
-                     heading=scene.route_start[2], speed=0.0)
+    state = (*scene.route_start[:3], 0.0)  # x, y, heading, speed
     events = []
     red_logged = False
     trajectory = []
     progress = []
     terminated = "horizon"
     deviation_clock = 0.0
-    prev_s, prev_d = reference_projection(np.array([state.x, state.y]), route)
+    prev_s, prev_d = reference_projection(np.array(state[:2]), route)
 
     try:
         path = planner(scene)
@@ -483,15 +537,15 @@ def reference_closed_loop(scene, planner, cfg, horizon, eval_cfg=None):
 
     t = 0.0
     for _ in range(int(math.ceil(horizon / cfg.dt))):
-        trajectory.append((t, state.x, state.y, state.speed))
+        trajectory.append((t, state[0], state[1], state[3]))
         progress.append((prev_s, prev_d))
         if path is None:
             terminated = "failure"
             break
         steer, accel = reference_follow_path(state, path, cfg)
-        state = step_ego(state, steer, accel, cfg)
+        state = step_ego(*state, steer, accel, cfg)
         t += cfg.dt
-        ego_xy = np.array([state.x, state.y])
+        ego_xy = np.array(state[:2])
 
         if live.any():
             d = ego_xy - centers
@@ -522,7 +576,7 @@ def reference_closed_loop(scene, planner, cfg, horizon, eval_cfg=None):
 
         if (np.linalg.norm(ego_xy - end_xy) <= eval_cfg.arrival_radius
                 or cur_s >= total_len - eval_cfg.arrival_radius):
-            trajectory.append((t, state.x, state.y, state.speed))
+            trajectory.append((t, state[0], state[1], state[3]))
             progress.append((cur_s, cur_d))
             terminated = "completed"
             break
@@ -652,14 +706,14 @@ class TestChunkedEpisode:
             assert_same_report(got, want)
 
     def test_reference_suite_matches_per_step_loop(self, run_config):
-        gt = make_gt_planner(run_config)
-        for spec in run_config.suite_specs():
-            scene = generate_scene(spec, n_p=run_config.n_p)
-            want = reference_closed_loop(scene, gt, run_config.controller, 20.0,
-                                         run_config.eval_config)
-            got = run_closed_loop(scene, gt, run_config.controller, 20.0,
-                                  run_config.eval_config)
-            assert_same_report(got, want)
+        for seed in (run_config.seed_scene, 7331):
+            cfg = dataclasses.replace(run_config, seed_scene=seed)
+            gt = make_gt_planner(cfg)
+            for spec in cfg.suite_specs():
+                scene = generate_scene(spec, n_p=cfg.n_p)
+                want = reference_closed_loop(scene, gt, cfg.controller, 20.0, cfg.eval_config)
+                got = run_closed_loop(scene, gt, cfg.controller, 20.0, cfg.eval_config)
+                assert_same_report(got, want)
 
     @pytest.mark.parametrize("chunk", [sim_eval._CHUNK, 1, 7])
     def test_rest_matches_per_step_loop(self, run_config, monkeypatch, chunk):
