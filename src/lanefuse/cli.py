@@ -26,15 +26,7 @@ from .double_edge import PlannedPath, interpret_path
 from .fusion import AttentionInvariantError, build_params, load_params
 from .heads_losses import LOSS_NAMES, grad_check
 from .io_utils import atomic_write_bytes, atomic_write_text, dumps, from_json, write_csv
-from .pipeline import (
-    PipelineResult,
-    injected_losses,
-    make_gt_planner,
-    pipeline_losses,
-    run_pipeline,
-    scene_feature_counts,
-    bench_suite,
-)
+from .pipeline import bench_suite, gt_plan, run_pipeline, scene_feature_counts, scene_losses
 from .plotting import bar_chart_svg, scene_svg
 from .scene_synth import (
     generate_scene,
@@ -106,13 +98,13 @@ def cmd_run(args) -> int:
     dump: dict = {"scene": Path(args.scene).name, "injected": bool(args.inject_gt)}
     kept: dict = {}  # the pass's stage outputs
     if args.inject_gt:
-        breakdown, dump["path"] = injected_losses(scene, cfg)
+        pred, roi, dump["path"] = gt_plan(scene, cfg)
     else:
         result = run_pipeline(scene, cfg, store, kept)
-        breakdown = pipeline_losses(result, scene, cfg)
-        dump["path"] = result.path
-        dump["predictions"] = result.predictions
+        pred, roi, dump["path"] = result.predictions, result.prior.roi, result.path
+        dump["predictions"] = pred
         dump["prior_weights"] = result.prior.weights.weights
+    breakdown = scene_losses(pred, roi, scene, cfg)
     dump["losses"] = asdict(breakdown)
     if args.dump_cloud:
         cloud = kept.get("render_lidar")
@@ -161,16 +153,19 @@ def cmd_bench(args) -> int:
 
 
 def _eval_one(scene, scene_id: str, cfg: RunConfig, use_gt: bool, store) -> dict:
-    """The ``eval.json`` row of one closed-loop episode."""
-    runs: list[PipelineResult] = []  # the one forward pass the episode plans with
+    """The ``eval.json`` row of one scene: plan, then drive; a failed plan drives ``None``."""
+    latency_ms: dict = {}  # the stage rows of the one forward pass, if any
     kept: dict = {}  # that pass's stage outputs; its cloud is counted below
-    if use_gt:
-        planner = make_gt_planner(cfg)
-    else:
-        def planner(sc):
-            runs.append(run_pipeline(sc, cfg, store, kept))
-            return runs[-1].path
-    report = run_closed_loop(scene, planner, cfg.controller, cfg.horizon,
+    try:
+        if use_gt:
+            path = gt_plan(scene, cfg)[2]
+        else:
+            result = run_pipeline(scene, cfg, store, kept)
+            path, latency_ms = result.path, result.stage_ms
+    except Exception as exc:
+        log.warning("plan for %s failed: %s", scene_id, exc)
+        path = None
+    report = run_closed_loop(scene, path, cfg.controller, cfg.horizon,
                              eval_cfg=cfg.eval_config)
     counts = scene_feature_counts(scene, cfg, kept.get("render_lidar"))
     return {
@@ -179,7 +174,7 @@ def _eval_one(scene, scene_id: str, cfg: RunConfig, use_gt: bool, store) -> dict
         "terminated": report.terminated,
         "infractions": report.infractions,
         "feature_counts": counts,
-        "latency_ms": runs[0].stage_ms if runs else {},
+        "latency_ms": latency_ms,
     }
 
 

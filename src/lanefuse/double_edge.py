@@ -218,9 +218,11 @@ def _parse_edge(obj, where: str) -> list[tuple]:
     pts = []
     for j, e in enumerate(obj):
         try:
-            p = e["p"]
-            pts.append((float(p[0]), float(p[1]), float(p[2]), e["occ"], e["plan"]))
-        except (KeyError, TypeError, IndexError, ValueError) as exc:
+            p = from_json(tuple[float, float, float], e["p"], f"{where}[{j}].p")
+            pts.append((*map(float, p), e["occ"], e["plan"]))
+        except ValueError as exc:  # names the value's own path
+            raise ParseError(str(exc)) from exc
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"{where}[{j}]: {exc!r}") from exc
     return pts
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .double_edge import DoubleEdgeSet, StructuralError
 from .fusion import FeatureSet, ParamStore, _affine, _sigmoid
+from .io_utils import require_finite
 from .pillar import LaneROI
 from .scene_synth import SIGNAL_CLASSES
 
@@ -71,6 +72,7 @@ class LossWeights:
     iota: float = 0.1  # sig
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("gamma", "delta", "epsilon", "varepsilon", "zeta", "eta", "theta", "iota"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -84,6 +86,7 @@ class LossConfig:
     d_p2t_floor: float = 0.1
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("rho", "focal_gamma"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")

@@ -19,7 +19,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "write_csv", "dumps", "from_json"]
+__all__ = ["atomic_write_bytes", "atomic_write_text", "write_csv", "dumps", "from_json",
+           "require_finite"]
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -68,6 +69,15 @@ def dumps(obj) -> bytes:
     and numpy arrays through ``tolist``."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       default=_to_json).encode("utf-8")
+
+
+def require_finite(obj, names=None, error=ValueError) -> None:
+    """Raise ``error`` naming the first of the dataclass ``obj``'s fields
+    ``names`` (default: all) whose value is set but NaN or +-inf."""
+    for name in names or [f.name for f in dataclasses.fields(obj)]:
+        value = getattr(obj, name)
+        if value is not None and not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value!r}")
 
 
 def from_json(tp, obj, name: str):

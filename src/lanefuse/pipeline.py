@@ -1,8 +1,8 @@
 """End-to-end wiring: scene -> view features -> tokens -> coarse prior ->
 image branch, LiDAR branch with prior-guided sampling, query integration,
-feature enhancement, heads, and the interpreted path. Also the ground-truth
-planner used by the closed-loop evaluator and the suite-level feature and
-latency benchmarks.
+feature enhancement, heads, and the interpreted path. Also the
+ground-truth-injected plan, the scene losses of either plan's predictions,
+and the suite-level feature and latency benchmarks.
 """
 
 from __future__ import annotations
@@ -40,9 +40,8 @@ from .scene_synth import PointCloud, Scene, render_lidar, synth_view_features
 __all__ = [
     "PipelineResult",
     "run_pipeline",
-    "pipeline_losses",
-    "injected_losses",
-    "make_gt_planner",
+    "gt_plan",
+    "scene_losses",
     "scene_feature_counts",
     "bench_suite",
 ]
@@ -109,41 +108,22 @@ def run_pipeline(scene: Scene, cfg: RunConfig, store: ParamStore,
     return PipelineResult(prior, lane_pillars, predictions, predicted_lanes, path, stage_ms)
 
 
-def _scene_losses(pred: Predictions, roi: LaneROI, scene: Scene,
-                  cfg: RunConfig) -> LossBreakdown:
+def scene_losses(pred: Predictions, roi: LaneROI, scene: Scene,
+                 cfg: RunConfig) -> LossBreakdown:
+    """Loss breakdown of predictions and their ROI against the scene's
+    ground truth."""
     return compute_losses(pred, roi, scene.ground_truth, np.asarray(scene.route_target),
                           scene.gt_speed, scene.signal_class, cfg.loss_config,
                           cfg.loss_weights)
 
 
-def pipeline_losses(result: PipelineResult, scene: Scene, cfg: RunConfig) -> LossBreakdown:
-    """Loss breakdown of a pipeline result against the scene ground truth."""
-    return _scene_losses(result.predictions, result.prior.roi, scene, cfg)
-
-
-def _gt_plan(scene: Scene, cfg: RunConfig) -> tuple[Predictions, LaneROI, PlannedPath]:
+def gt_plan(scene: Scene, cfg: RunConfig) -> tuple[Predictions, LaneROI, PlannedPath]:
     """Ground-truth-injected predictions, their ROI, and the path the
     interpreter makes of them."""
     pred, roi = inject_ground_truth(scene.ground_truth, scene.gt_speed, scene.signal_class,
                                     cfg.n_d)
     path = interpret_path(predictions_to_double_edge(pred), max(0.0, pred.speed))
     return pred, roi, path
-
-
-def injected_losses(scene: Scene, cfg: RunConfig) -> tuple[LossBreakdown, PlannedPath]:
-    """Losses and path for ground-truth-injected predictions (all zeros)."""
-    pred, roi, path = _gt_plan(scene, cfg)
-    return _scene_losses(pred, roi, scene, cfg), path
-
-
-def make_gt_planner(cfg: RunConfig):
-    """Planner that feeds ground-truth-injected predictions through the
-    interpreter."""
-
-    def planner(scene: Scene) -> PlannedPath:
-        return _gt_plan(scene, cfg)[2]
-
-    return planner
 
 
 def scene_feature_counts(scene: Scene, cfg: RunConfig,

@@ -3,9 +3,10 @@ path under pure pursuit plus proportional speed control, infractions are
 detected against the scene, and Driving Score / Route Completion /
 Infraction Score are reported.
 
-DS = 100 * RC * IS by construction. Penalties multiply per event; route
-deviation terminates the episode. Everything is deterministic given the
-scene, the planner, and the controller configuration.
+An episode drives one path planned before it starts; ``path=None`` (no
+plan) is a failure. DS = 100 * RC * IS by construction. Penalties multiply
+per event; route deviation terminates the episode. Everything is
+deterministic given the scene, the path, and the controller configuration.
 """
 
 from __future__ import annotations
@@ -13,12 +14,12 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .double_edge import PlannedPath
 from .geometry import PolylineProjector, polyline_length
+from .io_utils import require_finite
 from .scene_synth import Scene
 
 __all__ = [
@@ -54,8 +55,9 @@ class ControllerConfig:
     max_accel: float = 3.0
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("lookahead", "wheelbase", "speed_gain", "dt", "max_steer", "max_accel"):
-            if not getattr(self, name) > 0:  # NaN fails too
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
         if not self.dt <= 0.1:
             raise ValueError(f"dt must be <= 0.1 s, got {self.dt}")
@@ -76,6 +78,8 @@ class EvalConfig:
         for kind, value in self.penalties.items():
             if not 0.0 < value <= 1.0:
                 raise ValueError(f"penalties.{kind} must be in (0, 1], got {value!r}")
+        require_finite(self, ("ego_radius", "arrival_radius", "deviation_lane_widths",
+                              "deviation_seconds"))
         for name in ("arrival_radius", "deviation_lane_widths", "deviation_seconds"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
@@ -202,16 +206,14 @@ def _entered_boxes(xy: np.ndarray, centers, halves, cos, sin) -> dict[int, list[
 
 
 def run_closed_loop(scene: Scene,
-                    planner: Callable[[Scene], PlannedPath],
+                    path: PlannedPath | None,
                     cfg: ControllerConfig,
                     horizon: float,
                     eval_cfg: EvalConfig | None = None) -> EvalReport:
-    """Plan once, then tick the controller until route completion, the
-    horizon, or full route deviation.
-
-    The planner is called exactly once, before the first step, and must be
-    a pure function of the scene. If it raises, the episode ends with a
-    failure marker and a trajectory holding only the start row.
+    """Tick the controller along ``path`` until route completion, the
+    horizon, or full route deviation. With no path (``None``, a plan that
+    could not be made) the episode ends with a failure marker and a
+    trajectory holding only the start row.
 
     Only the controller and the bicycle model feed back into the next step,
     so they advance :data:`_CHUNK` steps at a time, on the state as four
@@ -252,11 +254,6 @@ def run_closed_loop(scene: Scene,
     rows: list[tuple[float, float, float, float]] = [(0.0, state[0], state[1], state[3])]
     s0, d0 = project(np.array(state[:2]))
     progress_s, progress_d = [s0], [d0]  # (s, d) per row
-
-    try:
-        path = planner(scene)
-    except Exception:
-        path = None
     waypoints = [] if path is None else [(float(w[0]), float(w[1])) for w in path.waypoints]
 
     n_steps = int(math.ceil(horizon / cfg.dt))

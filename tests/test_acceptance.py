@@ -36,7 +36,7 @@ from lanefuse.heads_losses import (
     total_loss,
 )
 from lanefuse.pillar import LaneWeights, feature_count_report
-from lanefuse.pipeline import injected_losses, make_gt_planner, run_pipeline
+from lanefuse.pipeline import gt_plan, run_pipeline, scene_losses
 from lanefuse.scene_synth import SceneSpec, generate_scene, render_lidar
 from lanefuse.sim_eval import ControllerConfig, run_closed_loop
 from lanefuse.pipeline import bench_suite
@@ -141,7 +141,7 @@ def test_criterion_4_loss_suite(cfg):
         assert abs(bd.total - 19.1) < 1e-12
 
         scene = generate_scene(cfg.suite_specs()[1], n_p=cfg.n_p)
-        breakdown, _ = injected_losses(scene, cfg)
+        breakdown = scene_losses(*gt_plan(scene, cfg)[:2], scene, cfg)
         assert breakdown.total == 0.0
         for name in LOSS_NAMES:
             assert getattr(breakdown, name) == 0.0
@@ -204,7 +204,7 @@ def test_criterion_7_closed_loop_sanity(cfg):
                       "RC>=0.99 IS=1 DS>=99; road block drops IS below 1"):
         scene = generate_scene(SceneSpec(seed=42, lane_count=1, geometry="straight",
                                          route_length=100.0), n_p=cfg.n_p)
-        report = run_closed_loop(scene, make_gt_planner(cfg), ControllerConfig(),
+        report = run_closed_loop(scene, gt_plan(scene, cfg)[2], ControllerConfig(),
                                  horizon=60.0)
         assert report.rc >= 0.99
         assert report.is_score == 1.0
@@ -212,7 +212,7 @@ def test_criterion_7_closed_loop_sanity(cfg):
 
         block = OrientedBox(center=(55.0, 0.0, 0.9), yaw=0.0, extent=(4.0, 14.0, 1.8))
         blocked = dataclasses.replace(scene, agents=(block,))
-        blocked_report = run_closed_loop(blocked, make_gt_planner(cfg),
+        blocked_report = run_closed_loop(blocked, gt_plan(blocked, cfg)[2],
                                          ControllerConfig(), horizon=60.0)
         assert blocked_report.is_score < 1.0
         assert any(ev.kind.startswith("collision") or ev.kind == "route_deviation"

@@ -12,11 +12,11 @@ import pytest
 
 from lanefuse.cli import main
 from lanefuse.config import RunConfig
-from lanefuse.double_edge import interpret_path
+from lanefuse.double_edge import PlannedPath, interpret_path
 from lanefuse.fusion import build_params, save_params
 from lanefuse.heads_losses import LOSS_NAMES
 from lanefuse.pipeline import run_pipeline
-from lanefuse.sim_eval import DEFAULT_PENALTIES
+from lanefuse.sim_eval import DEFAULT_PENALTIES, run_closed_loop
 from lanefuse.scene_synth import generate_scene, load_point_cloud, scene_from_json, scene_to_json
 
 
@@ -343,6 +343,49 @@ class TestEval:
                      "--out", str(tmp_path / "e"), "--planner", planner]) == 0
         assert len(calls) == builds
 
+    @pytest.mark.parametrize("planner, passes", [("gt", 0), ("pipeline", 3)])
+    def test_one_plan_one_episode_per_scene(self, tmp_path, fast_config, monkeypatch,
+                                            planner, passes):
+        import lanefuse.cli as cli_mod
+
+        episodes, runs = [], []
+
+        def counting_episode(scene, path, *args, **kwargs):
+            episodes.append(path)
+            return run_closed_loop(scene, path, *args, **kwargs)
+
+        def counting_pipeline(*args):
+            runs.append(args)
+            return run_pipeline(*args)
+
+        monkeypatch.setattr(cli_mod, "run_closed_loop", counting_episode)
+        monkeypatch.setattr(cli_mod, "run_pipeline", counting_pipeline)
+        assert main(["eval", "--config", fast_config, "--suite", "trivial",
+                     "--out", str(tmp_path / "e"), "--planner", planner]) == 0
+        assert len(episodes) == 3
+        assert all(isinstance(path, PlannedPath) for path in episodes)
+        assert len(runs) == passes
+
+    def test_failed_plan_drives_a_failure_episode(self, tmp_path, fast_config, monkeypatch):
+        import lanefuse.cli as cli_mod
+
+        dropped = RunConfig.from_file(fast_config).with_overrides(suite="trivial").suite_specs()[1]
+
+        def flaky(scene, *args):
+            if scene.spec.seed == dropped.seed:
+                raise RuntimeError("sensor dropout")
+            return run_pipeline(scene, *args)
+
+        monkeypatch.setattr(cli_mod, "run_pipeline", flaky)
+        out = tmp_path / "e"
+        assert main(["eval", "--config", fast_config, "--suite", "trivial",
+                     "--out", str(out), "--planner", "pipeline"]) == 0
+        rows = json.loads((out / "eval.json").read_text())["scenes"]
+        assert [row["terminated"] == "failure" for row in rows] == [False, True, False]
+        assert rows[1]["latency_ms"] == {} and "error" not in rows[1]
+        assert rows[1]["is"] == 1.0 and rows[1]["feature_counts"]  # counted from a fresh render
+        assert rows[0]["latency_ms"] and rows[2]["latency_ms"]
+
     def test_scene_failure_recorded_aggregate_still_produced(self, tmp_path,
                                                              fast_config, monkeypatch):
         import lanefuse.cli as cli_mod
@@ -578,6 +621,16 @@ class TestHostileInputs:
         assert field in self.one_error(caplog)
         assert not (tmp_path / "o").exists()
 
+    def test_cloud_beyond_cap_run_exits_2(self, tmp_path, caplog, scene_obj):
+        scene, bad = tmp_path / "scene.json", tmp_path / "bad.json"
+        scene.write_text(json.dumps(scene_obj))
+        bad.write_text(json.dumps({"lidar_density": 1e6}))
+        caplog.clear()
+        code = main(["run", "--config", str(bad), "--scene", str(scene),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "more than the 10000000 a cloud may hold" in self.one_error(caplog)
+
     @pytest.mark.parametrize("corrupt, field", [
         (_set("agents[0].extent", [4.0, 2.0]),
          "scene field agents[0].extent: expected 3 values, got 2"),
@@ -598,9 +651,16 @@ class TestHostileInputs:
          "scene field ground_truth: lane 1: intersection flag 1.0 not in {0,1}"),
         (_set("ground_truth.lanes[0].dir", 0.0),
          "scene field ground_truth: lane 0: direction flag 0.0 not in {0,1}"),
+        (_set("ground_truth.lanes[0].left[0].p", ["1.5", True, "0"]),
+         "scene field ground_truth: lanes[0].left[0].p[0]: expected float, got str"),
+        (_set("ground_truth.lanes[1].right[3].p", [1.0, True, 0.0]),
+         "scene field ground_truth: lanes[1].right[3].p[1]: expected float, got bool"),
+        (_set("ground_truth.lanes[0].left[2].p", [1, 2, 3, 99]),
+         "scene field ground_truth: lanes[0].left[2].p: expected 3 values, got 4"),
     ], ids=["agent-extent", "agent-center", "route-start", "centerline-2-columns",
             "lane-widths-empty", "signal-state-blue", "ground-truth-n_p-str",
-            "ground-truth-n_p-odd", "flag-true", "flag-false", "flag-1.0", "flag-0.0"])
+            "ground-truth-n_p-odd", "flag-true", "flag-false", "flag-1.0", "flag-0.0",
+            "position-str", "position-bool", "position-4-values"])
     def test_scene_field_exits_2_naming_it(self, tmp_path, caplog, scene_obj, corrupt, field):
         obj = json.loads(json.dumps(scene_obj))
         corrupt(obj)

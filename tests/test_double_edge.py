@@ -218,10 +218,22 @@ class TestSerialization:
         with pytest.raises(ValidationError):
             serialize(one_lane([(0, 0, 0)], [(0, 2, 0)], plan=[0, 2]))
 
-    def test_parse_error_names_location(self):
+    @pytest.mark.parametrize("p, where", [
+        ([0, 0], "lanes[0].left[0].p: expected 3 values, got 2"),
+        ([1, 2, 3, 99], "lanes[0].left[0].p: expected 3 values, got 4"),
+        (["1.5", True, "0"], "lanes[0].left[0].p[0]: expected float, got str"),
+        ([1.5, True, 0], "lanes[0].left[0].p[1]: expected float, got bool"),
+        ([1.5, 0, None], "lanes[0].left[0].p[2]: expected float, got NoneType"),
+        ({"x": 0}, "lanes[0].left[0].p: expected list, got dict"),
+    ], ids=["2-values", "4-values", "str", "bool", "null", "object"])
+    def test_parse_error_names_location(self, p, where):
+        point = {"p": p, "occ": 0, "plan": 0}
+        right = {"p": [0.0, 1.0, 0.0], "occ": 0, "plan": 0}
+        obj = {"n_d": 1, "n_p": 2, "lanes": [{"int": 0, "dir": 0, "left": [point],
+                                               "right": [right]}]}
         with pytest.raises(ParseError) as exc:
-            deserialize(b'{"n_d":1,"n_p":2,"lanes":[{"int":0,"dir":0,"left":[{"p":[0,0]}],"right":[]}]}')
-        assert "lanes[0].left" in str(exc.value)
+            deserialize(json.dumps(obj).encode())
+        assert str(exc.value) == where
 
 
 def test_planned_path_len():

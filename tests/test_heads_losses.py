@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -318,3 +319,8 @@ def test_loss_weights_validation():
         LossWeights(gamma=-1.0)
     with pytest.raises(ValueError):
         LossConfig(d_p2t_floor=0.0)
+    for cls in (LossWeights, LossConfig):
+        for field in dataclasses.fields(cls):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match=f"^{field.name} must be finite, got"):
+                    cls(**{field.name: value})

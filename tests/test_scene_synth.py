@@ -134,6 +134,11 @@ class TestGenerateScene:
             generate_scene(SceneSpec(seed=0, geometry="arc", radius=1.0))
         with pytest.raises(GenerationError, match="route_length"):
             generate_scene(SceneSpec(seed=0, route_length=0.0))
+        for field in ("lane_width", "route_length", "clutter_density", "radius"):
+            for value in (math.nan, math.inf, -math.inf):
+                with pytest.raises(GenerationError, match=f"^{field} must be finite"):
+                    generate_scene(SceneSpec(seed=0, geometry="arc",
+                                             **{"radius": 50.0, field: value}))
 
     def test_unroutable_arc_raises(self):
         spec = SceneSpec(seed=0, geometry="arc", radius=10.0, route_length=100.0)
@@ -381,6 +386,21 @@ class TestRenderLidar:
         c = render_lidar(scene, 3.0, 0.05, seed=12)
         assert np.array_equal(a.points, b.points)
         assert not np.array_equal(a.points, c.points)
+
+    @pytest.mark.parametrize("density", [1e6, 1e306], ids=["7.8-GiB", "overflowing"])
+    def test_cloud_beyond_cap_rejected_before_allocating(self, density):
+        scene = generate_scene(RunConfig().suite_specs()[0], n_p=20)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="a cloud may hold"):
+            render_lidar(scene, density, 0.0, seed=0)
+
+    def test_cap_counts_the_cloud_it_would_draw(self, monkeypatch):
+        scene = generate_scene(SceneSpec(seed=21, lane_count=1, agent_count=1), n_p=20)
+        n = len(render_lidar(scene, density=6.0, noise_sigma=0.0, seed=5))
+        monkeypatch.setattr(scene_synth, "MAX_CLOUD_POINTS", n + 1)
+        assert len(render_lidar(scene, density=6.0, noise_sigma=0.0, seed=5)) == n
+        monkeypatch.setattr(scene_synth, "MAX_CLOUD_POINTS", n - 1)
+        with pytest.raises(ValueError, match=f"more than the {n - 1} a cloud may hold"):
+            render_lidar(scene, density=6.0, noise_sigma=0.0, seed=5)
 
     def test_box_surfaces_sampled(self):
         spec = SceneSpec(seed=21, lane_count=1, agent_count=1)

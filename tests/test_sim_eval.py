@@ -13,7 +13,7 @@ from lanefuse.geometry import (
     SegmentTable,
     polyline_length,
 )
-from lanefuse.pipeline import make_gt_planner
+from lanefuse.pipeline import gt_plan
 from lanefuse.scene_synth import SceneSpec, generate_scene
 from lanefuse.sim_eval import (
     ControllerConfig,
@@ -180,18 +180,10 @@ def straight_scene(seed=42, length=100.0, **kwargs):
                                     route_length=length, **kwargs), n_p=20)
 
 
-class FixedPlanner:
-    def __init__(self, path):
-        self.path = path
-
-    def __call__(self, scene):
-        return self.path
-
-
 class TestClosedLoop:
     def test_straight_route_with_gt_injection(self, run_config):
         scene = straight_scene()
-        report = run_closed_loop(scene, make_gt_planner(run_config),
+        report = run_closed_loop(scene, gt_plan(scene, run_config)[2],
                                  ControllerConfig(), horizon=60.0)
         assert report.terminated == "completed"
         assert report.rc >= 0.99
@@ -203,7 +195,7 @@ class TestClosedLoop:
         scene = straight_scene()
         block = OrientedBox(center=(50.0, 0.0, 0.9), yaw=0.0, extent=(4.0, 12.0, 1.8))
         blocked = dataclasses.replace(scene, agents=(block,))
-        report = run_closed_loop(blocked, make_gt_planner(run_config),
+        report = run_closed_loop(blocked, gt_plan(blocked, run_config)[2],
                                  ControllerConfig(), horizon=60.0)
         kinds = {ev.kind for ev in report.infractions}
         assert "collision_vehicle" in kinds
@@ -211,15 +203,15 @@ class TestClosedLoop:
 
     def test_tiny_horizon_near_zero_completion(self, run_config):
         scene = straight_scene()
-        report = run_closed_loop(scene, make_gt_planner(run_config),
+        report = run_closed_loop(scene, gt_plan(scene, run_config)[2],
                                  ControllerConfig(), horizon=0.05)
         assert report.rc == pytest.approx(0.0, abs=0.01)
         assert len(report.infractions) == 0
 
     def test_deterministic_reports(self, run_config):
         scene = straight_scene(seed=7, agent_count=0)
-        a = run_closed_loop(scene, make_gt_planner(run_config), ControllerConfig(), 30.0)
-        b = run_closed_loop(scene, make_gt_planner(run_config), ControllerConfig(), 30.0)
+        a = run_closed_loop(scene, gt_plan(scene, run_config)[2], ControllerConfig(), 30.0)
+        b = run_closed_loop(scene, gt_plan(scene, run_config)[2], ControllerConfig(), 30.0)
         assert a.ds == b.ds and a.rc == b.rc and a.is_score == b.is_score
         assert np.array_equal(a.trajectory, b.trajectory)
 
@@ -227,8 +219,7 @@ class TestClosedLoop:
         scene = straight_scene()
         sideways = PlannedPath(waypoints=tuple((0.0, float(y), 0.0) for y in range(2, 80, 2)),
                                target_speed=8.0)
-        report = run_closed_loop(scene, FixedPlanner(sideways), ControllerConfig(),
-                                 horizon=60.0)
+        report = run_closed_loop(scene, sideways, ControllerConfig(), horizon=60.0)
         assert report.terminated == "deviation"
         assert any(ev.kind == "route_deviation" for ev in report.infractions)
 
@@ -236,76 +227,53 @@ class TestClosedLoop:
         scene = straight_scene(seed=5, traffic_signal="red")
         fast = PlannedPath(waypoints=tuple(interpret_path(scene.ground_truth, 0.0).waypoints),
                            target_speed=8.0)
-        report = run_closed_loop(scene, FixedPlanner(fast), ControllerConfig(), 60.0)
+        report = run_closed_loop(scene, fast, ControllerConfig(), 60.0)
         kinds = [ev.kind for ev in report.infractions]
         assert kinds.count("red_light") == 1
         assert report.is_score == pytest.approx(0.70)
 
     def test_red_light_respected_when_holding(self, run_config):
         scene = straight_scene(seed=5, traffic_signal="red")
-        report = run_closed_loop(scene, make_gt_planner(run_config),
+        report = run_closed_loop(scene, gt_plan(scene, run_config)[2],
                                  ControllerConfig(), horizon=10.0)
         # gt speed is zero on red: ego holds, no infraction, no progress
         assert len(report.infractions) == 0
         assert report.rc == pytest.approx(0.0, abs=0.01)
 
-    def test_planner_failure_marks_report(self, run_config):
+    def test_missing_plan_marks_report(self, run_config):
         scene = straight_scene()
-
-        def broken(sc):
-            raise RuntimeError("sensor dropout")
-
-        report = run_closed_loop(scene, broken, ControllerConfig(), 10.0)
+        report = run_closed_loop(scene, None, ControllerConfig(), 10.0)
         assert report.terminated == "failure"
         assert report.ds == pytest.approx(100.0 * report.rc * report.is_score, abs=1e-9)
 
     def test_ds_identity_holds_on_suite(self, run_config):
         for spec in run_config.suite_specs()[:4]:
             scene = generate_scene(spec, n_p=run_config.n_p)
-            report = run_closed_loop(scene, make_gt_planner(run_config),
+            report = run_closed_loop(scene, gt_plan(scene, run_config)[2],
                                      run_config.controller, horizon=20.0)
             assert report.ds == pytest.approx(100.0 * report.rc * report.is_score, abs=1e-9)
-
-
-    def test_planner_called_once_per_episode(self, run_config):
-        scene = straight_scene()
-        gt = make_gt_planner(run_config)
-        calls = []
-
-        def counting(sc):
-            calls.append(sc)
-            return gt(sc)
-
-        report = run_closed_loop(scene, counting, ControllerConfig(), horizon=60.0)
-        assert report.terminated == "completed"
-        assert len(report.trajectory) > 100
-        assert calls == [scene]
 
     def test_boxes_entered_on_one_step_logged_once_vehicle_first(self, run_config):
         scene = straight_scene()
         box = OrientedBox(center=(50.0, 0.0, 0.9), yaw=0.3, extent=(4.0, 12.0, 1.8))
         both = dataclasses.replace(scene, agents=(box,), clutter=(box,))
-        report = run_closed_loop(both, make_gt_planner(run_config),
+        report = run_closed_loop(both, gt_plan(both, run_config)[2],
                                  ControllerConfig(), horizon=60.0)
         events = report.infractions
         assert [ev.kind for ev in events] == ["collision_vehicle", "collision_static"]
         assert events[0].time == events[1].time
         assert report.is_score == pytest.approx(0.60 * 0.65)
 
-    def test_raising_planner_trajectory_is_start_row(self):
+    def test_missing_plan_trajectory_is_start_row(self):
         scene = straight_scene()
-
-        def broken(sc):
-            raise RuntimeError("sensor dropout")
-
-        report = run_closed_loop(scene, broken, ControllerConfig(), 10.0)
+        report = run_closed_loop(scene, None, ControllerConfig(), 10.0)
         x, y, _ = scene.route_start
         assert np.array_equal(report.trajectory, np.array([[0.0, x, y, 0.0]]))
 
     def test_rc_matches_route_completion_of_trajectory(self, run_config):
         for spec in run_config.suite_specs()[:4]:
             scene = generate_scene(spec, n_p=run_config.n_p)
-            report = run_closed_loop(scene, make_gt_planner(run_config),
+            report = run_closed_loop(scene, gt_plan(scene, run_config)[2],
                                      run_config.controller, horizon=20.0)
             assert report.rc == trajectory_rc(
                 scene.route_polyline, report.trajectory[:, 1:3],
@@ -420,8 +388,16 @@ def test_controller_config_validation():
     with pytest.raises(ValueError):
         ControllerConfig(lookahead=0.0)
     for field in dataclasses.fields(ControllerConfig):
-        with pytest.raises(ValueError, match=f"^{field.name} must be"):
-            ControllerConfig(**{field.name: math.nan})
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{field.name} must be"):
+                ControllerConfig(**{field.name: value})
+
+
+def test_eval_config_rejects_non_finite_distances():
+    for name in ("ego_radius", "arrival_radius", "deviation_lane_widths", "deviation_seconds"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got"):
+                EvalConfig(**{name: value})
 
 
 def unfiltered_entered(xy, centers, halves, cos, sin):
@@ -512,7 +488,7 @@ def reference_follow_path(state, path, cfg):
     return steer, accel
 
 
-def reference_closed_loop(scene, planner, cfg, horizon, eval_cfg=None):
+def reference_closed_loop(scene, path, cfg, horizon, eval_cfg=None):
     eval_cfg = eval_cfg or EvalConfig()
     route = scene.route_polyline
     total_len = polyline_length(route)
@@ -529,11 +505,6 @@ def reference_closed_loop(scene, planner, cfg, horizon, eval_cfg=None):
     terminated = "horizon"
     deviation_clock = 0.0
     prev_s, prev_d = reference_projection(np.array(state[:2]), route)
-
-    try:
-        path = planner(scene)
-    except Exception:
-        path = None
 
     t = 0.0
     for _ in range(int(math.ceil(horizon / cfg.dt))):
@@ -609,8 +580,7 @@ def horizon_for(steps: int, cfg: ControllerConfig) -> float:
 
 
 def chunk_episodes(run_config):
-    """(name, scene, planner, horizon) per episode kind the scan handles."""
-    gt = make_gt_planner(run_config)
+    """(name, scene, path, horizon) per episode kind the scan handles."""
     plain = straight_scene()
     red = straight_scene(seed=5, traffic_signal="red")
     fast_red = PlannedPath(waypoints=tuple(interpret_path(red.ground_truth, 0.0).waypoints),
@@ -619,28 +589,25 @@ def chunk_episodes(run_config):
                            target_speed=8.0)
     box = OrientedBox(center=(50.0, 0.0, 0.9), yaw=0.3, extent=(4.0, 12.0, 1.8))
     two_boxes = dataclasses.replace(plain, agents=(box,), clutter=(box,))
-
-    def broken(sc):
-        raise RuntimeError("sensor dropout")
-
     return [
-        ("completed", plain, gt, 60.0),
-        ("deviation", plain, FixedPlanner(sideways), 60.0),
-        ("red-light", red, FixedPlanner(fast_red), 60.0),
-        ("two-boxes-one-step", two_boxes, gt, 60.0),
-        ("failure", plain, broken, 10.0),
-        ("empty-path", plain, FixedPlanner(PlannedPath(waypoints=(), target_speed=3.0)), 5.0),
-        ("horizon-not-chunk-multiple", red, gt, 7.3),
+        ("completed", plain, gt_plan(plain, run_config)[2], 60.0),
+        ("deviation", plain, sideways, 60.0),
+        ("red-light", red, fast_red, 60.0),
+        ("two-boxes-one-step", two_boxes, gt_plan(two_boxes, run_config)[2], 60.0),
+        ("failure", plain, None, 10.0),
+        ("empty-path", plain, PlannedPath(waypoints=(), target_speed=3.0), 5.0),
+        ("horizon-not-chunk-multiple", red, gt_plan(red, run_config)[2], 7.3),
     ]
 
 
 def rest_episodes(run_config):
-    """(name, scene, planner, horizon, eval_cfg) per episode in which the ego
+    """(name, scene, path, horizon, eval_cfg) per episode in which the ego
     comes to rest: a state that steps to itself, bit for bit."""
     cfg = ControllerConfig()
-    gt = make_gt_planner(run_config)
     red = straight_scene(seed=5, traffic_signal="red")
-    hold = FixedPlanner(PlannedPath(waypoints=(), target_speed=3.0))
+    # the variants of red below change its start or clutter, which the plan does not read
+    gt = gt_plan(red, run_config)[2]
+    hold = PlannedPath(waypoints=(), target_speed=3.0)
     parked = OrientedBox(center=(0.5, 0.0, 0.9), yaw=0.2, extent=(4.0, 2.0, 1.8))
     episodes = [(f"red-{steps}", red, gt, horizon_for(steps, cfg), None)
                 for steps in (63, 64, 65, 1200)]
@@ -660,9 +627,9 @@ def rest_episodes(run_config):
 class TestChunkedEpisode:
     def test_default_chunk_matches_per_step_loop(self, run_config):
         cfg = ControllerConfig()
-        for name, scene, planner, horizon in chunk_episodes(run_config):
-            want = reference_closed_loop(scene, planner, cfg, horizon)
-            got = run_closed_loop(scene, planner, cfg, horizon)
+        for name, scene, path, horizon in chunk_episodes(run_config):
+            want = reference_closed_loop(scene, path, cfg, horizon)
+            got = run_closed_loop(scene, path, cfg, horizon)
             assert_same_report(got, want)
         assert math.ceil(7.3 / cfg.dt) % sim_eval._CHUNK != 0
 
@@ -670,7 +637,8 @@ class TestChunkedEpisode:
     def test_horizon_around_chunk_boundary(self, run_config, offset):
         cfg = ControllerConfig()
         horizon = horizon_for(sim_eval._CHUNK + offset, cfg)
-        scene, gt = straight_scene(), make_gt_planner(run_config)
+        scene = straight_scene()
+        gt = gt_plan(scene, run_config)[2]
         want = reference_closed_loop(scene, gt, cfg, horizon)
         assert want.terminated == "horizon"
         assert len(want.trajectory) == sim_eval._CHUNK + offset
@@ -683,34 +651,34 @@ class TestChunkedEpisode:
         """Chunks that end one step before, at and one step after the step
         that logs an event or ends the episode."""
         cfg = ControllerConfig()
-        (scene, planner, horizon), = [e[1:] for e in chunk_episodes(run_config) if e[0] == kind]
-        want = reference_closed_loop(scene, planner, cfg, horizon)
+        (scene, path, horizon), = [e[1:] for e in chunk_episodes(run_config) if e[0] == kind]
+        want = reference_closed_loop(scene, path, cfg, horizon)
         assert want.terminated == ("deviation" if kind == "deviation" else "completed")
         marks = {steps_of(want)} | {round(ev.time / cfg.dt) for ev in want.infractions}
         for chunk in sorted({1, 7} | {m + k for m in marks for k in (-1, 0, 1)}):
             monkeypatch.setattr(sim_eval, "_CHUNK", chunk)
-            assert_same_report(run_closed_loop(scene, planner, cfg, horizon), want)
+            assert_same_report(run_closed_loop(scene, path, cfg, horizon), want)
 
     @pytest.mark.parametrize("kind", ["red-light", "two-boxes-one-step", "deviation"])
     def test_horizon_around_event_step(self, run_config, kind):
         """The horizon ends one step before, at and one step after the step
         that logs an event: the steps past the horizon must log nothing."""
         cfg = ControllerConfig()
-        (scene, planner, horizon), = [e[1:] for e in chunk_episodes(run_config) if e[0] == kind]
-        events = reference_closed_loop(scene, planner, cfg, horizon).infractions
+        (scene, path, horizon), = [e[1:] for e in chunk_episodes(run_config) if e[0] == kind]
+        events = reference_closed_loop(scene, path, cfg, horizon).infractions
         mark = round(events[0].time / cfg.dt)
         for steps in (mark - 1, mark, mark + 1):
-            want = reference_closed_loop(scene, planner, cfg, horizon_for(steps, cfg))
+            want = reference_closed_loop(scene, path, cfg, horizon_for(steps, cfg))
             assert len(want.infractions) == (steps >= mark) * len(events)
-            got = run_closed_loop(scene, planner, cfg, horizon_for(steps, cfg))
+            got = run_closed_loop(scene, path, cfg, horizon_for(steps, cfg))
             assert_same_report(got, want)
 
     def test_reference_suite_matches_per_step_loop(self, run_config):
         for seed in (run_config.seed_scene, 7331):
             cfg = dataclasses.replace(run_config, seed_scene=seed)
-            gt = make_gt_planner(cfg)
             for spec in cfg.suite_specs():
                 scene = generate_scene(spec, n_p=cfg.n_p)
+                gt = gt_plan(scene, cfg)[2]
                 want = reference_closed_loop(scene, gt, cfg.controller, 20.0, cfg.eval_config)
                 got = run_closed_loop(scene, gt, cfg.controller, 20.0, cfg.eval_config)
                 assert_same_report(got, want)
@@ -719,9 +687,9 @@ class TestChunkedEpisode:
     def test_rest_matches_per_step_loop(self, run_config, monkeypatch, chunk):
         monkeypatch.setattr(sim_eval, "_CHUNK", chunk)
         cfg = ControllerConfig()
-        for name, scene, planner, horizon, eval_cfg in rest_episodes(run_config):
-            want = reference_closed_loop(scene, planner, cfg, horizon, eval_cfg)
-            got = run_closed_loop(scene, planner, cfg, horizon, eval_cfg)
+        for name, scene, path, horizon, eval_cfg in rest_episodes(run_config):
+            want = reference_closed_loop(scene, path, cfg, horizon, eval_cfg)
+            got = run_closed_loop(scene, path, cfg, horizon, eval_cfg)
             assert_same_report(got, want)
             if name == "off-route":
                 assert want.terminated == "deviation" and steps_of(want) > 64
@@ -743,14 +711,14 @@ class TestChunkedEpisode:
             return follow_path(*args)
 
         monkeypatch.setattr(sim_eval, "follow_path", counting)
-        (scene, planner, horizon, eval_cfg), = [e[1:] for e in rest_episodes(run_config)
-                                                if e[0] == name]
-        run_closed_loop(scene, planner, ControllerConfig(), horizon, eval_cfg)
+        (scene, path, horizon, eval_cfg), = [e[1:] for e in rest_episodes(run_config)
+                                             if e[0] == name]
+        run_closed_loop(scene, path, ControllerConfig(), horizon, eval_cfg)
         assert len(calls) == steps
 
 
 @pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_non_finite_or_non_positive_horizon_rejected(horizon):
     with pytest.raises(ValueError, match="horizon must be finite and > 0"):
-        run_closed_loop(straight_scene(), FixedPlanner(PlannedPath((), 1.0)),
+        run_closed_loop(straight_scene(), PlannedPath((), 1.0),
                         ControllerConfig(), horizon)
