@@ -189,6 +189,8 @@ def cmd_eval(args) -> int:
         scene_id = f"scene_{i:02d}"
         try:
             scene_objs.append(_eval_one(scene, scene_id, cfg, use_gt, store))
+        except ValueError:  # the config's limits (cloud cap, z bin, horizon) fail every scene
+            raise
         except Exception as exc:
             # a broken scene still yields a row so the aggregate stands
             log.error("eval %s failed: %s", scene_id, exc)

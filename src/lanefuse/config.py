@@ -62,7 +62,7 @@ class RunConfig:
     eval_config: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
-        for name in ("n_d", "e_dim", "c_channels", "view_h", "view_w"):
+        for name in ("n_d", "e_dim", "k_layers", "c_channels", "view_h", "view_w"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         for name in ("r_max", "lidar_density", "horizon"):
@@ -83,6 +83,8 @@ class RunConfig:
             raise ValueError(f"n_p must be even, got {self.n_p}")
         if self.heads < 1 or self.e_dim % self.heads != 0:
             raise ValueError(f"e_dim {self.e_dim} not divisible by heads {self.heads}")
+        if self.e_dim % 4 != 0:
+            raise ValueError(f"e_dim must be divisible by 4 for 2D encoding, got {self.e_dim}")
         if not isinstance(self.bench_repeats, int) or self.bench_repeats < 1:
             raise ValueError(f"bench_repeats must be an int >= 1, got {self.bench_repeats!r}")
         if self.suite not in SUITE_NAMES:

@@ -1,5 +1,5 @@
-"""Double-edge lane data model, validation, JSON serialization, and the
-path interpreter.
+"""Double-edge lane data model, validation, the JSON object codec that scene
+files embed, and the path interpreter.
 
 A lane is described by its left and right boundary edges. Each edge is an
 ordered sequence of 3D points with per-point occupancy and planning flags;
@@ -20,12 +20,11 @@ inputs can be inspected rather than rejected at construction time.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .io_utils import dumps, from_json
+from .io_utils import from_json
 
 __all__ = [
     "DoubleEdgeSet",
@@ -35,8 +34,8 @@ __all__ = [
     "ValidationError",
     "validate",
     "interpret_path",
-    "serialize",
-    "deserialize",
+    "to_obj",
+    "from_obj",
 ]
 
 
@@ -45,7 +44,7 @@ class StructuralError(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed serialized input; the message names the offending location."""
+    """Malformed JSON object; the message names the offending location."""
 
 
 class ValidationError(ValueError):
@@ -125,7 +124,7 @@ def validate(
     """Check every invariant and return a list of human-readable violations.
 
     An empty list means the set is well formed. Violations never raise here;
-    callers that require validity (serialization) raise on a non-empty
+    callers that require validity (:func:`to_obj`) raise on a non-empty
     result. Flags may hold values of any type, as parsed, until they pass;
     only the integers 0 and 1 pass, so ``True`` or ``1.0`` does not.
     """
@@ -171,18 +170,18 @@ def interpret_path(lanes: DoubleEdgeSet, target_speed: float) -> PlannedPath:
 
 
 # ---------------------------------------------------------------------------
-# JSON interchange. Schema (shared with scene ground truth and prediction
-# dumps):
+# JSON object interchange, as embedded in scene files. Schema:
 #   {"n_d": int, "n_p": int,
 #    "lanes": [{"int": 0|1, "dir": 0|1,
 #               "left":  [{"p": [x, y, z], "occ": 0|1, "plan": 0|1}, ...],
 #               "right": [...]}]}
-# Floats are written with repr precision, so a round trip is bit-exact.
+# Points are Python floats, so a round trip through repr-precision JSON
+# text is bit-exact.
 # ---------------------------------------------------------------------------
 
 
-def serialize(lanes: DoubleEdgeSet) -> bytes:
-    """Encode a validating set as canonical JSON bytes."""
+def to_obj(lanes: DoubleEdgeSet) -> dict:
+    """The JSON object of a validating set."""
     diags = validate(lanes)
     if diags:
         raise ValidationError(diags)
@@ -195,7 +194,7 @@ def serialize(lanes: DoubleEdgeSet) -> bytes:
     def edge(i: int, slots: range) -> list[dict]:
         return [{"p": points[i][j], "occ": occ[i][j], "plan": plan[i][j]} for j in slots]
 
-    obj = {
+    return {
         "n_d": lanes.n_d,
         "n_p": lanes.n_p,
         "lanes": [
@@ -208,7 +207,6 @@ def serialize(lanes: DoubleEdgeSet) -> bytes:
             for i in range(lanes.n_d)
         ],
     }
-    return dumps(obj)
 
 
 def _parse_edge(obj, where: str) -> list[tuple]:
@@ -235,15 +233,11 @@ def _as_objects(values: list, shape: tuple[int, ...]) -> np.ndarray:
     return out.reshape(shape)
 
 
-def deserialize(data: bytes) -> DoubleEdgeSet:
-    """Decode and validate JSON bytes produced by :func:`serialize`. Edges
+def from_obj(obj) -> DoubleEdgeSet:
+    """Validate a decoded JSON object of :func:`to_obj`'s schema. Edges
     that cannot fill the arrays (left and right of unequal length, or lanes
     of unequal length) are a :class:`ValidationError` before any flag is
     checked; a validating set's flags are returned as int64."""
-    try:
-        obj = json.loads(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"top-level: {exc}") from exc
     if not isinstance(obj, dict) or "lanes" not in obj:
         raise ParseError("top-level: missing 'lanes'")
     if not isinstance(obj["lanes"], list):

@@ -26,8 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .pillar import LaneROI, LaneWeights
-from .scene_synth import SIGNAL_CLASSES, ViewFeatureGrid
+from .pillar import LaneWeights
+from .scene_synth import SIGNAL_CLASSES
 
 __all__ = [
     "TokenSequence",
@@ -98,7 +98,7 @@ class FeatureSet:
 
 @dataclass(frozen=True)
 class CoarseLanePrior:
-    roi: LaneROI
+    roi: np.ndarray
     weights: LaneWeights
 
 
@@ -326,10 +326,11 @@ def sinusoidal_encoding_2d(h: int, w: int, e: int) -> np.ndarray:
     return enc
 
 
-def positional_encode(grid: ViewFeatureGrid, store: ParamStore) -> TokenSequence:
-    """1x1-project C channels to E, flatten each view to a token sequence and
-    add the store's fixed sinusoidal encoding per view."""
-    views = np.asarray(grid.views, dtype=float)
+def positional_encode(views: np.ndarray, store: ParamStore) -> TokenSequence:
+    """1x1-project C channels of the (4, C, H, W) view stack to E, flatten
+    each view to a token sequence and add the store's fixed sinusoidal
+    encoding per view."""
+    views = np.asarray(views, dtype=float)
     n_views, c, h, w = views.shape
     if (h, w) != (store.cfg.view_h, store.cfg.view_w):
         raise ValueError(f"view grid {h}x{w} differs from the store's "
@@ -360,7 +361,7 @@ def coarse_lane_detect(tokens: TokenSequence, store: ParamStore) -> CoarseLanePr
     split = n_d * n_p * 3
     roi = out[:split].reshape(n_d, n_p, 3)
     weights = _sigmoid(out[split:])
-    return CoarseLanePrior(roi=LaneROI(points=roi), weights=LaneWeights(weights=weights))
+    return CoarseLanePrior(roi=roi, weights=LaneWeights(weights=weights))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ import numpy as np
 from .double_edge import DoubleEdgeSet, StructuralError
 from .fusion import FeatureSet, ParamStore, _affine, _sigmoid
 from .io_utils import require_finite
-from .pillar import LaneROI
 from .scene_synth import SIGNAL_CLASSES
 
 __all__ = [
@@ -141,9 +140,10 @@ def predictions_to_double_edge(pred: Predictions) -> DoubleEdgeSet:
 
 
 def inject_ground_truth(gt: DoubleEdgeSet, gt_speed: float, gt_signal_class: int,
-                        n_d: int) -> tuple[Predictions, LaneROI]:
+                        n_d: int) -> tuple[Predictions, np.ndarray]:
     """Predictions that reproduce the ground truth exactly (saturated logits),
-    plus the matching ROI. Surplus lane slots are pushed to all-negative."""
+    plus the matching (n_d, n_p, 3) ROI. Surplus lane slots are pushed to
+    all-negative."""
     n_gt, n_p = gt.n_d, gt.n_p
     if n_gt > n_d:
         raise StructuralError(f"{n_gt} ground-truth lanes exceed {n_d} slots")
@@ -163,7 +163,7 @@ def inject_ground_truth(gt: DoubleEdgeSet, gt_speed: float, gt_signal_class: int
                        plan_logits=plan, speed=float(gt_speed), signal_logits=signal)
     roi = np.zeros((n_d, n_p, 3))
     roi[:n_gt] = gt.points
-    return pred, LaneROI(points=roi)
+    return pred, roi
 
 
 # ---------------------------------------------------------------------------
@@ -205,11 +205,10 @@ def _l1_core(pred_points: np.ndarray, gt: DoubleEdgeSet,
     return value, grad
 
 
-def loss_roi(pred_roi: LaneROI | np.ndarray, gt: DoubleEdgeSet) -> float:
+def loss_roi(pred_roi: np.ndarray, gt: DoubleEdgeSet) -> float:
     """Mean over ground-truth lanes of the summed Manhattan mismatch between
     predicted and true boundary points (both edges)."""
-    pts = pred_roi.points if isinstance(pred_roi, LaneROI) else np.asarray(pred_roi, float)
-    return _l1_core(pts, gt, per_point=False)[0]
+    return _l1_core(np.asarray(pred_roi, dtype=float), gt, per_point=False)[0]
 
 
 def loss_edge(pred_points: np.ndarray, gt: DoubleEdgeSet) -> float:
@@ -318,7 +317,7 @@ def total_loss(components: Mapping[str, float], weights: LossWeights) -> LossBre
                          total=total)
 
 
-def compute_losses(pred: Predictions, pred_roi: LaneROI, gt: DoubleEdgeSet,
+def compute_losses(pred: Predictions, pred_roi: np.ndarray, gt: DoubleEdgeSet,
                    target_point: np.ndarray, gt_speed: float, gt_signal_class: int,
                    cfg: LossConfig, weights: LossWeights) -> LossBreakdown:
     """All components against ground truth, combined per the weight ratios."""

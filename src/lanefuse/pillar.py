@@ -2,6 +2,9 @@
 2D ground grid, nearest-pillar sampling around lane priors, and the small
 affine pillar feature encoder.
 
+Inputs are plain arrays: the point cloud is (N, 3) and the lane ROI, the
+coarse prior's boundary points, is (n_d, n_p, 3), both ego frame meters.
+
 Pillars carry a fixed 9-channel raw feature vector:
 [count, centroid x, centroid y, centroid z, z_min, z_max,
  centroid offset x from cell center, offset y, placeholder 0].
@@ -14,13 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scene_synth import PointCloud
-
 __all__ = [
     "GridSpec",
     "PillarSet",
     "LanePillarSet",
-    "LaneROI",
     "LaneWeights",
     "RAW_FEATURE_DIM",
     "pillarize",
@@ -82,13 +82,6 @@ class PillarSet:
 
 
 @dataclass(frozen=True)
-class LaneROI:
-    """Coarse lane boundary estimates, (n_d, n_p, 3), ego frame meters."""
-
-    points: np.ndarray
-
-
-@dataclass(frozen=True)
 class LaneWeights:
     """Per-lane confidence in [0, 1], shape (n_d,)."""
 
@@ -147,14 +140,14 @@ def _search_rings(spec: GridSpec, r_max: float) -> int:
     return int(math.ceil(r_max / min(spec.resolution[0], spec.resolution[1]))) + 1
 
 
-def _roi_cells(roi: LaneROI, spec: GridSpec, rings: int) -> np.ndarray:
+def _roi_cells(roi: np.ndarray, spec: GridSpec, rings: int) -> np.ndarray:
     """(n_d * n_p, 2) int64 grid cell of every ROI point.
 
     A cell further than ``rings`` outside the grid is clamped to just beyond
     that distance: its search window stays free of grid cells, and the
     integer cast stays defined for any finite coordinate.
     """
-    pts = np.asarray(roi.points, dtype=float)
+    pts = np.asarray(roi, dtype=float)
     if not np.all(np.isfinite(pts)):
         raise ValueError("lane ROI contains non-finite points")
     origin = np.array(spec.bounds_min[:2])
@@ -164,7 +157,7 @@ def _roi_cells(roi: LaneROI, spec: GridSpec, rings: int) -> np.ndarray:
     return np.clip(cells, -rings - 1, last + rings + 1).astype(np.int64)
 
 
-def _window_points(pts: np.ndarray, spec: GridSpec, roi: LaneROI,
+def _window_points(pts: np.ndarray, spec: GridSpec, roi: np.ndarray,
                    r_max: float) -> np.ndarray:
     """Ascending indices of the in-bounds points whose cell lies in the
     search window of at least one ROI point."""
@@ -240,7 +233,7 @@ def _check_single_z_bin(spec: GridSpec) -> None:
         raise ValueError(f"pillar grid needs a single z bin: dz={dz}, z span={zspan}")
 
 
-def pillarize(cloud: PointCloud, spec: GridSpec, roi: LaneROI | None = None,
+def pillarize(cloud: np.ndarray, spec: GridSpec, roi: np.ndarray | None = None,
               r_max: float = 2.0) -> PillarSet:
     """Group points into one vertical pillar per occupied (ix, iy) cell.
 
@@ -252,7 +245,7 @@ def pillarize(cloud: PointCloud, spec: GridSpec, roi: LaneROI | None = None,
     in the full-cloud set, so the lane samples are the same.
     """
     _check_single_z_bin(spec)
-    pts = np.asarray(cloud.points, dtype=float)
+    pts = np.asarray(cloud, dtype=float)
     if roi is not None:
         keep = _window_points(pts, spec, roi, r_max)
     elif pts.size:
@@ -269,7 +262,7 @@ def pillarize(cloud: PointCloud, spec: GridSpec, roi: LaneROI | None = None,
 _RERANK_MARGIN = 1e-12
 
 
-def lane_sample(pillars: PillarSet, roi: LaneROI, r_max: float = 2.0) -> LanePillarSet:
+def lane_sample(pillars: PillarSet, roi: np.ndarray, r_max: float = 2.0) -> LanePillarSet:
     """Pick, for every ROI point, the pillar whose cell center is nearest in
     the ground plane; beyond ``r_max`` an empty zero pillar is emitted.
 
@@ -280,7 +273,7 @@ def lane_sample(pillars: PillarSet, roi: LaneROI, r_max: float = 2.0) -> LanePil
     if r_max <= 0:
         raise ValueError(f"r_max must be > 0, got {r_max}")
     spec = pillars.spec
-    pts = np.asarray(roi.points, dtype=float)
+    pts = np.asarray(roi, dtype=float)
     n_d, n_p, _ = pts.shape
     rings = _search_rings(spec, r_max)
     cells = _roi_cells(roi, spec, rings)
@@ -345,7 +338,7 @@ def encode_pillars(lane_pillars: LanePillarSet, weight: np.ndarray,
     return out
 
 
-def feature_count_report(cloud: PointCloud, lane_level: int, voxel_spec: GridSpec,
+def feature_count_report(cloud: np.ndarray, lane_level: int, voxel_spec: GridSpec,
                          pillar_spec: GridSpec) -> dict[str, float]:
     """Feature counts for the three LiDAR encodings plus reduction ratios.
 
@@ -355,7 +348,7 @@ def feature_count_report(cloud: PointCloud, lane_level: int, voxel_spec: GridSpe
     counted without building either encoding.
     """
     _check_single_z_bin(pillar_spec)
-    pts = np.asarray(cloud.points, dtype=float)
+    pts = np.asarray(cloud, dtype=float)
     if pts.size == 0:
         pts = np.zeros((0, 3))
     voxel_count = _cell_count(pts, _in_bounds_mask(pts, voxel_spec), voxel_spec, 3)

@@ -34,8 +34,8 @@ from .heads_losses import (
     inject_ground_truth,
     predictions_to_double_edge,
 )
-from .pillar import LanePillarSet, LaneROI, encode_pillars, feature_count_report, lane_sample, pillarize
-from .scene_synth import PointCloud, Scene, render_lidar, synth_view_features
+from .pillar import LanePillarSet, encode_pillars, feature_count_report, lane_sample, pillarize
+from .scene_synth import Scene, render_lidar, synth_view_features
 
 __all__ = [
     "PipelineResult",
@@ -88,9 +88,9 @@ def run_pipeline(scene: Scene, cfg: RunConfig, store: ParamStore,
         keep[name] = _timed(stage_ms, name, fn, *args)
         return keep[name]
 
-    grid = stage("view_synth", synth_view_features, scene, cfg.c_channels,
-                 cfg.view_h, cfg.view_w, cfg.seed_params)
-    tokens = stage("positional_encode", positional_encode, grid, store)
+    views = stage("view_synth", synth_view_features, scene, cfg.c_channels,
+                  cfg.view_h, cfg.view_w, cfg.seed_params)
+    tokens = stage("positional_encode", positional_encode, views, store)
     prior = stage("coarse_prior", coarse_lane_detect, tokens, store)
     f_image = stage("image_transformer", image_transformer, tokens, store)
 
@@ -108,7 +108,7 @@ def run_pipeline(scene: Scene, cfg: RunConfig, store: ParamStore,
     return PipelineResult(prior, lane_pillars, predictions, predicted_lanes, path, stage_ms)
 
 
-def scene_losses(pred: Predictions, roi: LaneROI, scene: Scene,
+def scene_losses(pred: Predictions, roi: np.ndarray, scene: Scene,
                  cfg: RunConfig) -> LossBreakdown:
     """Loss breakdown of predictions and their ROI against the scene's
     ground truth."""
@@ -117,9 +117,9 @@ def scene_losses(pred: Predictions, roi: LaneROI, scene: Scene,
                           cfg.loss_weights)
 
 
-def gt_plan(scene: Scene, cfg: RunConfig) -> tuple[Predictions, LaneROI, PlannedPath]:
-    """Ground-truth-injected predictions, their ROI, and the path the
-    interpreter makes of them."""
+def gt_plan(scene: Scene, cfg: RunConfig) -> tuple[Predictions, np.ndarray, PlannedPath]:
+    """Ground-truth-injected predictions, their (n_d, n_p, 3) ROI, and the
+    path the interpreter makes of them."""
     pred, roi = inject_ground_truth(scene.ground_truth, scene.gt_speed, scene.signal_class,
                                     cfg.n_d)
     path = interpret_path(predictions_to_double_edge(pred), max(0.0, pred.speed))
@@ -127,7 +127,7 @@ def gt_plan(scene: Scene, cfg: RunConfig) -> tuple[Predictions, LaneROI, Planned
 
 
 def scene_feature_counts(scene: Scene, cfg: RunConfig,
-                         cloud: PointCloud | None = None) -> dict[str, float]:
+                         cloud: np.ndarray | None = None) -> dict[str, float]:
     """Feature counts of the scene's full cloud; ``cloud`` is that cloud
     when the caller already rendered it."""
     if cloud is None:

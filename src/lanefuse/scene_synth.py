@@ -2,9 +2,10 @@
 
 Generates lane geometry (straight / arc / intersection), static agent and
 clutter boxes, a route, double-edge ground truth, a surface-sampled LiDAR
-point cloud, and coarse per-view feature grids that stand in for an image
-backbone. Everything is a pure function of (spec, seed); repeated calls are
-bit-identical.
+point cloud (an (N, 3) array), and the per-view feature stack (a (4, C, H, W)
+array) that stands in for an image backbone. Everything is a pure function
+of (spec, seed); repeated calls are bit-identical. Scene files are canonical
+JSON that embed the ground truth as a :func:`double_edge.to_obj` object.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .double_edge import DoubleEdgeSet, deserialize, serialize, validate
+from .double_edge import DoubleEdgeSet, from_obj, to_obj, validate
 from .geometry import (
     OrientedBox,
     SegmentTable,
@@ -29,8 +30,6 @@ from .io_utils import atomic_write_bytes, dumps, from_json, require_finite
 __all__ = [
     "SceneSpec",
     "Scene",
-    "PointCloud",
-    "ViewFeatureGrid",
     "GenerationError",
     "generate_scene",
     "render_lidar",
@@ -102,23 +101,6 @@ class SceneSpec:
                 raise GenerationError(
                     f"arc radius must exceed lane_width, got radius={self.radius}"
                 )
-
-
-@dataclass(frozen=True)
-class PointCloud:
-    """N x 3 LiDAR points, meters, ego frame."""
-
-    points: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.points.shape[0])
-
-
-@dataclass(frozen=True)
-class ViewFeatureGrid:
-    """Per-view feature stack, shape (4, C, H, W)."""
-
-    views: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -498,9 +480,10 @@ def _sample_uv(rng: np.random.Generator, n: np.ndarray, len_u: np.ndarray,
     return u, v
 
 
-def render_lidar(scene: Scene, density: float, noise_sigma: float, seed: int) -> PointCloud:
+def render_lidar(scene: Scene, density: float, noise_sigma: float, seed: int) -> np.ndarray:
     """Surface-sample the scene at ``density`` points/m^2 with optional
-    isotropic Gaussian noise; deterministic in ``seed``.
+    isotropic Gaussian noise; deterministic in ``seed``. Returns the (N, 3)
+    float64 cloud, ego frame meters.
 
     Road segments, then agent boxes, then clutter boxes are sampled in that
     order, each rectangle with a jittered grid of points.
@@ -546,7 +529,7 @@ def render_lidar(scene: Scene, density: float, noise_sigma: float, seed: int) ->
         lo = hi
     if len(pts) and noise_sigma > 0.0:
         pts += rng.normal(0.0, noise_sigma, pts.shape)
-    return PointCloud(points=pts)
+    return pts
 
 
 
@@ -603,13 +586,13 @@ def rasterize_semantic_views(scene: Scene, h: int, w: int) -> np.ndarray:
 
 
 def synth_view_features(scene: Scene, c_channels: int, h: int, w: int,
-                        seed: int) -> ViewFeatureGrid:
-    """Project the semantic rasters through a fixed seeded linear map."""
+                        seed: int) -> np.ndarray:
+    """Project the semantic rasters through a fixed seeded linear map into
+    the (4, C, H, W) per-view feature stack."""
     sem = rasterize_semantic_views(scene, h, w)
     rng = np.random.default_rng([seed, _STREAM_VIEWS])
     proj = rng.uniform(-1.0, 1.0, (c_channels, SEMANTIC_CHANNELS)) / math.sqrt(SEMANTIC_CHANNELS)
-    views = np.einsum("cs,vshw->vchw", proj, sem)
-    return ViewFeatureGrid(views=views)
+    return np.einsum("cs,vshw->vchw", proj, sem)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +634,7 @@ def scene_to_json(scene: Scene) -> bytes:
                   "lane": scene.route_lane},
         "signal_state": scene.signal_state,
         "signal_line_s": scene.signal_line_s,
-        "ground_truth": json.loads(serialize(scene.ground_truth)),
+        "ground_truth": to_obj(scene.ground_truth),
         "gt_speed": scene.gt_speed,
     })
 
@@ -662,7 +645,7 @@ def scene_from_json(data: bytes) -> Scene:
     obj = from_json(dict, json.loads(data.decode("utf-8")), "scene field (top level)")
     spec = _field(obj, "spec", SceneSpec)
     try:
-        gt = deserialize(json.dumps(_field(obj, "ground_truth", dict)).encode("utf-8"))
+        gt = from_obj(_field(obj, "ground_truth", dict))
     except ValueError as exc:
         raise ValueError(f"scene field ground_truth: {exc}") from None
     centerlines = tuple(_centerline(line, f"centerlines[{i}]")
@@ -702,14 +685,15 @@ def scene_from_json(data: bytes) -> Scene:
 _PC_MAGIC = b"LFPC"
 
 
-def save_point_cloud(path: str | Path, cloud: PointCloud) -> None:
+def save_point_cloud(path: str | Path, cloud: np.ndarray) -> None:
     """Little-endian binary: magic 'LFPC', u32 count, N x 3 float32. Written
     atomically; missing parent directories are created."""
-    pts = np.asarray(cloud.points, dtype="<f4")
+    pts = np.asarray(cloud, dtype="<f4")
     atomic_write_bytes(path, _PC_MAGIC + struct.pack("<I", pts.shape[0]) + pts.tobytes())
 
 
-def load_point_cloud(path: str | Path) -> PointCloud:
+def load_point_cloud(path: str | Path) -> np.ndarray:
+    """The (N, 3) float64 cloud of a :func:`save_point_cloud` file."""
     raw = Path(path).read_bytes()
     if raw[:4] != _PC_MAGIC:
         raise ValueError(f"{path}: bad magic {raw[:4]!r}")
@@ -722,4 +706,4 @@ def load_point_cloud(path: str | Path) -> PointCloud:
     pts = np.frombuffer(body, dtype="<f4").reshape(count, 3)
     if not np.isfinite(pts).all():  # before the cast, which warns on a NaN payload
         raise ValueError(f"{path}: non-finite point coordinates")
-    return PointCloud(points=pts.astype(float))
+    return pts.astype(float)

@@ -195,7 +195,7 @@ def test_criterion_6_attention_invariants(cfg, store, reference_scenes):
             for x, y in ((a, b), (a, c)):
                 assert np.array_equal(x.predictions.points, y.predictions.points)
                 assert np.array_equal(x.predictions.plan_logits, y.predictions.plan_logits)
-                assert np.array_equal(x.prior.roi.points, y.prior.roi.points)
+                assert np.array_equal(x.prior.roi, y.prior.roi)
                 assert x.path == y.path
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import math
 import os
 import subprocess
@@ -566,6 +567,10 @@ class TestHostileInputs:
                      "config.eval_config.deviation_seconds must be > 0, got -1.0",
                      id="deviation_seconds-negative"),
         pytest.param({"e_dim": 0}, "config.e_dim must be >= 1, got 0", id="e_dim-zero"),
+        pytest.param({"e_dim": 6, "heads": 2},
+                     "config.e_dim must be divisible by 4 for 2D encoding, got 6",
+                     id="e_dim-not-divisible-by-4"),
+        pytest.param({"k_layers": 0}, "config.k_layers must be >= 1, got 0", id="k_layers-zero"),
         pytest.param({"n_d": -1}, "config.n_d must be >= 1, got -1", id="n_d-negative"),
         pytest.param({"view_h": 0}, "config.view_h must be >= 1, got 0", id="view_h-zero"),
         pytest.param({"view_w": -1}, "config.view_w must be >= 1, got -1", id="view_w-negative"),
@@ -630,6 +635,31 @@ class TestHostileInputs:
                      "--out", str(tmp_path / "o")])
         assert code == 2
         assert "more than the 10000000 a cloud may hold" in self.one_error(caplog)
+
+    @pytest.mark.parametrize("planner, levels", [
+        ("gt", ["ERROR"]),
+        ("pipeline", ["WARNING", "ERROR"]),  # the failed plan, then the count's render
+    ])
+    def test_cloud_beyond_cap_eval_exits_2(self, tmp_path, caplog, planner, levels):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"lidar_density": 1e6}))
+        caplog.clear()
+        code = main(["eval", "--planner", planner, "--config", str(bad), "--suite", "trivial",
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "more than the 10000000 a cloud may hold" in self.one_error(caplog)
+        assert [r.levelname for r in caplog.records if r.levelno >= logging.WARNING] == levels
+        assert not (tmp_path / "o" / "eval.json").exists()
+
+    @pytest.mark.parametrize("keep", [0.0, 0.5, 0.999])
+    def test_truncated_scene_exits_2_with_one_line(self, tmp_path, caplog, scene_obj, keep):
+        data = json.dumps(scene_obj).encode()
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data[:int(len(data) * keep)])
+        caplog.clear()
+        code = main(["run", "--scene", str(bad), "--out", str(tmp_path / "o"), "--inject-gt"])
+        assert code == 2
+        assert "Expecting" in self.one_error(caplog)
 
     @pytest.mark.parametrize("corrupt, field", [
         (_set("agents[0].extent", [4.0, 2.0]),

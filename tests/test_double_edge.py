@@ -9,15 +9,22 @@ from lanefuse.double_edge import (
     PlannedPath,
     StructuralError,
     ValidationError,
-    deserialize,
+    from_obj,
     interpret_path,
-    serialize,
+    to_obj,
     validate,
 )
+from lanefuse.io_utils import dumps
 
 from conftest import random_lane_set
 
 FIELDS = ("points", "occ", "plan", "intersection", "direction")
+
+
+def round_trip(lanes: DoubleEdgeSet) -> DoubleEdgeSet:
+    """The set as a scene file carries it: object, canonical JSON text,
+    object again."""
+    return from_obj(json.loads(dumps(to_obj(lanes))))
 
 
 def brute_force_midpoints(lanes: DoubleEdgeSet) -> list[tuple[float, float, float]]:
@@ -115,11 +122,10 @@ class TestValidate:
         assert validate(lanes) == []
 
     def test_length_mismatch_reported_once(self):
-        data = serialize(random_lane_set(np.random.default_rng(1), 1, 20))
-        obj = json.loads(data)
+        obj = to_obj(random_lane_set(np.random.default_rng(1), 1, 20))
         del obj["lanes"][0]["left"][-1]
         with pytest.raises(ValidationError) as exc:
-            deserialize(json.dumps(obj).encode())
+            from_obj(obj)
         assert exc.value.diagnostics == ["lane 0: left/right length mismatch (9 vs 10)"]
 
     def test_flag_out_of_domain_reported(self):
@@ -166,57 +172,61 @@ class TestValidate:
 class TestSerialization:
     def test_round_trip_is_identity(self):
         lanes = random_lane_set(np.random.default_rng(42), 6, 20)
-        assert deserialize(serialize(lanes)) == lanes
+        assert round_trip(lanes) == lanes
 
     def test_round_trip_property_randomized(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             lanes = random_lane_set(rng, int(rng.integers(1, 6)), 2 * int(rng.integers(1, 10)))
-            assert deserialize(serialize(lanes)) == lanes
+            assert round_trip(lanes) == lanes
 
     def test_serialized_bytes(self):
         lanes = one_lane([(0.5, 0, 0)], [(2, -1.25, 0)], occ=[1, 0], plan=[1, 1])
-        assert serialize(lanes) == (
+        assert dumps(to_obj(lanes)) == (
             b'{"lanes":[{"dir":1,"int":0,'
             b'"left":[{"occ":1,"p":[0.5,0.0,0.0],"plan":1}],'
             b'"right":[{"occ":0,"p":[2.0,-1.25,0.0],"plan":1}]}],"n_d":1,"n_p":2}')
 
     def test_loaded_flags_are_int64(self):
-        lanes = deserialize(serialize(random_lane_set(np.random.default_rng(3), 2, 4)))
+        lanes = round_trip(random_lane_set(np.random.default_rng(3), 2, 4))
         assert {getattr(lanes, name).dtype for name in FIELDS[1:]} == {np.dtype(np.int64)}
 
-    def test_truncated_stream_raises_parse_error(self):
-        data = serialize(random_lane_set(np.random.default_rng(1), 2, 4))
-        with pytest.raises(ParseError):
-            deserialize(data[: len(data) // 2])
-
     def test_flag_out_of_domain_raises_validation_error_on_load(self):
-        data = serialize(random_lane_set(np.random.default_rng(2), 1, 4))
-        obj = json.loads(data)
+        obj = to_obj(random_lane_set(np.random.default_rng(2), 1, 4))
         obj["lanes"][0]["left"][0]["occ"] = 2
         with pytest.raises(ValidationError) as exc:
-            deserialize(json.dumps(obj).encode())
+            from_obj(obj)
         assert any("occ" in d for d in exc.value.diagnostics)
 
     @pytest.mark.parametrize("value", ["1", None, [1], {"k": 1}, 0.5])
     def test_flag_of_another_type_reported_on_load(self, value):
-        obj = json.loads(serialize(random_lane_set(np.random.default_rng(2), 2, 4)))
+        obj = to_obj(random_lane_set(np.random.default_rng(2), 2, 4))
         obj["lanes"][1]["int"] = value
         with pytest.raises(ValidationError) as exc:
-            deserialize(json.dumps(obj).encode())
+            from_obj(obj)
         assert exc.value.diagnostics == [f"lane 1: intersection flag {value!r} not in {{0,1}}"]
 
     def test_unequal_lane_lengths_rejected_on_load(self):
-        obj = json.loads(serialize(random_lane_set(np.random.default_rng(6), 2, 6)))
+        obj = to_obj(random_lane_set(np.random.default_rng(6), 2, 6))
         for side in ("left", "right"):
             del obj["lanes"][1][side][-1]
         with pytest.raises(ValidationError) as exc:
-            deserialize(json.dumps(obj).encode())
+            from_obj(obj)
         assert exc.value.diagnostics == ["lane 1: edge length 2 differs from lane 0 (3)"]
+
+    @pytest.mark.parametrize("obj, message", [
+        ([], "top-level: missing 'lanes'"),
+        ({"n_d": 0}, "top-level: missing 'lanes'"),
+        ({"lanes": 3}, "lanes: expected a list, got int"),
+    ], ids=["list", "no-lanes", "lanes-int"])
+    def test_object_without_lane_list_raises_parse_error(self, obj, message):
+        with pytest.raises(ParseError) as exc:
+            from_obj(obj)
+        assert str(exc.value) == message
 
     def test_serialize_rejects_invalid_set(self):
         with pytest.raises(ValidationError):
-            serialize(one_lane([(0, 0, 0)], [(0, 2, 0)], plan=[0, 2]))
+            to_obj(one_lane([(0, 0, 0)], [(0, 2, 0)], plan=[0, 2]))
 
     @pytest.mark.parametrize("p, where", [
         ([0, 0], "lanes[0].left[0].p: expected 3 values, got 2"),
@@ -232,7 +242,7 @@ class TestSerialization:
         obj = {"n_d": 1, "n_p": 2, "lanes": [{"int": 0, "dir": 0, "left": [point],
                                                "right": [right]}]}
         with pytest.raises(ParseError) as exc:
-            deserialize(json.dumps(obj).encode())
+            from_obj(obj)
         assert str(exc.value) == where
 
 

@@ -32,7 +32,6 @@ from lanefuse.fusion import (
     sinusoidal_encoding_2d,
 )
 from lanefuse.pillar import LaneWeights
-from lanefuse.scene_synth import ViewFeatureGrid
 
 
 def mha_reference(q_in, k_in, v_in, p: AttentionParams):
@@ -133,8 +132,7 @@ class TestSinusoidalEncoding:
 
 class TestPositionalEncode:
     def test_zero_grid_gives_encoding_alone(self, param_store, run_config):
-        grid = ViewFeatureGrid(views=np.zeros((4, 16, 8, 8)))
-        tokens = positional_encode(grid, param_store)
+        tokens = positional_encode(np.zeros((4, 16, 8, 8)), param_store)
         enc = sinusoidal_encoding_2d(8, 8, 32)
         assert np.array_equal(tokens.tokens, np.tile(enc, (1, 4)))
 
@@ -142,7 +140,7 @@ class TestPositionalEncode:
         views = np.zeros((4, 16, 8, 8))
         views[0, :, 1, 2] = 3.0
         views[0, :, 5, 7] = 3.0  # same content at a different position
-        tokens = positional_encode(ViewFeatureGrid(views=views), param_store)
+        tokens = positional_encode(views, param_store)
         enc = sinusoidal_encoding_2d(8, 8, 32)
         i, j = 1 * 8 + 2, 5 * 8 + 7
         delta = tokens.tokens[:, i] - tokens.tokens[:, j]
@@ -151,13 +149,13 @@ class TestPositionalEncode:
     def test_store_holds_the_encoding_of_its_view_grid(self):
         store = build_params(BlockConfig(embed=16, heads=2, view_h=3, view_w=5))
         assert np.array_equal(store.pos_enc, sinusoidal_encoding_2d(3, 5, 16))
-        tokens = positional_encode(ViewFeatureGrid(views=np.zeros((2, 16, 3, 5))), store)
+        tokens = positional_encode(np.zeros((2, 16, 3, 5)), store)
         assert np.array_equal(tokens.tokens, np.tile(store.pos_enc, (1, 2)))
 
     @pytest.mark.parametrize("h, w", [(8, 4), (4, 8), (16, 16)])
     def test_grid_other_than_the_stores_rejected(self, param_store, h, w):
         with pytest.raises(ValueError, match=f"view grid {h}x{w} differs from the store's 8x8"):
-            positional_encode(ViewFeatureGrid(views=np.zeros((4, 16, h, w))), param_store)
+            positional_encode(np.zeros((4, 16, h, w)), param_store)
 
 
 class TestCoarseLaneDetect:
@@ -168,13 +166,13 @@ class TestCoarseLaneDetect:
             prior = coarse_lane_detect(tokens, param_store)
             assert np.all(prior.weights.weights >= 0.0)
             assert np.all(prior.weights.weights <= 1.0)
-            assert prior.roi.points.shape == (6, 20, 3)
+            assert prior.roi.shape == (6, 20, 3)
 
     def test_deterministic(self, param_store):
         tokens = TokenSequence(tokens=np.random.default_rng(1).normal(size=(32, 48)))
         a = coarse_lane_detect(tokens, param_store)
         b = coarse_lane_detect(tokens, param_store)
-        assert np.array_equal(a.roi.points, b.roi.points)
+        assert np.array_equal(a.roi, b.roi)
         assert np.array_equal(a.weights.weights, b.weights.weights)
 
     def test_planted_parameters_match_hand_computation(self):
@@ -194,7 +192,7 @@ class TestCoarseLaneDetect:
         prior = coarse_lane_detect(TokenSequence(tokens=toks), store)
         pooled = toks.mean(axis=1)
         expected = w2 @ pooled + b2
-        assert np.allclose(prior.roi.points.ravel(), expected[:24], atol=1e-12)
+        assert np.allclose(prior.roi.ravel(), expected[:24], atol=1e-12)
         assert np.allclose(prior.weights.weights,
                            1.0 / (1.0 + np.exp(-expected[24:])), atol=1e-12)
 

@@ -23,7 +23,6 @@ from lanefuse.heads_losses import (
     smooth_l1,
     total_loss,
 )
-from lanefuse.pillar import LaneROI
 
 from conftest import random_lane_set
 
@@ -72,7 +71,7 @@ class TestLossRoi:
     def test_perfect_prediction_zero(self):
         lanes = random_lane_set(np.random.default_rng(0), 3, 8)
         pts = lanes.points
-        assert loss_roi(LaneROI(points=pts), lanes) == 0.0
+        assert loss_roi(pts, lanes) == 0.0
 
     def test_hand_case_single_pair(self):
         gt = single_pair_set([0.0, 0.0, 0.0], [2.0, 0.0, 0.0])
@@ -285,7 +284,7 @@ class TestPerfectPredictionsProperty:
             assert bd.total == 0.0
             # and randomized (imperfect) predictions stay non-negative
             noisy = compute_losses(
-                pred, LaneROI(points=roi.points + rng.normal(size=roi.points.shape)),
+                pred, roi + rng.normal(size=roi.shape),
                 gt, rng.uniform(-30, 30, 3), rng.uniform(0, 10), 1, cfg, weights)
             for name in LOSS_NAMES:
                 assert getattr(noisy, name) >= 0.0

@@ -179,7 +179,7 @@ def digests(request, suite):
     for scene, seeded, gt in scenes:
         cloud = render_lidar(scene, density, cfg.lidar_noise_sigma, scene.spec.seed)
         pillars = pillarize(cloud, cfg.pillar_spec())
-        got["cloud"].append(digest(cloud.points))
+        got["cloud"].append(digest(cloud))
         got["pillars"].append(pillar_digest(pillars))
         got["seeded"].append(lane_digest(lane_sample(pillars, seeded, cfg.r_max)))
         got["gt"].append(lane_digest(lane_sample(pillars, gt, cfg.r_max)))

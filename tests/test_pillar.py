@@ -7,7 +7,6 @@ from lanefuse.config import RunConfig
 from lanefuse.pillar import (
     GridSpec,
     LanePillarSet,
-    LaneROI,
     LaneWeights,
     RAW_FEATURE_DIM,
     _cell_count,
@@ -17,7 +16,7 @@ from lanefuse.pillar import (
     lane_sample,
     pillarize,
 )
-from lanefuse.scene_synth import PointCloud, generate_scene, render_lidar
+from lanefuse.scene_synth import generate_scene, render_lidar
 
 
 def make_spec(res=(0.5, 0.5, 0.5), lo=(-10.0, -10.0, 0.0), hi=(10.0, 10.0, 8.0)):
@@ -116,7 +115,7 @@ class TestPillarize:
     def test_two_points_one_pillar_height_adjusted(self):
         spec = pillar_grid_spec()
         pts = np.array([[0.1, 0.1, 0.1], [0.12, 0.13, 3.0]])
-        ps = pillarize(PointCloud(points=pts), spec)
+        ps = pillarize(pts, spec)
         assert len(ps) == 1
         feat = ps.features[0]
         assert feat[0] == 2.0
@@ -127,9 +126,8 @@ class TestPillarize:
         for _ in range(10):
             pts = rng.uniform(-9, 9, (800, 3))
             pts[:, 2] = rng.uniform(0, 7.9, 800)
-            cloud = PointCloud(points=pts)
             vcount = voxel_count(pts, make_spec())
-            pcount = len(pillarize(cloud, pillar_grid_spec()))
+            pcount = len(pillarize(pts, pillar_grid_spec()))
             assert vcount >= pcount
 
     def test_centroids_match_brute_force(self):
@@ -137,7 +135,7 @@ class TestPillarize:
         pts = rng.uniform(-5, 5, (300, 3))
         pts[:, 2] = rng.uniform(0, 7.9, 300)
         spec = pillar_grid_spec()
-        ps = pillarize(PointCloud(points=pts), spec)
+        ps = pillarize(pts, spec)
         # independent accumulation
         groups = {}
         for p in pts:
@@ -162,7 +160,7 @@ class TestPillarize:
         pts = rng.uniform(-9, 9, (200, 3))
         pts[:, 2] = rng.uniform(0, 7.9, 200)
         spec = pillar_grid_spec()
-        ps = pillarize(PointCloud(points=pts), spec)
+        ps = pillarize(pts, spec)
         assert ps.offsets[0] == 0 and ps.offsets[-1] == len(ps.members) == len(pts)
         for k, (ix, iy) in enumerate(ps.keys.tolist()):
             members = ps.members[ps.offsets[k]:ps.offsets[k + 1]]
@@ -175,7 +173,7 @@ class TestPillarize:
     def test_cells_view_matches_csr_layout(self):
         rng = np.random.default_rng(9)
         pts = rng.uniform(-4, 4, (300, 3))
-        ps = pillarize(PointCloud(points=pts), pillar_grid_spec())
+        ps = pillarize(pts, pillar_grid_spec())
         cells = ps.cells
         assert list(cells) == list(map(tuple, ps.keys.tolist()))
         for k, members in enumerate(cells.values()):
@@ -187,9 +185,8 @@ class TestPillarize:
         pts = rng.uniform(-11, 11, (3000, 3))
         pts[:, 2] = rng.uniform(0, 7.9, 3000)
         roi_pts = rng.uniform(-12, 12, (2, 5, 3))
-        full = pillarize(PointCloud(points=pts), spec)
-        part = pillarize(PointCloud(points=pts), spec, roi=LaneROI(points=roi_pts),
-                         r_max=1.0)
+        full = pillarize(pts, spec)
+        part = pillarize(pts, spec, roi=roi_pts, r_max=1.0)
         rings = math.ceil(1.0 / 0.5) + 1
         roi_cells = [(math.floor((x + 10.0) / 0.5), math.floor((y + 10.0) / 0.5))
                      for x, y, _ in roi_pts.reshape(-1, 3)]
@@ -207,16 +204,16 @@ class TestPillarize:
 
     def test_multi_z_bin_grid_rejected(self):
         with pytest.raises(ValueError, match="single z bin"):
-            pillarize(PointCloud(points=np.zeros((0, 3))), make_spec())
+            pillarize(np.zeros((0, 3)), make_spec())
 
 
 class TestLaneSample:
     def test_roi_at_cell_center_selects_that_cell(self):
         spec = pillar_grid_spec()
         pts = np.array([[0.2, 0.2, 1.0], [1.2, 1.2, 1.0]])
-        ps = pillarize(PointCloud(points=pts), spec)
+        ps = pillarize(pts, spec)
         cx, cy = spec.cell_center_xy(20, 20)  # cell containing (0.2, 0.2)
-        roi = LaneROI(points=np.array([[[cx, cy, 0.0]]]))
+        roi = np.array([[[cx, cy, 0.0]]])
         out = lane_sample(ps, roi, r_max=2.0)
         assert tuple(out.source_cells[0, 0]) == (20, 20)
         assert not out.empty[0, 0]
@@ -225,8 +222,8 @@ class TestLaneSample:
         spec = pillar_grid_spec()
         # two pillars symmetric about x = 0: cells (19, 20) and (20, 20)
         pts = np.array([[-0.25, 0.25, 1.0], [0.25, 0.25, 1.0]])
-        ps = pillarize(PointCloud(points=pts), spec)
-        roi = LaneROI(points=np.array([[[0.0, 0.25, 0.0]]]))
+        ps = pillarize(pts, spec)
+        roi = np.array([[[0.0, 0.25, 0.0]]])
         out = lane_sample(ps, roi, r_max=2.0)
         assert tuple(out.source_cells[0, 0]) == (19, 20)
 
@@ -235,15 +232,14 @@ class TestLaneSample:
         spec = pillar_grid_spec()
         pts = rng.uniform(-9, 9, (400, 3))
         pts[:, 2] = rng.uniform(0, 7.9, 400)
-        ps = pillarize(PointCloud(points=pts), spec)
-        roi_pts = rng.uniform(-11, 11, (6, 20, 3))
-        roi = LaneROI(points=roi_pts)
-        roi_first = pillarize(PointCloud(points=pts), spec, roi=roi, r_max=2.0)
+        ps = pillarize(pts, spec)
+        roi = rng.uniform(-11, 11, (6, 20, 3))
+        roi_first = pillarize(pts, spec, roi=roi, r_max=2.0)
         for binned in (ps, roi_first):
             out = lane_sample(binned, roi, r_max=2.0)
             for i in range(6):
                 for j in range(20):
-                    expected = nearest_pillar_oracle(ps, roi_pts[i, j, 0], roi_pts[i, j, 1], 2.0)
+                    expected = nearest_pillar_oracle(ps, roi[i, j, 0], roi[i, j, 1], 2.0)
                     if expected is None:
                         assert out.empty[i, j]
                         assert np.all(out.features[i, j] == 0.0)
@@ -257,52 +253,50 @@ class TestLaneSample:
         # squares by ``** 2`` and by x * x disagree on the order (found by
         # search on glibc; the oracle defines the answer on any libm).
         spec = pillar_grid_spec()
-        ps = pillarize(PointCloud(points=np.array([[0.3, 0.3, 1.0], [1.3, 0.8, 1.0]])), spec)
+        ps = pillarize(np.array([[0.3, 0.3, 1.0], [1.3, 0.8, 1.0]]), spec)
         roi = np.array([[[0.8963560421659162, 0.20728791566816757, 0.0],
                          [0.7175230704637556, 0.5649538590724887, 0.0]]])
-        out = lane_sample(ps, LaneROI(points=roi), r_max=2.0)
+        out = lane_sample(ps, roi, r_max=2.0)
         for j in range(2):
             expected = nearest_pillar_oracle(ps, roi[0, j, 0], roi[0, j, 1], 2.0)
             assert tuple(out.source_cells[0, j]) == expected
 
     def test_r_max_boundary_is_inclusive(self):
         spec = pillar_grid_spec()
-        ps = pillarize(PointCloud(points=np.array([[0.2, 0.2, 1.0]])), spec)
+        ps = pillarize(np.array([[0.2, 0.2, 1.0]]), spec)
         cx, cy = spec.cell_center_xy(20, 20)
         roi = np.array([[[cx + 2.0, cy, 0.0], [cx + 2.0 + 2.0 ** -40, cy, 0.0]]])
-        for binned in (ps, pillarize(PointCloud(points=np.array([[0.2, 0.2, 1.0]])), spec,
-                                     roi=LaneROI(points=roi), r_max=2.0)):
-            out = lane_sample(binned, LaneROI(points=roi), r_max=2.0)
+        for binned in (ps, pillarize(np.array([[0.2, 0.2, 1.0]]), spec, roi=roi, r_max=2.0)):
+            out = lane_sample(binned, roi, r_max=2.0)
             assert out.empty.tolist() == [[False, True]]
             assert tuple(out.source_cells[0, 0]) == (20, 20)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_roi_rejected(self, bad):
         spec = pillar_grid_spec()
-        cloud = PointCloud(points=np.array([[0.2, 0.2, 1.0]]))
+        cloud = np.array([[0.2, 0.2, 1.0]])
         roi = np.zeros((2, 3, 3))
         roi[1, 2, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            lane_sample(pillarize(cloud, spec), LaneROI(points=roi))
+            lane_sample(pillarize(cloud, spec), roi)
         with pytest.raises(ValueError, match="non-finite"):
-            pillarize(cloud, spec, roi=LaneROI(points=roi))
+            pillarize(cloud, spec, roi=roi)
 
     def test_far_roi_points_sample_nothing(self):
         spec = pillar_grid_spec()
-        cloud = PointCloud(points=np.array([[0.2, 0.2, 1.0]]))
-        roi = LaneROI(points=np.array([[[1e300, -1e300, 0.0], [-1e300, 1e300, 0.0],
-                                        [0.25, 0.25, 0.0]]]))
+        cloud = np.array([[0.2, 0.2, 1.0]])
+        roi = np.array([[[1e300, -1e300, 0.0], [-1e300, 1e300, 0.0], [0.25, 0.25, 0.0]]])
         out = lane_sample(pillarize(cloud, spec), roi)
         assert out.empty.tolist() == [[True, True, False]]
         part = pillarize(cloud, spec, roi=roi)
         assert part.keys.tolist() == [[20, 20]]
-        far = LaneROI(points=roi.points[:, :2])
+        far = roi[:, :2]
         assert len(pillarize(cloud, spec, roi=far)) == 0
         assert lane_sample(pillarize(cloud, spec), far).empty.all()
 
     def test_cardinality_fixed_even_for_empty_cloud(self):
-        ps = pillarize(PointCloud(points=np.zeros((0, 3))), pillar_grid_spec())
-        out = lane_sample(ps, LaneROI(points=np.zeros((6, 20, 3))), r_max=2.0)
+        ps = pillarize(np.zeros((0, 3)), pillar_grid_spec())
+        out = lane_sample(ps, np.zeros((6, 20, 3)), r_max=2.0)
         assert out.features.shape == (6, 20, RAW_FEATURE_DIM)
         assert out.empty.all()
 
@@ -311,10 +305,10 @@ class TestLaneSample:
         spec = pillar_grid_spec()
         pts = rng.uniform(-3, 3, (50, 3))
         pts[:, 2] = 1.0
-        ps = pillarize(PointCloud(points=pts), spec)
+        ps = pillarize(pts, spec)
         roi_pts = rng.uniform(-10, 10, (4, 10, 3))
         r_max = 1.5
-        out = lane_sample(ps, LaneROI(points=roi_pts), r_max=r_max)
+        out = lane_sample(ps, roi_pts, r_max=r_max)
         for i in range(4):
             for j in range(10):
                 dists = [
@@ -338,10 +332,8 @@ class TestLaneSample:
         roi_pts = rng.integers(-384, 384, (3, 8, 3)) / 64.0
         shift = np.array([4 * 0.5, -3 * 0.5, 0.0])  # grid-aligned offset
         spec = pillar_grid_spec()
-        out_a = lane_sample(pillarize(PointCloud(points=pts), spec),
-                            LaneROI(points=roi_pts), r_max=2.0)
-        out_b = lane_sample(pillarize(PointCloud(points=pts + shift), spec),
-                            LaneROI(points=roi_pts + shift), r_max=2.0)
+        out_a = lane_sample(pillarize(pts, spec), roi_pts, r_max=2.0)
+        out_b = lane_sample(pillarize(pts + shift, spec), roi_pts + shift, r_max=2.0)
         assert np.array_equal(out_a.empty, out_b.empty)
         expected = out_a.source_cells + np.array([4, -3], dtype=np.int64)
         expected[out_a.source_cells == -1] = -1
@@ -375,8 +367,8 @@ class TestEncodePillars:
     def test_doubling_point_count_changes_only_count_channel(self):
         spec = pillar_grid_spec()
         pts = np.array([[0.1, 0.2, 1.0], [0.3, 0.1, 2.0]])
-        once = pillarize(PointCloud(points=pts), spec)
-        twice = pillarize(PointCloud(points=np.vstack([pts, pts])), spec)
+        once = pillarize(pts, spec)
+        twice = pillarize(np.vstack([pts, pts]), spec)
         f1 = once.features[0]
         f2 = twice.features[0]
         assert f2[0] == 2 * f1[0]
@@ -399,8 +391,7 @@ class TestFeatureCountReport:
         rng = np.random.default_rng(5)
         pts = rng.uniform(-9, 9, (2000, 3))
         pts[:, 2] = rng.uniform(0, 7.9, 2000)
-        cloud = PointCloud(points=pts)
-        rep = feature_count_report(cloud, 6 * 20, make_spec(), pillar_grid_spec())
+        rep = feature_count_report(pts, 6 * 20, make_spec(), pillar_grid_spec())
         assert rep["lane_level_count"] == 120.0
         assert rep["voxel_count"] >= rep["pillar_count"]
         assert rep["ratio_voxel"] == rep["voxel_count"] / 120.0
@@ -413,13 +404,13 @@ def counted(pts: np.ndarray, voxel_spec: GridSpec, pillar_spec: GridSpec) -> tup
 
 
 def built(pts: np.ndarray, voxel_spec: GridSpec, pillar_spec: GridSpec) -> tuple[int, int]:
-    return voxel_count(pts, voxel_spec), len(pillarize(PointCloud(points=pts), pillar_spec))
+    return voxel_count(pts, voxel_spec), len(pillarize(pts, pillar_spec))
 
 
 def assert_counts_match_encodings(pts, voxel_spec, pillar_spec):
     want = built(pts, voxel_spec, pillar_spec)
     assert counted(pts, voxel_spec, pillar_spec) == want
-    rep = feature_count_report(PointCloud(points=pts), 120, voxel_spec, pillar_spec)
+    rep = feature_count_report(pts, 120, voxel_spec, pillar_spec)
     assert (rep["voxel_count"], rep["pillar_count"]) == want
     return want
 
@@ -436,7 +427,7 @@ class TestCellCount:
             scene = generate_scene(spec, n_p=cfg.n_p)
             cloud = render_lidar(scene, density, cfg.lidar_noise_sigma, scene.spec.seed)
             voxels, pillars = assert_counts_match_encodings(
-                cloud.points, cfg.voxel_spec(), cfg.pillar_spec())
+                cloud, cfg.voxel_spec(), cfg.pillar_spec())
             assert 0 < pillars <= voxels
 
     def edge_clouds(self):
@@ -463,7 +454,7 @@ class TestCellCount:
 
     def test_pillar_grid_needs_one_z_bin(self):
         with pytest.raises(ValueError, match="single z bin"):
-            feature_count_report(PointCloud(points=np.zeros((1, 3))), 120, make_spec(), make_spec())
+            feature_count_report(np.zeros((1, 3)), 120, make_spec(), make_spec())
 
 
 def test_lane_weights_domain_checked():

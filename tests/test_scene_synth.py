@@ -11,7 +11,6 @@ from lanefuse.double_edge import interpret_path, validate
 from lanefuse.geometry import OrientedBox, SegmentTable, polyline_length, resample_polyline
 from lanefuse.scene_synth import (
     GenerationError,
-    PointCloud,
     Scene,
     SceneSpec,
     generate_scene,
@@ -351,7 +350,7 @@ class TestRenderLidar:
             scene = generate_scene(spec, n_p=20)
             density = (0.7, 3.0, 12.0, 25.0)[k % 4]
             sigma = (0.0, 0.05)[k % 2]
-            got = render_lidar(scene, density, sigma, seed=k).points
+            got = render_lidar(scene, density, sigma, seed=k)
             want = render_lidar_reference(scene, density, sigma, seed=k)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (spec, density, sigma)
@@ -361,7 +360,7 @@ class TestRenderLidar:
         scene = generate_scene(spec, n_p=20)
         cloud = render_lidar(scene, density=4.0, noise_sigma=0.0, seed=42)
         assert len(cloud) > 0
-        assert np.all(cloud.points[:, 2] == 0.0)
+        assert np.all(cloud[:, 2] == 0.0)
 
     def test_density_doubling_doubles_count_within_one_percent(self):
         spec = SceneSpec(seed=8, lane_count=2, geometry="straight", route_length=100.0)
@@ -384,8 +383,8 @@ class TestRenderLidar:
         a = render_lidar(scene, 3.0, 0.05, seed=11)
         b = render_lidar(scene, 3.0, 0.05, seed=11)
         c = render_lidar(scene, 3.0, 0.05, seed=12)
-        assert np.array_equal(a.points, b.points)
-        assert not np.array_equal(a.points, c.points)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     @pytest.mark.parametrize("density", [1e6, 1e306], ids=["7.8-GiB", "overflowing"])
     def test_cloud_beyond_cap_rejected_before_allocating(self, density):
@@ -406,7 +405,7 @@ class TestRenderLidar:
         spec = SceneSpec(seed=21, lane_count=1, agent_count=1)
         scene = generate_scene(spec, n_p=20)
         cloud = render_lidar(scene, density=6.0, noise_sigma=0.0, seed=5)
-        assert np.any(cloud.points[:, 2] > 0.5)
+        assert np.any(cloud[:, 2] > 0.5)
 
 
 class TestViewFeatures:
@@ -420,8 +419,8 @@ class TestViewFeatures:
         spec = SceneSpec(seed=6, lane_count=2, agent_count=1)
         a = synth_view_features(generate_scene(spec, n_p=20), 16, 8, 8, seed=7)
         b = synth_view_features(generate_scene(spec, n_p=20), 16, 8, 8, seed=7)
-        assert np.array_equal(a.views, b.views)
-        assert a.views.shape == (4, 16, 8, 8)
+        assert np.array_equal(a, b)
+        assert a.shape == (4, 16, 8, 8)
 
     def test_green_vs_red_differ_in_signal_projection(self):
         green = generate_scene(SceneSpec(seed=4, traffic_signal="green"), n_p=20)
@@ -431,7 +430,7 @@ class TestViewFeatures:
         assert not np.array_equal(sem_g[0, 2], sem_r[0, 2])
         fg = synth_view_features(green, 16, 8, 8, seed=7)
         fr = synth_view_features(red, 16, 8, 8, seed=7)
-        assert not np.array_equal(fg.views, fr.views)
+        assert not np.array_equal(fg, fr)
 
 
 class TestPersistence:
@@ -445,11 +444,11 @@ class TestPersistence:
 
     def test_point_cloud_round_trip(self, tmp_path):
         pts = np.random.default_rng(0).uniform(-50, 50, (137, 3)).astype(np.float32)
-        cloud = PointCloud(points=pts.astype(float))
+        cloud = pts.astype(float)
         path = tmp_path / "cloud.lfpc"
         save_point_cloud(path, cloud)
         loaded = load_point_cloud(path)
-        assert np.array_equal(loaded.points, cloud.points)
+        assert np.array_equal(loaded, cloud)
 
     def test_point_cloud_bad_magic(self, tmp_path):
         path = tmp_path / "bad.lfpc"
@@ -466,8 +465,7 @@ class TestPersistence:
 
     def test_point_cloud_non_finite_rejected(self, tmp_path):
         path = tmp_path / "nan.lfpc"
-        save_point_cloud(path, PointCloud(points=np.array([[0.0, np.nan, 1.0],
-                                                           [2.0, 3.0, np.inf]])))
+        save_point_cloud(path, np.array([[0.0, np.nan, 1.0], [2.0, 3.0, np.inf]]))
         with pytest.raises(ValueError, match="non-finite"):
             load_point_cloud(path)
 
@@ -507,8 +505,8 @@ class TestPersistence:
                 cloud = load_point_cloud(path)
             except ValueError:
                 continue
-            assert cloud.points.shape == ((len(data) - 8) // 12, 3)
-            assert np.isfinite(cloud.points).all()
+            assert cloud.shape == ((len(data) - 8) // 12, 3)
+            assert np.isfinite(cloud).all()
             loaded += 1
         assert 0 < loaded < len(cases)
 
@@ -517,7 +515,7 @@ class TestPersistence:
                              ids=["snan", "negative-snan", "qnan", "inf"])
     def test_non_finite_payload_raises_value_error_without_warning(self, tmp_path, word):
         path = tmp_path / "cloud.lfpc"
-        save_point_cloud(path, PointCloud(points=np.ones((3, 3))))
+        save_point_cloud(path, np.ones((3, 3)))
         raw = bytearray(path.read_bytes())
         raw[8 + 12 + 4:8 + 12 + 8] = struct.pack("<I", word)
         path.write_bytes(bytes(raw))
