@@ -13,7 +13,7 @@ import numpy as np
 
 from .fusion import BlockConfig
 from .heads_losses import LossConfig, LossWeights
-from .io_utils import dumps, from_json
+from .io_utils import from_json
 from .pillar import GridSpec
 from .scene_synth import SceneSpec
 from .sim_eval import ControllerConfig, EvalConfig
@@ -120,9 +120,6 @@ class RunConfig:
         ]
 
     # -- JSON round trip -----------------------------------------------------
-
-    def to_json(self) -> bytes:
-        return dumps(self)
 
     @classmethod
     def from_obj(cls, obj) -> "RunConfig":

@@ -135,40 +135,36 @@ def _cell_count(pts: np.ndarray, inside: np.ndarray, spec: GridSpec, axes: int) 
     return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
-def _search_rings(spec: GridSpec, r_max: float) -> int:
-    """Chebyshev radius, in cells, of the window lane_sample searches."""
-    return int(math.ceil(r_max / min(spec.resolution[0], spec.resolution[1]))) + 1
-
-
-def _roi_cells(roi: np.ndarray, spec: GridSpec, rings: int) -> np.ndarray:
-    """(n_d * n_p, 2) int64 grid cell of every ROI point.
-
-    A cell further than ``rings`` outside the grid is clamped to just beyond
-    that distance: its search window stays free of grid cells, and the
-    integer cast stays defined for any finite coordinate.
-    """
+def _roi_xy(roi: np.ndarray) -> np.ndarray:
+    """(n_d * n_p, 2) ground-plane coordinates of the ROI points."""
     pts = np.asarray(roi, dtype=float)
     if not np.all(np.isfinite(pts)):
         raise ValueError("lane ROI contains non-finite points")
-    origin = np.array(spec.bounds_min[:2])
-    res = np.array(spec.resolution[:2])
-    last = np.floor((np.array(spec.bounds_max[:2]) - origin) / res)
-    cells = np.floor((pts.reshape(-1, pts.shape[-1])[:, :2] - origin) / res)
-    return np.clip(cells, -rings - 1, last + rings + 1).astype(np.int64)
+    return pts.reshape(-1, pts.shape[-1])[:, :2]
 
 
 def _window_points(pts: np.ndarray, spec: GridSpec, roi: np.ndarray,
                    r_max: float) -> np.ndarray:
-    """Ascending indices of the in-bounds points whose cell lies in the
-    search window of at least one ROI point."""
-    rings = _search_rings(spec, r_max)
-    cells = _roi_cells(roi, spec, rings)
+    """Ascending indices of the in-bounds points whose cell lies within
+    ``rings = ceil(r_max / min(dx, dy)) + 1`` cells (Chebyshev) of the cell
+    of at least one ROI point.
+
+    Every cell center within ``r_max`` of an ROI point lies in that point's
+    window, so :func:`lane_sample` over these points picks what it would
+    pick over the full cloud. An ROI cell further than ``rings`` outside the
+    grid is clamped to just beyond that distance: its window stays free of
+    grid cells, and the integer cast stays defined for any finite coordinate.
+    """
+    rings = int(math.ceil(r_max / min(spec.resolution[0], spec.resolution[1]))) + 1
+    xy = _roi_xy(roi)
+    origin = np.array(spec.bounds_min[:2])
+    res = np.array(spec.resolution[:2])
+    last = np.floor((np.array(spec.bounds_max[:2]) - origin) / res)
+    cells = np.clip(np.floor((xy - origin) / res), -rings - 1, last + rings + 1).astype(np.int64)
     if len(cells) == 0 or pts.size == 0:
         return np.zeros(0, dtype=np.int64)
     lo = cells.min(axis=0) - rings
     shape = cells.max(axis=0) + rings + 1 - lo
-    origin = np.array(spec.bounds_min[:2])
-    res = np.array(spec.resolution[:2])
     # Coarse cut on raw coordinates first, one cell wider on each side than
     # the windows so that quantization rounding cannot drop a point.
     box_lo = origin + (lo - 1) * res
@@ -240,9 +236,11 @@ def pillarize(cloud: np.ndarray, spec: GridSpec, roi: np.ndarray | None = None,
     Requires dz to span the whole z range (a single z bin); the pillar's
     z extent is taken from its member points, not the grid.
 
-    With ``roi``, only points in the cells that ``lane_sample(pillars, roi,
-    r_max)`` searches are binned. Each of those cells comes out exactly as
-    in the full-cloud set, so the lane samples are the same.
+    With ``roi``, only points in a window around each ROI point are binned
+    (see :func:`_window_points`); the windows hold every cell whose center
+    lies within ``r_max`` of their ROI point. Each binned cell comes out
+    exactly as in the full-cloud set, so ``lane_sample(pillars, roi,
+    r_max)`` picks the same pillars from either set.
     """
     _check_single_z_bin(spec)
     pts = np.asarray(cloud, dtype=float)
@@ -266,64 +264,56 @@ def lane_sample(pillars: PillarSet, roi: np.ndarray, r_max: float = 2.0) -> Lane
     """Pick, for every ROI point, the pillar whose cell center is nearest in
     the ground plane; beyond ``r_max`` an empty zero pillar is emitted.
 
-    Ties break toward the lexicographically smaller (ix, iy). The output
-    always has exactly n_d x n_p entries, whatever the cloud contained.
-    Raises ValueError on non-finite ROI points.
+    Every pillar of the set is a candidate for every ROI point, so the
+    pick does not depend on which cells :func:`pillarize` binned, as long
+    as they include the cells within ``r_max``. Ties break toward the
+    lexicographically smaller (ix, iy). The output always has exactly
+    n_d x n_p entries, whatever the cloud contained. Raises ValueError on
+    non-finite ROI points.
     """
     if r_max <= 0:
         raise ValueError(f"r_max must be > 0, got {r_max}")
     spec = pillars.spec
     pts = np.asarray(roi, dtype=float)
     n_d, n_p, _ = pts.shape
-    rings = _search_rings(spec, r_max)
-    cells = _roi_cells(roi, spec, rings)
+    xy = _roi_xy(pts)
     feats = np.zeros((n_d, n_p, RAW_FEATURE_DIM))
     empty = np.ones((n_d, n_p), dtype=bool)
     source = np.full((n_d, n_p, 2), -1, dtype=np.int64)
-    if len(pillars) == 0 or len(cells) == 0:
+    if len(pillars) == 0 or len(xy) == 0:
         return LanePillarSet(features=feats, empty=empty, source_cells=source)
 
-    # Every ROI point's (2 * rings + 1)^2 window, in (ix, iy) order per row.
-    off = np.arange(-rings, rings + 1)
-    cx, cy = np.broadcast_arrays((cells[:, 0, None] + off)[:, :, None],
-                                 (cells[:, 1, None] + off)[:, None, :])
-    cx = cx.reshape(len(cells), -1)
-    cy = cy.reshape(len(cells), -1)
-    ky = int(pillars.keys[:, 1].max()) + 1
-    flat_keys = pillars.keys[:, 0] * ky + pillars.keys[:, 1]  # ascending
-    flat = cx * ky + cy
-    row = np.minimum(np.searchsorted(flat_keys, flat), len(flat_keys) - 1)
-    found = (cy >= 0) & (cy < ky) & (flat_keys[row] == flat)
-
-    xy = pts.reshape(-1, pts.shape[-1])[:, :2]
+    keys = pillars.keys
     x0, y0 = spec.bounds_min[0], spec.bounds_min[1]
     dx, dy = spec.resolution[0], spec.resolution[1]
-    fq = np.nonzero(found)[0]
-    d2 = np.full(found.shape, np.inf)
-    d2[found] = ((x0 + (cx[found] + 0.5) * dx - xy[fq, 0]) ** 2
-                 + (y0 + (cy[found] + 0.5) * dy - xy[fq, 1]) ** 2)
-    best = np.argmin(d2, axis=1)  # first minimum: smallest (ix, iy) among ties
-    q = np.arange(len(cells))
-    d2_best = d2[q, best]
+    # A far ROI point's square overflows to inf, which reads as out of range.
+    with np.errstate(over="ignore"):
+        d2 = ((x0 + (keys[:, 0] + 0.5) * dx - xy[:, 0, None]) ** 2
+              + (y0 + (keys[:, 1] + 0.5) * dy - xy[:, 1, None]) ** 2)
+    best = np.argmin(d2, axis=1)  # first minimum: keys are in (ix, iy) order
+    d2_best = d2[np.arange(len(xy)), best]
     r2 = r_max * r_max
     take = d2_best <= r2
-    close = found & (d2 <= d2_best[:, None] * (1.0 + _RERANK_MARGIN))
-    rerank = (close.sum(axis=1) > 1) | (np.abs(d2_best - r2) <= r2 * _RERANK_MARGIN)
+    close = d2 <= d2_best[:, None] * (1.0 + _RERANK_MARGIN)
+    # A row whose best is past r_max stays empty whatever the order; a
+    # scalar re-rank of its ties could overflow a Python float square.
+    rerank = (d2_best <= r2 * (1.0 + _RERANK_MARGIN)) & (
+        (close.sum(axis=1) > 1) | (np.abs(d2_best - r2) <= r2 * _RERANK_MARGIN))
     for i in np.flatnonzero(rerank):
         px, py = xy[i, 0], xy[i, 1]
         ranked = []
         for k in np.flatnonzero(close[i]):
-            ccx, ccy = spec.cell_center_xy(int(cx[i, k]), int(cy[i, k]))
-            ranked.append(((ccx - px) ** 2 + (ccy - py) ** 2, int(cx[i, k]),
-                           int(cy[i, k]), k))
+            ix, iy = int(keys[k, 0]), int(keys[k, 1])
+            ccx, ccy = spec.cell_center_xy(ix, iy)
+            ranked.append(((ccx - px) ** 2 + (ccy - py) ** 2, ix, iy, k))
         d2_i, _, _, best[i] = min(ranked)
         take[i] = d2_i <= r2
 
     hit = np.flatnonzero(take)
     k = best[hit]
-    feats.reshape(-1, RAW_FEATURE_DIM)[hit] = pillars.features[row[hit, k]]
+    feats.reshape(-1, RAW_FEATURE_DIM)[hit] = pillars.features[k]
     empty.reshape(-1)[hit] = False
-    source.reshape(-1, 2)[hit] = np.column_stack([cx[hit, k], cy[hit, k]])
+    source.reshape(-1, 2)[hit] = keys[k]
     return LanePillarSet(features=feats, empty=empty, source_cells=source)
 
 

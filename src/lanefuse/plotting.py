@@ -1,6 +1,6 @@
 """Static SVG plot emitters: grouped bar charts for feature counts and
-latency, and a top-down scene rendering (lane edges, occupancy, plan path,
-ego trajectory).
+latency, and a top-down scene rendering (lane edges, occupancy, boxes,
+signal, target and plan path).
 
 The scene SVG keeps raw world coordinates in the geometry elements and lets
 a single group transform handle display scaling, so plotted points can be
@@ -86,21 +86,13 @@ def _box_polygon(box, fill: str, opacity: str = "0.6") -> str:
     return f'<polygon points="{pts}" fill="{fill}" fill-opacity="{opacity}" stroke="#333" stroke-width="0.1"/>'
 
 
-def scene_svg(scene: Scene, path: PlannedPath | None = None,
-              trajectory: np.ndarray | None = None) -> str:
+def scene_svg(scene: Scene, path: PlannedPath | None = None) -> str:
     """Top-down rendering in world coordinates (x right, y up)."""
     gt = scene.ground_truth
     pts = gt.points.reshape(-1, 3)
-    xs = [pts[:, 0]]
-    ys = [pts[:, 1]]
-    if trajectory is not None and len(trajectory):
-        xs.append(trajectory[:, 0])
-        ys.append(trajectory[:, 1])
-    allx = np.concatenate(xs)
-    ally = np.concatenate(ys)
     pad = 8.0
-    x0, x1 = float(allx.min() - pad), float(allx.max() + pad)
-    y0, y1 = float(ally.min() - pad), float(ally.max() + pad)
+    x0, x1 = float(pts[:, 0].min() - pad), float(pts[:, 0].max() + pad)
+    y0, y1 = float(pts[:, 1].min() - pad), float(pts[:, 1].max() + pad)
     scale = 6.0
     width = (x1 - x0) * scale
     height = (y1 - y0) * scale
@@ -152,11 +144,6 @@ def scene_svg(scene: Scene, path: PlannedPath | None = None,
         body.append(
             f'<polyline id="plan-path" points="{_points_attr(wp)}" fill="none" '
             'stroke="#ddaa00" stroke-width="0.4"/>'
-        )
-    if trajectory is not None and len(trajectory):
-        body.append(
-            f'<polyline id="trajectory" points="{_points_attr(trajectory[:, :2])}" '
-            'fill="none" stroke="#223388" stroke-width="0.25" stroke-dasharray="0.8,0.5"/>'
         )
     body.append("</g>")
     body.append("</svg>")

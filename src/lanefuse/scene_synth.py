@@ -545,39 +545,28 @@ _VIEW_R_MIN = 0.5
 _VIEW_R_MAX = 80.0
 
 
-def _splat(view: np.ndarray, pts_xy: np.ndarray, yaw: float, value: float = 1.0) -> None:
-    h, w = view.shape
-    c, s = math.cos(yaw), math.sin(yaw)
-    x = c * pts_xy[:, 0] + s * pts_xy[:, 1]
-    y = -s * pts_xy[:, 0] + c * pts_xy[:, 1]
-    r = np.hypot(x, y)
-    az = np.arctan2(y, x)
-    keep = (np.abs(az) <= math.pi / 4.0) & (r >= _VIEW_R_MIN) & (r <= _VIEW_R_MAX)
-    if not np.any(keep):
-        return
-    col = np.clip(((az[keep] + math.pi / 4.0) / (math.pi / 2.0) * w).astype(int), 0, w - 1)
-    row = np.clip(((r[keep] - _VIEW_R_MIN) / (_VIEW_R_MAX - _VIEW_R_MIN) * h).astype(int), 0, h - 1)
-    np.maximum.at(view, (row, col), value)
-
-
 def rasterize_semantic_views(scene: Scene, h: int, w: int) -> np.ndarray:
     """(4, 3, H, W) semantic stacks: lane mask, agent mask, signal state."""
     sem = np.zeros((N_VIEWS, SEMANTIC_CHANNELS, h, w))
-    lane_pts = []
-    for line in scene.centerlines:
-        n = max(2, int(polyline_length(line)) * 2)
-        lane_pts.append(resample_polyline(line, n)[:, :2])
-    lane_pts = np.vstack(lane_pts)
-    agent_pts = None
-    if scene.agents:
-        agent_pts = np.vstack([
-            np.vstack([box.footprint_corners(), np.array(box.center[:2])[None, :]])
-            for box in scene.agents
-        ])
-    for v, yaw in enumerate(VIEW_YAWS):
-        _splat(sem[v, 0], lane_pts, yaw)
-        if agent_pts is not None:
-            _splat(sem[v, 1], agent_pts, yaw)
+    lanes = np.vstack([resample_polyline(line, max(2, int(polyline_length(line)) * 2))[:, :2]
+                       for line in scene.centerlines])
+    pts = np.vstack([lanes] + [
+        np.vstack([box.footprint_corners(), np.array(box.center[:2])[None, :]])
+        for box in scene.agents
+    ])
+    # Every point in every view frame, one row per view.
+    c = np.array([math.cos(yaw) for yaw in VIEW_YAWS])[:, None]
+    s = np.array([math.sin(yaw) for yaw in VIEW_YAWS])[:, None]
+    x = c * pts[:, 0] + s * pts[:, 1]
+    y = -s * pts[:, 0] + c * pts[:, 1]
+    r = np.hypot(x, y)
+    az = np.arctan2(y, x)
+    view, i = np.nonzero((np.abs(az) <= math.pi / 4.0) & (r >= _VIEW_R_MIN) & (r <= _VIEW_R_MAX))
+    col = np.clip(((az[view, i] + math.pi / 4.0) / (math.pi / 2.0) * w).astype(int), 0, w - 1)
+    row = np.clip(((r[view, i] - _VIEW_R_MIN) / (_VIEW_R_MAX - _VIEW_R_MIN) * h).astype(int),
+                  0, h - 1)
+    channel = (i >= len(lanes)).astype(np.intp)  # lane mask, then agent mask
+    sem[view, channel, row, col] = 1.0
     if scene.signal_state == "green":
         sem[0, 2, :, :] = 0.5
     elif scene.signal_state == "red":

@@ -283,14 +283,14 @@ def run_closed_loop(scene: Scene,
             # boxes and any arrival were handled in that row's chunk.
             m = len(rows) - first
             chunk_s, chunk_d = [chunk_s[-1]] * m, [chunk_d[-1]] * m
-            entered, near_end = {}, set()
+            entered, arrived = {}, [False] * m
         else:
             xy = np.array([row[1:3] for row in rows[first:]])
             s_arr, d_arr = project.project(xy)
             chunk_s, chunk_d = s_arr.tolist(), d_arr.tolist()
             entered = _entered_boxes(xy, centers, halves, cos, sin) if live else {}
-            near_end = set(np.flatnonzero(
-                np.linalg.norm(xy - end_xy, axis=1) <= arrival_r * (1.0 + 1e-9)).tolist())
+            # sqrt(dx * dx + dy * dy) per row; a 1-D norm would be a BLAS dot
+            arrived = (np.linalg.norm(xy - end_xy, axis=1) <= arrival_r).tolist()
         for j, (cur_s, cur_d) in enumerate(zip(chunk_s, chunk_d)):
             step += 1
             t_j = rows[first + j][0]
@@ -313,9 +313,7 @@ def run_closed_loop(scene: Scene,
                     break
             else:
                 deviation_clock = 0.0
-            # the batched norm only nominates steps; the scalar norm decides
-            if ((j in near_end and np.linalg.norm(xy[j] - end_xy) <= arrival_r)
-                    or cur_s >= arrival_s):
+            if arrived[j] or cur_s >= arrival_s:
                 kept, terminated = step + 1, "completed"
                 break
         progress_s += chunk_s

@@ -16,6 +16,7 @@ from lanefuse.config import RunConfig
 from lanefuse.double_edge import PlannedPath, interpret_path
 from lanefuse.fusion import build_params, save_params
 from lanefuse.heads_losses import LOSS_NAMES
+from lanefuse.io_utils import dumps
 from lanefuse.pipeline import run_pipeline
 from lanefuse.sim_eval import DEFAULT_PENALTIES, run_closed_loop
 from lanefuse.scene_synth import generate_scene, load_point_cloud, scene_from_json, scene_to_json
@@ -25,7 +26,7 @@ from lanefuse.scene_synth import generate_scene, load_point_cloud, scene_from_js
 def fast_config(tmp_path):
     cfg = RunConfig(bench_repeats=2, lidar_density=2.0)
     path = tmp_path / "config.json"
-    path.write_bytes(cfg.to_json())
+    path.write_bytes(dumps(cfg))
     return str(path)
 
 
@@ -466,7 +467,7 @@ class TestConfigFile:
     def test_round_trip_and_overrides(self, tmp_path):
         cfg = RunConfig(seed_scene=5, bench_repeats=4)
         path = tmp_path / "c.json"
-        path.write_bytes(cfg.to_json())
+        path.write_bytes(dumps(cfg))
         loaded = RunConfig.from_file(path)
         assert loaded == cfg
         assert loaded.with_overrides(seed_scene=9).seed_scene == 9

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from lanefuse.cli import main
 from lanefuse.config import RunConfig
 from lanefuse.fusion import build_params, save_params
+from lanefuse.io_utils import dumps
 from lanefuse.scene_synth import generate_scene, scene_to_json
 
 REPLACEMENTS = (None, True, 0, -1, 2.5, "", "x", [], [1.0], {}, {"k": 1})
@@ -75,7 +76,7 @@ def run_main(argv: list[str]) -> int:
     return code
 
 
-FAST = json.loads(RunConfig(bench_repeats=2, lidar_density=2.0).to_json())
+FAST = json.loads(dumps(RunConfig(bench_repeats=2, lidar_density=2.0)))
 
 
 @PROPERTY
@@ -175,7 +176,7 @@ def weight_run(tmp_path_factory):
     without ``--params``)."""
     tmp = tmp_path_factory.mktemp("weights")
     cfg = RunConfig(lidar_density=2.0)
-    (tmp / "config.json").write_bytes(cfg.to_json())
+    (tmp / "config.json").write_bytes(dumps(cfg))
     spec = cfg.with_overrides(suite="trivial").suite_specs()[0]
     (tmp / "scene.json").write_bytes(scene_to_json(generate_scene(spec, n_p=cfg.n_p)))
     store = build_params(cfg.block_config())

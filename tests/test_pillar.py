@@ -232,13 +232,15 @@ class TestLaneSample:
         spec = pillar_grid_spec()
         pts = rng.uniform(-9, 9, (400, 3))
         pts[:, 2] = rng.uniform(0, 7.9, 400)
-        ps = pillarize(pts, spec)
-        roi = rng.uniform(-11, 11, (6, 20, 3))
-        roi_first = pillarize(pts, spec, roi=roi, r_max=2.0)
-        for binned in (ps, roi_first):
-            out = lane_sample(binned, roi, r_max=2.0)
-            for i in range(6):
-                for j in range(20):
+        # cells (19, 20) and (20, 20) are equidistant from the ROI point, 3.01 m away
+        far_tie = (np.array([[-0.25, 0.25, 1.0], [0.25, 0.25, 1.0]]),
+                   np.array([[[0.0, 3.25, 0.0]]]))
+        for cloud, roi in ((pts, rng.uniform(-11, 11, (6, 20, 3))), far_tie):
+            ps = pillarize(cloud, spec)
+            roi_first = pillarize(cloud, spec, roi=roi, r_max=2.0)
+            for binned in (ps, roi_first):
+                out = lane_sample(binned, roi, r_max=2.0)
+                for i, j in np.ndindex(roi.shape[:2]):
                     expected = nearest_pillar_oracle(ps, roi[i, j, 0], roi[i, j, 1], 2.0)
                     if expected is None:
                         assert out.empty[i, j]
@@ -247,6 +249,7 @@ class TestLaneSample:
                     else:
                         assert tuple(out.source_cells[i, j]) == expected
                         assert np.array_equal(out.features[i, j], feature_row(ps, expected))
+        assert out.empty.all()  # the far tie, the last input
 
     def test_near_ties_follow_the_scalar_distance(self):
         # On the bisector of cells (20, 20) and (22, 21), where float64
@@ -282,6 +285,7 @@ class TestLaneSample:
         with pytest.raises(ValueError, match="non-finite"):
             pillarize(cloud, spec, roi=roi)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_far_roi_points_sample_nothing(self):
         spec = pillar_grid_spec()
         cloud = np.array([[0.2, 0.2, 1.0]])
@@ -293,12 +297,15 @@ class TestLaneSample:
         far = roi[:, :2]
         assert len(pillarize(cloud, spec, roi=far)) == 0
         assert lane_sample(pillarize(cloud, spec), far).empty.all()
+        # both pillars' squares overflow to inf: a tie the scalar re-rank must not see
+        two = np.array([[0.2, 0.2, 1.0], [-0.2, 0.2, 1.0]])
+        assert lane_sample(pillarize(two, spec), roi).empty.tolist() == [[True, True, False]]
 
     def test_cardinality_fixed_even_for_empty_cloud(self):
         ps = pillarize(np.zeros((0, 3)), pillar_grid_spec())
         out = lane_sample(ps, np.zeros((6, 20, 3)), r_max=2.0)
         assert out.features.shape == (6, 20, RAW_FEATURE_DIM)
-        assert out.empty.all()
+        assert out.empty.all()  # the far tie, the last input
 
     def test_selected_within_r_max_and_empty_means_none_within(self):
         rng = np.random.default_rng(12)

@@ -408,6 +408,44 @@ class TestRenderLidar:
         assert np.any(cloud[:, 2] > 0.5)
 
 
+def splat_reference(view, pts_xy, yaw):
+    """One view and one channel at a time: rotate into the view, keep the
+    points inside its 90 degree wedge and range, and max in a 1."""
+    h, w = view.shape
+    c, s = math.cos(yaw), math.sin(yaw)
+    x = c * pts_xy[:, 0] + s * pts_xy[:, 1]
+    y = -s * pts_xy[:, 0] + c * pts_xy[:, 1]
+    r = np.hypot(x, y)
+    az = np.arctan2(y, x)
+    keep = (np.abs(az) <= math.pi / 4.0) & (r >= 0.5) & (r <= 80.0)
+    if not np.any(keep):
+        return
+    col = np.clip(((az[keep] + math.pi / 4.0) / (math.pi / 2.0) * w).astype(int), 0, w - 1)
+    row = np.clip(((r[keep] - 0.5) / (80.0 - 0.5) * h).astype(int), 0, h - 1)
+    np.maximum.at(view, (row, col), 1.0)
+
+
+def rasterize_reference(scene, h, w):
+    sem = np.zeros((4, 3, h, w))
+    lane_pts = np.vstack([resample_polyline(line, max(2, int(polyline_length(line)) * 2))[:, :2]
+                          for line in scene.centerlines])
+    agent_pts = None
+    if scene.agents:
+        agent_pts = np.vstack([
+            np.vstack([box.footprint_corners(), np.array(box.center[:2])[None, :]])
+            for box in scene.agents
+        ])
+    for v, yaw in enumerate((0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)):
+        splat_reference(sem[v, 0], lane_pts, yaw)
+        if agent_pts is not None:
+            splat_reference(sem[v, 1], agent_pts, yaw)
+    if scene.signal_state == "green":
+        sem[0, 2] = 0.5
+    elif scene.signal_state == "red":
+        sem[0, 2] = 1.0
+    return sem
+
+
 class TestViewFeatures:
     def test_agent_channel_zero_without_agents(self):
         scene = generate_scene(SceneSpec(seed=42, lane_count=2), n_p=20)
@@ -431,6 +469,16 @@ class TestViewFeatures:
         fg = synth_view_features(green, 16, 8, 8, seed=7)
         fr = synth_view_features(red, 16, 8, 8, seed=7)
         assert not np.array_equal(fg, fr)
+
+
+    @pytest.mark.parametrize("seed", [42, 7331])
+    @pytest.mark.parametrize("h, w", [(8, 8), (48, 64)])
+    def test_matches_per_view_splat_bit_for_bit(self, seed, h, w):
+        cfg = RunConfig(seed_scene=seed)
+        for spec in cfg.suite_specs():
+            scene = generate_scene(spec, n_p=cfg.n_p)
+            got = rasterize_semantic_views(scene, h, w)
+            assert got.tobytes() == rasterize_reference(scene, h, w).tobytes()
 
 
 class TestPersistence:

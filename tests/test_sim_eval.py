@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -493,7 +494,7 @@ def reference_closed_loop(scene, path, cfg, horizon, eval_cfg=None):
     route = scene.route_polyline
     total_len = polyline_length(route)
     lane_width = scene.lane_widths[scene.route_lane]
-    end_xy = np.array(scene.route_target[:2])
+    end_x, end_y = scene.route_target[:2]
     kinds, centers, halves, cos, sin = sim_eval._stack_boxes(scene, eval_cfg.ego_radius)
     live = np.ones(len(kinds), dtype=bool)
 
@@ -545,7 +546,8 @@ def reference_closed_loop(scene, path, cfg, horizon, eval_cfg=None):
         else:
             deviation_clock = 0.0
 
-        if (np.linalg.norm(ego_xy - end_xy) <= eval_cfg.arrival_radius
+        dx, dy = state[0] - end_x, state[1] - end_y
+        if (math.sqrt(dx * dx + dy * dy) <= eval_cfg.arrival_radius
                 or cur_s >= total_len - eval_cfg.arrival_radius):
             trajectory.append((t, state[0], state[1], state[3]))
             progress.append((cur_s, cur_d))
@@ -579,6 +581,25 @@ def horizon_for(steps: int, cfg: ControllerConfig) -> float:
     return (steps - 0.5) * cfg.dt
 
 
+# A start this far from the target is within the 0.3 m arrival radius by
+# sqrt(dx * dx + dy * dy), but not by sqrt(fma(dy, dy, dx * dx)), the
+# rounding of some BLAS dot kernels (found by search over angles).
+PARKED_OFFSET = (0.20901308883567332, -0.21520578220710274)
+
+
+def parked_episode():
+    """(scene, path, horizon): an ego that never moves, parked by the target
+    of a route that folds back, so its arc length stays near 0."""
+    route = np.array([[-1.0, -0.3, 0.0], [30.0, -0.3, 0.0], [30.0, 10.0, 0.0],
+                      [0.0, 10.0, 0.0], [0.0, 0.0, 0.0]])
+    scene = dataclasses.replace(
+        straight_scene(), centerlines=(route,), lane_widths=(3.5,), route_lane=0,
+        agents=(), clutter=(), route_start=(*PARKED_OFFSET, 0.0),
+        route_target=(0.0, 0.0, 0.0))
+    hold = PlannedPath(waypoints=((5.0, -0.3, 0.0), (10.0, -0.3, 0.0)), target_speed=0.0)
+    return scene, hold, 10.0
+
+
 def chunk_episodes(run_config):
     """(name, scene, path, horizon) per episode kind the scan handles."""
     plain = straight_scene()
@@ -597,6 +618,7 @@ def chunk_episodes(run_config):
         ("failure", plain, None, 10.0),
         ("empty-path", plain, PlannedPath(waypoints=(), target_speed=3.0), 5.0),
         ("horizon-not-chunk-multiple", red, gt_plan(red, run_config)[2], 7.3),
+        ("parked-at-target", *parked_episode()),
     ]
 
 
@@ -632,6 +654,16 @@ class TestChunkedEpisode:
             got = run_closed_loop(scene, path, cfg, horizon)
             assert_same_report(got, want)
         assert math.ceil(7.3 / cfg.dt) % sim_eval._CHUNK != 0
+
+    def test_parked_ego_arrives_by_the_plain_sum(self):
+        scene, path, horizon = parked_episode()
+        dx, dy = PARKED_OFFSET
+        r = EvalConfig().arrival_radius
+        fused = float(Fraction(dy) * Fraction(dy) + Fraction(dx * dx))  # fma(dy, dy, dx * dx)
+        assert math.sqrt(dx * dx + dy * dy) <= r < math.sqrt(fused)
+        got = run_closed_loop(scene, path, ControllerConfig(), horizon)
+        assert got.terminated == "completed"
+        assert len(got.trajectory) == 2 and got.rc < 0.05
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_horizon_around_chunk_boundary(self, run_config, offset):
