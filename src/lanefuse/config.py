@@ -79,8 +79,8 @@ class RunConfig:
         if self.horizon / self.controller.dt > MAX_EPISODE_STEPS:
             raise ValueError(f"horizon {self.horizon!r} s at controller.dt {self.controller.dt!r} s "
                              f"takes more than {MAX_EPISODE_STEPS} steps")
-        if self.n_p % 2 != 0:
-            raise ValueError(f"n_p must be even, got {self.n_p}")
+        if self.n_p % 2 != 0 or self.n_p < 4:  # generate_scene's bound
+            raise ValueError(f"n_p must be even and >= 4, got {self.n_p}")
         if self.heads < 1 or self.e_dim % self.heads != 0:
             raise ValueError(f"e_dim {self.e_dim} not divisible by heads {self.heads}")
         if self.e_dim % 4 != 0:

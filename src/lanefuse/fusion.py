@@ -1,6 +1,9 @@
 """Forward-only fusion stack: sinusoidal token encoding, coarse lane prior
 head, from-scratch multi-head attention blocks for the image and LiDAR
 branches, confidence-weighted query integration and feature enhancement.
+The stages pass bare arrays: the tokens are one (E, L) array, and the lane
+queries and features are (n_d, n_p, E) arrays. No stage scans them for
+non-finite values; the heads check the pass's output once.
 
 All parameters live in a :class:`ParamStore`, which is the model: it keeps
 every block by name (``store["img_dec0.ln2.g"]``) in one fixed layout order,
@@ -30,9 +33,6 @@ from .pillar import LaneWeights
 from .scene_synth import SIGNAL_CLASSES
 
 __all__ = [
-    "TokenSequence",
-    "QuerySet",
-    "FeatureSet",
     "CoarseLanePrior",
     "BlockConfig",
     "ParamStore",
@@ -61,39 +61,6 @@ COARSE_HIDDEN = 64  # width of the coarse prior head's hidden layer
 
 class AttentionInvariantError(RuntimeError):
     """An attention weight row failed to sum to 1 within tolerance."""
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    """Flattened view tokens, shape (E, L) with L = views * H * W."""
-
-    tokens: np.ndarray
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.tokens)):
-            raise ValueError("token sequence contains non-finite entries")
-
-
-@dataclass(frozen=True)
-class QuerySet:
-    """Lane-level queries, shape (n_d, n_p, E)."""
-
-    queries: np.ndarray
-
-    def __post_init__(self):
-        if self.queries.ndim != 3 or not np.all(np.isfinite(self.queries)):
-            raise ValueError("query set must be a finite (n_d, n_p, E) array")
-
-
-@dataclass(frozen=True)
-class FeatureSet:
-    """Lane-level features, shape (n_d, n_p, E)."""
-
-    features: np.ndarray
-
-    def __post_init__(self):
-        if self.features.ndim != 3 or not np.all(np.isfinite(self.features)):
-            raise ValueError("feature set must be a finite (n_d, n_p, E) array")
 
 
 @dataclass(frozen=True)
@@ -326,10 +293,10 @@ def sinusoidal_encoding_2d(h: int, w: int, e: int) -> np.ndarray:
     return enc
 
 
-def positional_encode(views: np.ndarray, store: ParamStore) -> TokenSequence:
+def positional_encode(views: np.ndarray, store: ParamStore) -> np.ndarray:
     """1x1-project C channels of the (4, C, H, W) view stack to E, flatten
     each view to a token sequence and add the store's fixed sinusoidal
-    encoding per view."""
+    encoding per view: the (E, L) tokens, L = views * H * W."""
     views = np.asarray(views, dtype=float)
     n_views, c, h, w = views.shape
     if (h, w) != (store.cfg.view_h, store.cfg.view_w):
@@ -337,7 +304,7 @@ def positional_encode(views: np.ndarray, store: ParamStore) -> TokenSequence:
                          f"{store.cfg.view_h}x{store.cfg.view_w}")
     proj, enc = store.tok_proj, store.pos_enc
     per_view = [proj @ views[v].reshape(c, h * w) + enc for v in range(n_views)]
-    return TokenSequence(tokens=np.concatenate(per_view, axis=1))
+    return np.concatenate(per_view, axis=1)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -350,11 +317,11 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def coarse_lane_detect(tokens: TokenSequence, store: ParamStore) -> CoarseLanePrior:
+def coarse_lane_detect(tokens: np.ndarray, store: ParamStore) -> CoarseLanePrior:
     """Mean-pool the tokens and run the two-layer ReLU head producing the
     (n_d, n_p, 3) lane ROI and logistic-squashed per-lane weights."""
     w1, b1, w2, b2 = store.coarse
-    pooled = tokens.tokens.mean(axis=1)
+    pooled = tokens.mean(axis=1)
     h1 = np.maximum(w1 @ pooled + b1, 0.0)
     out = w2 @ h1 + b2
     n_d, n_p = store.cfg.n_d, store.cfg.n_p
@@ -471,12 +438,12 @@ def _ffn(x: np.ndarray, p: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def image_transformer(tokens: TokenSequence, store: ParamStore) -> FeatureSet:
+def image_transformer(tokens: np.ndarray, store: ParamStore) -> np.ndarray:
     """K encoder layers over the tokens, then K decoder layers in which the
     lane-level image queries ``store.q_image`` cross-attend to the encoded
     memory. The first decoder layer's self-attention is the store's
     ``img_dec0_self``."""
-    x = tokens.tokens.T
+    x = tokens.T
     for p_attn, p_ffn in store.img_enc:
         x = _ffn(attention_layer(x, x, x, p_attn), p_ffn)
     memory = _layer_norm(x, *store.img_enc_final)
@@ -487,43 +454,43 @@ def image_transformer(tokens: TokenSequence, store: ParamStore) -> FeatureSet:
         x = attention_layer(x, memory, memory, p_cross)
         x = _ffn(x, p_ffn)
     x = _layer_norm(x, *store.img_dec_final)
-    return FeatureSet(features=x.reshape(store.q_image.shape))
+    return x.reshape(store.q_image.shape)
 
 
-def init_lidar_queries(f_lane: np.ndarray, store: ParamStore) -> QuerySet:
+def init_lidar_queries(f_lane: np.ndarray, store: ParamStore) -> np.ndarray:
     """Affine lift of encoded lane pillar features (n_d, n_p, C) to E."""
-    return QuerySet(queries=_affine(f_lane, store.q_lift))
+    return _affine(f_lane, store.q_lift)
 
 
-def integrate_queries(q_image: QuerySet, q_lidar: QuerySet, w: LaneWeights) -> QuerySet:
+def integrate_queries(q_image: np.ndarray, q_lidar: np.ndarray, w: LaneWeights) -> np.ndarray:
     """Confidence-weighted query blend: with alpha_i = 1 - w_i per lane,
     q_integrated[i] = (1 - alpha_i) * q_image[i] + alpha_i * q_lidar[i]."""
-    if q_image.queries.shape != q_lidar.queries.shape:
+    if q_image.shape != q_lidar.shape:
         raise ValueError("query shapes differ")
     wl = np.asarray(w.weights, dtype=float)
-    if wl.shape[0] != q_image.queries.shape[0]:
+    if wl.shape[0] != q_image.shape[0]:
         raise ValueError("lane weight count does not match query lanes")
     alpha = (1.0 - wl)[:, None, None]
-    return QuerySet(queries=(1.0 - alpha) * q_image.queries + alpha * q_lidar.queries)
+    return (1.0 - alpha) * q_image + alpha * q_lidar
 
 
-def lidar_transformer(q_integrated: QuerySet, f_lane: np.ndarray,
-                      store: ParamStore) -> FeatureSet:
+def lidar_transformer(q_integrated: np.ndarray, f_lane: np.ndarray,
+                      store: ParamStore) -> np.ndarray:
     """K attention blocks with lanes as a leading batch dimension, so lanes
     stay independent: queries start from the integrated queries, keys and
     values come from the lifted lane features of the same lane."""
     kv = _affine(f_lane, store.kv_lift)
-    x = q_integrated.queries
+    x = q_integrated
     for p_attn, p_ffn in store.lid:
         x = _ffn(attention_layer(x, kv, kv, p_attn), p_ffn)
-    return FeatureSet(features=_layer_norm(x, *store.lid_final))
+    return _layer_norm(x, *store.lid_final)
 
 
-def enhance_features(f_image: FeatureSet, f_lidar: FeatureSet, w: LaneWeights) -> FeatureSet:
+def enhance_features(f_image: np.ndarray, f_lidar: np.ndarray, w: LaneWeights) -> np.ndarray:
     """Confidence-weighted feature blend: with beta_i = w_i per lane,
     f_enhanced[i] = beta_i * f_image[i] + (1 - beta_i) * f_lidar[i]."""
-    if f_image.features.shape != f_lidar.features.shape:
+    if f_image.shape != f_lidar.shape:
         raise ValueError("feature shapes differ")
     wl = np.asarray(w.weights, dtype=float)
     beta = wl[:, None, None]
-    return FeatureSet(features=beta * f_image.features + (1.0 - beta) * f_lidar.features)
+    return beta * f_image + (1.0 - beta) * f_lidar

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .double_edge import DoubleEdgeSet, StructuralError
-from .fusion import FeatureSet, ParamStore, _affine, _sigmoid
+from .fusion import ParamStore, _affine, _sigmoid
 from .io_utils import require_finite
 from .scene_synth import SIGNAL_CLASSES
 
@@ -111,23 +111,29 @@ class LossBreakdown:
 # ---------------------------------------------------------------------------
 
 
-def heads_forward(f_enhanced: FeatureSet, store: ParamStore) -> Predictions:
-    """Affine prediction heads: per point for geometry/occ/plan, per lane
-    (mean-pooled) for int/dir, global (mean-pooled) for speed and signal."""
-    f = f_enhanced.features
-    points = _affine(f, store.head_pts)
-    occ = _affine(f, store.head_occ)[..., 0]
-    plan = _affine(f, store.head_plan)[..., 0]
-    lane_pool = f.mean(axis=1)
-    int_logits = _affine(lane_pool, store.head_int)[:, 0]
-    dir_logits = _affine(lane_pool, store.head_dir)[:, 0]
-    g = f.mean(axis=(0, 1))
-    w_spd, b_spd = store.head_spd
-    speed = float((w_spd @ g + b_spd)[0])
-    w_sig, b_sig = store.head_sig
-    signal = w_sig @ g + b_sig
-    return Predictions(points=points, int_logits=int_logits, dir_logits=dir_logits,
-                       occ_logits=occ, plan_logits=plan, speed=speed, signal_logits=signal)
+def heads_forward(f_enhanced: np.ndarray, store: ParamStore) -> Predictions:
+    """Affine prediction heads over the (n_d, n_p, E) enhanced features: per
+    point for geometry/occ/plan, per lane (mean-pooled) for int/dir, global
+    (mean-pooled) for speed and signal. This is the forward pass's one
+    finiteness check: a ValueError names the first head whose output is
+    NaN or +-inf."""
+    f = f_enhanced
+    lane_pool, g = f.mean(axis=1), f.mean(axis=(0, 1))
+    (w_spd, b_spd), (w_sig, b_sig) = store.head_spd, store.head_sig
+    out = {"head_pts": _affine(f, store.head_pts),
+           "head_occ": _affine(f, store.head_occ)[..., 0],
+           "head_plan": _affine(f, store.head_plan)[..., 0],
+           "head_int": _affine(lane_pool, store.head_int)[:, 0],
+           "head_dir": _affine(lane_pool, store.head_dir)[:, 0],
+           "head_spd": w_spd @ g + b_spd,
+           "head_sig": w_sig @ g + b_sig}
+    for name, arr in out.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} output is non-finite")
+    return Predictions(points=out["head_pts"], int_logits=out["head_int"],
+                       dir_logits=out["head_dir"], occ_logits=out["head_occ"],
+                       plan_logits=out["head_plan"], speed=float(out["head_spd"][0]),
+                       signal_logits=out["head_sig"])
 
 
 def predictions_to_double_edge(pred: Predictions) -> DoubleEdgeSet:

@@ -66,8 +66,9 @@ def _to_json(obj):
 def dumps(obj) -> bytes:
     """Canonical JSON bytes: sorted keys, no whitespace, floats at repr
     precision. Dataclasses (at any depth) go through ``dataclasses.asdict``
-    and numpy arrays through ``tolist``."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+    and numpy arrays through ``tolist``. NaN and +-inf raise ValueError, so
+    no output file holds ``NaN`` or ``Infinity``."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False,
                       default=_to_json).encode("utf-8")
 
 

@@ -17,7 +17,6 @@ from .double_edge import DoubleEdgeSet, PlannedPath, interpret_path
 from .fusion import (
     CoarseLanePrior,
     ParamStore,
-    QuerySet,
     coarse_lane_detect,
     enhance_features,
     image_transformer,
@@ -61,7 +60,7 @@ def _fusion(f_image, f_lane, prior: CoarseLanePrior, store: ParamStore):
     """LiDAR queries integrated with the image queries, the LiDAR
     transformer, and the prior-weighted feature enhancement."""
     q_lidar = init_lidar_queries(f_lane, store)
-    q_integrated = integrate_queries(QuerySet(queries=store.q_image), q_lidar, prior.weights)
+    q_integrated = integrate_queries(store.q_image, q_lidar, prior.weights)
     f_lidar = lidar_transformer(q_integrated, f_lane, store)
     return enhance_features(f_image, f_lidar, prior.weights)
 

@@ -18,8 +18,6 @@ from lanefuse.config import RunConfig
 from lanefuse.double_edge import interpret_path
 from lanefuse.fusion import (
     AttentionParams,
-    FeatureSet,
-    QuerySet,
     build_params,
     enhance_features,
     integrate_queries,
@@ -101,21 +99,20 @@ def test_criterion_2_fusion_identities():
             boundary_lane = int(rng.integers(0, n_d))
             w[boundary_lane] = float(rng.integers(0, 2))
             weights = LaneWeights(weights=w)
-            q_out = integrate_queries(QuerySet(queries=qi), QuerySet(queries=ql), weights)
-            f_out = enhance_features(FeatureSet(features=qi), FeatureSet(features=ql),
-                                     weights)
+            q_out = integrate_queries(qi, ql, weights)
+            f_out = enhance_features(qi, ql, weights)
             i = boundary_lane
             if w[i] == 1.0:
-                assert np.array_equal(q_out.queries[i], qi[i])
-                assert np.array_equal(f_out.features[i], qi[i])
+                assert np.array_equal(q_out[i], qi[i])
+                assert np.array_equal(f_out[i], qi[i])
             else:
-                assert np.array_equal(q_out.queries[i], ql[i])
-                assert np.array_equal(f_out.features[i], ql[i])
+                assert np.array_equal(q_out[i], ql[i])
+                assert np.array_equal(f_out[i], ql[i])
             alpha = (1.0 - w)[:, None, None]
-            assert np.allclose(q_out.queries, (1 - alpha) * qi + alpha * ql,
+            assert np.allclose(q_out, (1 - alpha) * qi + alpha * ql,
                                rtol=0.0, atol=1e-12)
             beta = w[:, None, None]
-            assert np.allclose(f_out.features, beta * qi + (1 - beta) * ql,
+            assert np.allclose(f_out, beta * qi + (1 - beta) * ql,
                                rtol=0.0, atol=1e-12)
 
 

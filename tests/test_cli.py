@@ -573,6 +573,9 @@ class TestHostileInputs:
                      id="e_dim-not-divisible-by-4"),
         pytest.param({"k_layers": 0}, "config.k_layers must be >= 1, got 0", id="k_layers-zero"),
         pytest.param({"n_d": -1}, "config.n_d must be >= 1, got -1", id="n_d-negative"),
+        pytest.param({"n_p": 0}, "config.n_p must be even and >= 4, got 0", id="n_p-zero"),
+        pytest.param({"n_p": 2}, "config.n_p must be even and >= 4, got 2", id="n_p-two"),
+        pytest.param({"n_p": -2}, "config.n_p must be even and >= 4, got -2", id="n_p-negative"),
         pytest.param({"view_h": 0}, "config.view_h must be >= 1, got 0", id="view_h-zero"),
         pytest.param({"view_w": -1}, "config.view_w must be >= 1, got -1", id="view_w-negative"),
         pytest.param({"c_channels": -1}, "config.c_channels must be >= 1, got -1",

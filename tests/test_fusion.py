@@ -11,9 +11,6 @@ from lanefuse.fusion import (
     AttentionLayerParams,
     AttentionParams,
     BlockConfig,
-    FeatureSet,
-    QuerySet,
-    TokenSequence,
     _ffn,
     _layer_norm,
     attention_layer,
@@ -87,7 +84,7 @@ def image_transformer_unfolded(tokens, store):
         return (store[f"{ln}.g"], store[f"{ln}.b"],
                 *(store[f"{prefix}.{n}"] for n in ("w1", "b1", "w2", "b2")))
 
-    x = tokens.tokens.T
+    x = tokens.T
     for i in range(cfg.layers):
         x = attention_layer(x, x, x, attn(f"img_enc{i}.ln1", f"img_enc{i}.attn"))
         x = _ffn(x, ffn(f"img_enc{i}.ln2", f"img_enc{i}.ffn"))
@@ -134,7 +131,7 @@ class TestPositionalEncode:
     def test_zero_grid_gives_encoding_alone(self, param_store, run_config):
         tokens = positional_encode(np.zeros((4, 16, 8, 8)), param_store)
         enc = sinusoidal_encoding_2d(8, 8, 32)
-        assert np.array_equal(tokens.tokens, np.tile(enc, (1, 4)))
+        assert np.array_equal(tokens, np.tile(enc, (1, 4)))
 
     def test_identical_content_differs_by_encoding_difference(self, param_store):
         views = np.zeros((4, 16, 8, 8))
@@ -143,14 +140,14 @@ class TestPositionalEncode:
         tokens = positional_encode(views, param_store)
         enc = sinusoidal_encoding_2d(8, 8, 32)
         i, j = 1 * 8 + 2, 5 * 8 + 7
-        delta = tokens.tokens[:, i] - tokens.tokens[:, j]
+        delta = tokens[:, i] - tokens[:, j]
         assert np.allclose(delta, enc[:, i] - enc[:, j], atol=1e-12)
 
     def test_store_holds_the_encoding_of_its_view_grid(self):
         store = build_params(BlockConfig(embed=16, heads=2, view_h=3, view_w=5))
         assert np.array_equal(store.pos_enc, sinusoidal_encoding_2d(3, 5, 16))
         tokens = positional_encode(np.zeros((2, 16, 3, 5)), store)
-        assert np.array_equal(tokens.tokens, np.tile(store.pos_enc, (1, 2)))
+        assert np.array_equal(tokens, np.tile(store.pos_enc, (1, 2)))
 
     @pytest.mark.parametrize("h, w", [(8, 4), (4, 8), (16, 16)])
     def test_grid_other_than_the_stores_rejected(self, param_store, h, w):
@@ -162,14 +159,14 @@ class TestCoarseLaneDetect:
     def test_weights_within_unit_interval(self, param_store):
         rng = np.random.default_rng(0)
         for _ in range(10):
-            tokens = TokenSequence(tokens=rng.normal(scale=5.0, size=(32, 64)))
+            tokens = rng.normal(scale=5.0, size=(32, 64))
             prior = coarse_lane_detect(tokens, param_store)
             assert np.all(prior.weights.weights >= 0.0)
             assert np.all(prior.weights.weights <= 1.0)
             assert prior.roi.shape == (6, 20, 3)
 
     def test_deterministic(self, param_store):
-        tokens = TokenSequence(tokens=np.random.default_rng(1).normal(size=(32, 48)))
+        tokens = np.random.default_rng(1).normal(size=(32, 48))
         a = coarse_lane_detect(tokens, param_store)
         b = coarse_lane_detect(tokens, param_store)
         assert np.array_equal(a.roi, b.roi)
@@ -189,7 +186,7 @@ class TestCoarseLaneDetect:
             "coarse.b2": b2,
         })
         toks = np.abs(rng.normal(size=(8, 10))) + 0.1  # positive: ReLU passes pooled through
-        prior = coarse_lane_detect(TokenSequence(tokens=toks), store)
+        prior = coarse_lane_detect(toks, store)
         pooled = toks.mean(axis=1)
         expected = w2 @ pooled + b2
         assert np.allclose(prior.roi.ravel(), expected[:24], atol=1e-12)
@@ -308,34 +305,34 @@ class TestAttentionBytes:
 class TestImageTransformer:
     def test_output_shape_contract(self, param_store):
         rng = np.random.default_rng(0)
-        tokens = TokenSequence(tokens=rng.normal(size=(32, 100)))
+        tokens = rng.normal(size=(32, 100))
         out = image_transformer(tokens, param_store)
-        assert out.features.shape == (6, 20, 32)
+        assert out.shape == (6, 20, 32)
 
     def test_token_permutation_invariance(self, param_store):
         rng = np.random.default_rng(1)
         toks = rng.normal(size=(32, 40))
-        base = image_transformer(TokenSequence(tokens=toks), param_store)
+        base = image_transformer(toks, param_store)
         perm = rng.permutation(40)
-        permuted = image_transformer(TokenSequence(tokens=toks[:, perm]), param_store)
-        assert np.allclose(base.features, permuted.features, rtol=1e-9, atol=1e-9)
+        permuted = image_transformer(toks[:, perm], param_store)
+        assert np.allclose(base, permuted, rtol=1e-9, atol=1e-9)
 
     def test_bit_identical_reruns(self, param_store):
         rng = np.random.default_rng(2)
-        tokens = TokenSequence(tokens=rng.normal(size=(32, 64)))
+        tokens = rng.normal(size=(32, 64))
         a = image_transformer(tokens, param_store)
         b = image_transformer(tokens, param_store)
-        assert np.array_equal(a.features, b.features)
+        assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("name", ["img_dec0.self.wq", "img_dec0.ln1.g"])
     def test_folded_self_attention_follows_replaced_blocks(self, param_store, name):
         rng = np.random.default_rng(11)
-        tokens = TokenSequence(tokens=rng.normal(size=(32, 64)))
-        base = image_transformer(tokens, param_store).features
+        tokens = rng.normal(size=(32, 64))
+        base = image_transformer(tokens, param_store)
         assert np.array_equal(base, image_transformer_unfolded(tokens, param_store))
         old = param_store[name]
         store = param_store.replaced({name: old + rng.normal(scale=0.1, size=old.shape)})
-        got = image_transformer(tokens, store).features
+        got = image_transformer(tokens, store)
         assert np.array_equal(got, image_transformer_unfolded(tokens, store))
         assert not np.allclose(got, base)
 
@@ -344,9 +341,8 @@ class TestLidarPath:
     def test_init_queries_zero_features_give_bias(self, param_store):
         f_lane = np.zeros((6, 20, 16))
         q = init_lidar_queries(f_lane, param_store)
-        assert q.queries.shape == (6, 20, 32)
-        assert np.array_equal(q.queries, np.broadcast_to(param_store["q_lift.b"],
-                                                         (6, 20, 32)))
+        assert q.shape == (6, 20, 32)
+        assert np.array_equal(q, np.broadcast_to(param_store["q_lift.b"], (6, 20, 32)))
 
     def test_init_queries_planted_identity_lift(self):
         bc = BlockConfig(layers=1, heads=2, embed=8, seed=1, n_d=2, n_p=4, c_channels=8)
@@ -355,43 +351,43 @@ class TestLidarPath:
         })
         f_lane = np.random.default_rng(0).normal(size=(2, 4, 8))
         q = init_lidar_queries(f_lane, store)
-        assert np.array_equal(q.queries, f_lane)
+        assert np.array_equal(q, f_lane)
 
     def test_lidar_transformer_shape_and_determinism(self, param_store):
         rng = np.random.default_rng(3)
-        q = QuerySet(queries=rng.normal(size=(6, 20, 32)))
+        q = rng.normal(size=(6, 20, 32))
         f_lane = rng.normal(size=(6, 20, 16))
         a = lidar_transformer(q, f_lane, param_store)
         b = lidar_transformer(q, f_lane, param_store)
-        assert a.features.shape == (6, 20, 32)
-        assert np.array_equal(a.features, b.features)
+        assert a.shape == (6, 20, 32)
+        assert np.array_equal(a, b)
 
     def test_lane_permutation_permutes_outputs_exactly(self, param_store):
         rng = np.random.default_rng(4)
         q = rng.normal(size=(6, 20, 32))
         f_lane = rng.normal(size=(6, 20, 16))
-        base = lidar_transformer(QuerySet(queries=q), f_lane, param_store)
+        base = lidar_transformer(q, f_lane, param_store)
         perm = np.array([3, 1, 5, 0, 2, 4])
-        permuted = lidar_transformer(QuerySet(queries=q[perm]), f_lane[perm], param_store)
-        assert np.array_equal(permuted.features, base.features[perm])
+        permuted = lidar_transformer(q[perm], f_lane[perm], param_store)
+        assert np.array_equal(permuted, base[perm])
 
 
 class TestBlending:
     def test_integrate_boundaries_exact(self):
         rng = np.random.default_rng(0)
-        qi = QuerySet(queries=rng.normal(size=(3, 4, 8)))
-        ql = QuerySet(queries=rng.normal(size=(3, 4, 8)))
+        qi = rng.normal(size=(3, 4, 8))
+        ql = rng.normal(size=(3, 4, 8))
         w = LaneWeights(weights=np.array([1.0, 0.0, 0.5]))
         out = integrate_queries(qi, ql, w)
-        assert np.array_equal(out.queries[0], qi.queries[0])  # alpha = 0
-        assert np.array_equal(out.queries[1], ql.queries[1])  # alpha = 1
+        assert np.array_equal(out[0], qi[0])  # alpha = 0
+        assert np.array_equal(out[1], ql[1])  # alpha = 1
 
     def test_integrate_hand_case(self):
-        qi = QuerySet(queries=np.full((1, 1, 1), 4.0))
-        ql = QuerySet(queries=np.full((1, 1, 1), 8.0))
+        qi = np.full((1, 1, 1), 4.0)
+        ql = np.full((1, 1, 1), 8.0)
         w = LaneWeights(weights=np.array([0.25]))
         out = integrate_queries(qi, ql, w)
-        assert out.queries[0, 0, 0] == pytest.approx(7.0, abs=1e-15)
+        assert out[0, 0, 0] == pytest.approx(7.0, abs=1e-15)
 
     def test_integrate_interior_matches_direct_evaluation(self):
         rng = np.random.default_rng(1)
@@ -399,28 +395,27 @@ class TestBlending:
             qi = rng.normal(size=(4, 5, 6))
             ql = rng.normal(size=(4, 5, 6))
             w = rng.uniform(0, 1, 4)
-            out = integrate_queries(QuerySet(queries=qi), QuerySet(queries=ql),
-                                    LaneWeights(weights=w))
+            out = integrate_queries(qi, ql, LaneWeights(weights=w))
             alpha = (1.0 - w)[:, None, None]
-            assert np.allclose(out.queries, (1 - alpha) * qi + alpha * ql, atol=1e-12)
+            assert np.allclose(out, (1 - alpha) * qi + alpha * ql, atol=1e-12)
 
     def test_enhance_boundaries_and_midpoint(self):
         rng = np.random.default_rng(2)
-        fi = FeatureSet(features=rng.normal(size=(3, 4, 8)))
-        fl = FeatureSet(features=rng.normal(size=(3, 4, 8)))
+        fi = rng.normal(size=(3, 4, 8))
+        fl = rng.normal(size=(3, 4, 8))
         out = enhance_features(fi, fl, LaneWeights(weights=np.array([1.0, 0.0, 0.5])))
-        assert np.array_equal(out.features[0], fi.features[0])  # beta = 1
-        assert np.array_equal(out.features[1], fl.features[1])  # beta = 0
+        assert np.array_equal(out[0], fi[0])  # beta = 1
+        assert np.array_equal(out[1], fl[1])  # beta = 0
         mid = enhance_features(
-            FeatureSet(features=np.full((1, 1, 1), 2.0)),
-            FeatureSet(features=np.full((1, 1, 1), 6.0)),
+            np.full((1, 1, 1), 2.0),
+            np.full((1, 1, 1), 6.0),
             LaneWeights(weights=np.array([0.5])),
         )
-        assert mid.features[0, 0, 0] == 4.0
+        assert mid[0, 0, 0] == 4.0
 
     def test_shape_mismatch_rejected(self):
-        qi = QuerySet(queries=np.zeros((2, 3, 4)))
-        ql = QuerySet(queries=np.zeros((2, 3, 5)))
+        qi = np.zeros((2, 3, 4))
+        ql = np.zeros((2, 3, 5))
         with pytest.raises(ValueError):
             integrate_queries(qi, ql, LaneWeights(weights=np.array([0.5, 0.5])))
 
@@ -507,18 +502,18 @@ def test_shape_contracts_across_random_configs():
                          seed=int(rng.integers(0, 100)), n_d=int(rng.integers(1, 4)),
                          n_p=2 * int(rng.integers(1, 5)), c_channels=int(rng.integers(2, 6)))
         store = build_params(bc)
-        tokens = TokenSequence(tokens=rng.normal(size=(e, 30)))
-        q = QuerySet(queries=store["q_image"])
+        tokens = rng.normal(size=(e, 30))
+        q = store["q_image"]
         f_img = image_transformer(tokens, store)
-        assert f_img.features.shape == (bc.n_d, bc.n_p, e)
+        assert f_img.shape == (bc.n_d, bc.n_p, e)
         f_lane = rng.normal(size=(bc.n_d, bc.n_p, bc.c_channels))
         q_lidar = init_lidar_queries(f_lane, store)
         prior_w = LaneWeights(weights=rng.uniform(0, 1, bc.n_d))
         q_int = integrate_queries(q, q_lidar, prior_w)
         f_lid = lidar_transformer(q_int, f_lane, store)
-        assert f_lid.features.shape == (bc.n_d, bc.n_p, e)
+        assert f_lid.shape == (bc.n_d, bc.n_p, e)
         out = enhance_features(f_img, f_lid, prior_w)
-        assert out.features.shape == (bc.n_d, bc.n_p, e)
+        assert out.shape == (bc.n_d, bc.n_p, e)
 
 
 def test_invalid_block_configs_rejected():

@@ -20,7 +20,6 @@ import pytest
 
 from lanefuse.config import RunConfig
 from lanefuse.fusion import (
-    QuerySet,
     build_params,
     init_lidar_queries,
     integrate_queries,
@@ -86,12 +85,11 @@ def stack_digests() -> dict[str, list[str]]:
         kept = {}
         run_pipeline(generate_scene(spec, n_p=cfg.n_p), cfg, store, kept)
         f_lane = kept["encode"]
-        q_integrated = integrate_queries(QuerySet(queries=store.q_image),
-                                         init_lidar_queries(f_lane, store),
+        q_integrated = integrate_queries(store.q_image, init_lidar_queries(f_lane, store),
                                          kept["coarse_prior"].weights)
-        got["image"].append(digest(kept["image_transformer"].features))
-        got["lidar"].append(digest(lidar_transformer(q_integrated, f_lane, store).features))
-        got["fusion"].append(digest(kept["fusion"].features))
+        got["image"].append(digest(kept["image_transformer"]))
+        got["lidar"].append(digest(lidar_transformer(q_integrated, f_lane, store)))
+        got["fusion"].append(digest(kept["fusion"]))
     return got
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from lanefuse.double_edge import DoubleEdgeSet, StructuralError
-from lanefuse.fusion import FeatureSet
 from lanefuse.heads_losses import (
     LOSS_NAMES,
     LossConfig,
@@ -24,6 +23,9 @@ from lanefuse.heads_losses import (
     total_loss,
 )
 
+from lanefuse.pipeline import run_pipeline
+from lanefuse.scene_synth import generate_scene
+
 from conftest import random_lane_set
 
 
@@ -40,7 +42,7 @@ def single_pair_set(left, right, plan_l=1, plan_r=1) -> DoubleEdgeSet:
 
 class TestHeadsForward:
     def test_shape_contracts(self, param_store):
-        f = FeatureSet(features=np.random.default_rng(0).normal(size=(6, 20, 32)))
+        f = np.random.default_rng(0).normal(size=(6, 20, 32))
         pred = heads_forward(f, param_store)
         assert pred.points.shape == (6, 20, 3)
         assert pred.int_logits.shape == (6,)
@@ -51,7 +53,7 @@ class TestHeadsForward:
         assert pred.signal_logits.shape == (3,)
 
     def test_zero_features_yield_biases(self, param_store):
-        pred = heads_forward(FeatureSet(features=np.zeros((6, 20, 32))), param_store)
+        pred = heads_forward(np.zeros((6, 20, 32)), param_store)
         assert np.allclose(pred.points, param_store["head_pts.b"])
         assert np.allclose(pred.occ_logits, param_store["head_occ.b"][0])
         assert np.allclose(pred.int_logits, param_store["head_int.b"][0])
@@ -63,8 +65,27 @@ class TestHeadsForward:
         w = rng.normal(size=(1, 32))
         store = param_store.replaced({"head_spd.w": w, "head_spd.b": np.array([2.0])})
         f = rng.normal(size=(6, 20, 32))
-        pred = heads_forward(FeatureSet(features=f), store)
+        pred = heads_forward(f, store)
         assert pred.speed == pytest.approx(float((w @ f.mean(axis=(0, 1)))[0] + 2.0))
+
+    def test_non_finite_output_names_its_head(self, param_store):
+        f = np.zeros((6, 20, 32))
+        store = param_store.replaced({"head_sig.b": np.array([0.0, np.inf, 0.0])})
+        with pytest.raises(ValueError, match="^head_sig output is non-finite$"):
+            heads_forward(f, store)
+        f[2, 3, 4] = np.nan
+        with pytest.raises(ValueError, match="^head_pts output is non-finite$"):
+            heads_forward(f, param_store)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_run_pipeline_raises_from_the_heads_check(self, run_config, param_store):
+        """An image-branch norm gain of 1e308 overflows the image features;
+        no stage before the heads checks them, and the heads refuse."""
+        gain = param_store["img_dec_final.g"]
+        store = param_store.replaced({"img_dec_final.g": np.full(gain.shape, 1e308)})
+        scene = generate_scene(run_config.suite_specs()[0], n_p=run_config.n_p)
+        with pytest.raises(ValueError, match="^head_pts output is non-finite$"):
+            run_pipeline(scene, run_config, store)
 
 
 class TestLossRoi:

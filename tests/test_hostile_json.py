@@ -4,9 +4,11 @@ Each JSON case takes a valid file, replaces the value at one random path
 with a value of another JSON type, and runs it through ``main``:
 ``gen-scenes --suite trivial`` (then ``run`` on one of its scenes) for a
 config, ``run --scene`` for a scene. Each weight case truncates a valid LFPW
-file or flips one of its bits and passes it to ``run --params``. Every case
-must end in exit 0, or in exit 2 with one ERROR line; an exception escaping
-``main`` or any other exit code fails.
+file or flips one of its bits and passes it to ``run --params``; a
+deterministic sweep also fills each block's payload with 1e308 in turn.
+Every case must end in exit 0 with every JSON file it wrote free of NaN and
+Infinity, or in exit 2 with one ERROR line; an exception escaping ``main``
+or any other exit code fails.
 """
 
 import copy
@@ -59,8 +61,14 @@ class _Records(logging.Handler):
         self.records.append(record)
 
 
+def _no_constant(name: str):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 def run_main(argv: list[str]) -> int:
-    """``main(argv)``, checking that exit 2 comes with one ERROR line."""
+    """``main(argv)``, checking that exit 2 comes with one ERROR line and
+    that after exit 0 every JSON file under ``--out`` parses without NaN or
+    Infinity."""
     handler = _Records()
     logger = logging.getLogger("lanefuse")
     logger.addHandler(handler)
@@ -73,6 +81,9 @@ def run_main(argv: list[str]) -> int:
         errors = [r for r in handler.records if r.levelno == logging.ERROR]
         assert len(errors) == 1 and errors[0].exc_info is None
         assert "\n" not in errors[0].getMessage()
+    else:
+        for path in Path(argv[argv.index("--out") + 1]).glob("*.json"):
+            json.loads(path.read_text("utf-8"), parse_constant=_no_constant)
     return code
 
 
@@ -216,3 +227,20 @@ def test_hostile_weight_file_exits_0_or_2(weight_run):
             run_main([*argv, "--params", str(weights)])
 
     check()
+
+
+def test_overflowing_block_exits_2_or_writes_finite_json(weight_run):
+    """Each block's whole payload set to 1e308 in turn: the pass overflows
+    somewhere for many blocks, and each one must end in the one-line exit 2
+    or in finite output files."""
+    raw, header, argv = weight_run
+    # a payload is each gap after a header byte, up to the next header byte
+    payloads = [(pos + 1, nxt) for pos, nxt in zip(header, header[1:] + [len(raw)])
+                if nxt != pos + 1]
+    assert len(payloads) == 148
+    with tempfile.TemporaryDirectory() as tmp:
+        weights = Path(tmp) / "w.lfpw"
+        for start, end in payloads:
+            weights.write_bytes(raw[:start] + struct.pack("<d", 1e308) * ((end - start) // 8)
+                                + raw[end:])
+            run_main([*argv, "--params", str(weights)])
