@@ -105,6 +105,9 @@ class LossBreakdown:
     sig: float
     total: float
 
+    def __post_init__(self):
+        require_finite(self)
+
 
 # ---------------------------------------------------------------------------
 # heads

@@ -23,7 +23,7 @@ from lanefuse.heads_losses import (
     total_loss,
 )
 
-from lanefuse.pipeline import run_pipeline
+from lanefuse.pipeline import run_pipeline, scene_losses
 from lanefuse.scene_synth import generate_scene
 
 from conftest import random_lane_set
@@ -263,6 +263,17 @@ class TestTotalLoss:
     def test_missing_component_rejected(self):
         with pytest.raises(KeyError):
             total_loss({"roi": 1.0}, LossWeights())
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_scene_loss_names_roi(self, run_config, param_store):
+        """A 1e308 coarse-prior bias leaves the predictions finite but puts
+        the ROI at 1e308, whose squared distances overflow the ROI loss."""
+        bias = param_store["coarse.b2"]
+        store = param_store.replaced({"coarse.b2": np.full(bias.shape, 1e308)})
+        scene = generate_scene(run_config.suite_specs()[0], n_p=run_config.n_p)
+        result = run_pipeline(scene, run_config, store)
+        with pytest.raises(ValueError, match="^roi must be finite, got inf$"):
+            scene_losses(result.predictions, result.prior.roi, scene, run_config)
 
 
 class TestInjection:

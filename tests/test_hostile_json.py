@@ -229,10 +229,11 @@ def test_hostile_weight_file_exits_0_or_2(weight_run):
     check()
 
 
-def test_overflowing_block_exits_2_or_writes_finite_json(weight_run):
+def test_overflowing_block_exits_2_or_writes_finite_json(weight_run, caplog):
     """Each block's whole payload set to 1e308 in turn: the pass overflows
     somewhere for many blocks, and each one must end in the one-line exit 2
-    or in finite output files."""
+    or in finite output files. An overflowing loss is refused where it is
+    made, naming its component, not by the JSON writer."""
     raw, header, argv = weight_run
     # a payload is each gap after a header byte, up to the next header byte
     payloads = [(pos + 1, nxt) for pos, nxt in zip(header, header[1:] + [len(raw)])
@@ -244,3 +245,6 @@ def test_overflowing_block_exits_2_or_writes_finite_json(weight_run):
             weights.write_bytes(raw[:start] + struct.pack("<d", 1e308) * ((end - start) // 8)
                                 + raw[end:])
             run_main([*argv, "--params", str(weights)])
+    errors = {r.getMessage() for r in caplog.records if r.levelno == logging.ERROR}
+    assert "roi must be finite, got inf" in errors
+    assert not [m for m in errors if "JSON compliant" in m]
