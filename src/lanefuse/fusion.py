@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 LAYER_NORM_EPS = 1e-5
-ROW_SUM_TOL = 1e-9
 _FFN_MULT = 4
 COARSE_HIDDEN = 64  # width of the coarse prior head's hidden layer
 
@@ -336,23 +335,40 @@ def coarse_lane_detect(tokens: np.ndarray, store: ParamStore) -> CoarseLanePrior
 # ---------------------------------------------------------------------------
 
 
+def _softmax_scores(q: np.ndarray, kT: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of ``q @ kT / sqrt(d)``, run in place in
+    the one score array in the order /sqrt(d), -max, exp, /sum.
+
+    The row-sum check reads the normaliser ``s``: after the max shift each
+    finite row holds an exact 0, whose ``exp`` is exactly 1, and every other
+    term lies in [0, 1], so a finite ``s`` lies in [1, Lk]. ``s`` is NaN
+    exactly when a score row holds NaN or +-inf, the rows whose divided sums
+    are NaN. For a finite ``s`` the divided row sums differ from 1 by at most
+    about (log2(Lk) + 2) * 2**-53, far under the 1e-9 the check promises.
+    """
+    weights = q @ kT
+    weights /= math.sqrt(q.shape[-1])
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    s = weights.sum(axis=-1, keepdims=True)
+    weights /= s
+    if not (s >= 1.0).all():  # also catches NaN
+        err = np.abs(weights.sum(axis=-1) - 1.0).max()
+        raise AttentionInvariantError(f"attention row sums off by {err:.3e}")
+    return weights
+
+
 def scaled_dot_attention(q: np.ndarray, k: np.ndarray,
                          v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Single-head scaled dot-product attention.
 
     q: (..., Lq, d), k: (..., Lk, d), v: (..., Lk, dv); leading dimensions
     are batch dimensions. Returns (output, weights); each weight row sums to
-    1 (checked, tolerance 1e-9). The softmax runs in place in the one score
-    array, in the order /sqrt(d), -max, exp, /sum.
+    1 within 1e-9, checked through the softmax normaliser, which bounds the
+    error by about (log2(Lk) + 2) * 2**-53 for finite scores and is NaN for
+    any other (see ``_softmax_scores``).
     """
-    weights = q @ np.ascontiguousarray(np.swapaxes(k, -1, -2))
-    weights /= math.sqrt(q.shape[-1])
-    weights -= weights.max(axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
-    err = np.abs(weights.sum(axis=-1) - 1.0).max()
-    if not err <= ROW_SUM_TOL:  # also catches NaN
-        raise AttentionInvariantError(f"attention row sums off by {err:.3e}")
+    weights = _softmax_scores(q, np.ascontiguousarray(np.swapaxes(k, -1, -2)))
     return weights @ v, weights
 
 
@@ -379,18 +395,24 @@ def multi_head_attention(q_in: np.ndarray, k_in: np.ndarray, v_in: np.ndarray,
     if e % params.heads != 0:
         raise ValueError(f"embed {e} not divisible by heads {params.heads}")
     dh = e // params.heads
-    q = q_in @ params.wq.T + params.bq
-    k = k_in @ params.wk.T + params.bk
-    v = v_in @ params.wv.T + params.bv
+    q = q_in @ params.wq.T
+    q += params.bq
+    k = k_in @ params.wk.T
+    k += params.bk
+    v = v_in @ params.wv.T
+    v += params.bv
+    # one K transpose per call; each head's row slice of it is C-contiguous
+    kT = np.ascontiguousarray(np.swapaxes(k, -1, -2))
     heads = np.empty(q.shape)
     all_w = []
     for hh in range(params.heads):
         sl = slice(hh * dh, (hh + 1) * dh)
-        heads[..., sl], w_h = scaled_dot_attention(
-            np.ascontiguousarray(q[..., sl]), k[..., sl], np.ascontiguousarray(v[..., sl]))
+        w_h = _softmax_scores(np.ascontiguousarray(q[..., sl]), kT[..., sl, :])
+        heads[..., sl] = w_h @ np.ascontiguousarray(v[..., sl])
         if return_weights:
             all_w.append(w_h)
-    out = heads @ params.wo.T + params.bo
+    out = heads @ params.wo.T
+    out += params.bo
     if return_weights:
         return out, np.stack(all_w)
     return out
@@ -400,7 +422,10 @@ def _layer_norm(x: np.ndarray, g: np.ndarray, b: np.ndarray) -> np.ndarray:
     n = x.shape[-1]
     xc = x - x.sum(axis=-1, keepdims=True) / n
     var = (xc * xc).sum(axis=-1, keepdims=True) / n
-    return xc / np.sqrt(var + LAYER_NORM_EPS) * g + b
+    xc /= np.sqrt(var + LAYER_NORM_EPS)
+    xc *= g
+    xc += b
+    return xc
 
 
 @dataclass(frozen=True)
@@ -417,7 +442,9 @@ def attention_layer(queries: np.ndarray, keys: np.ndarray, values: np.ndarray,
     qn = _layer_norm(queries, params.ln_g, params.ln_b)
     kn = qn if keys is queries else _layer_norm(keys, params.ln_g, params.ln_b)
     vn = kn if values is keys else _layer_norm(values, params.ln_g, params.ln_b)
-    return queries + multi_head_attention(qn, kn, vn, params.attn)
+    out = multi_head_attention(qn, kn, vn, params.attn)
+    out += queries
+    return out
 
 
 def _affine(x: np.ndarray, p: tuple) -> np.ndarray:
@@ -429,8 +456,13 @@ def _affine(x: np.ndarray, p: tuple) -> np.ndarray:
 def _ffn(x: np.ndarray, p: tuple) -> np.ndarray:
     """Pre-norm residual feed-forward block; ``p`` is (g, b, w1, b1, w2, b2)."""
     g, b, w1, b1, w2, b2 = p
-    h = np.maximum(_layer_norm(x, g, b) @ w1.T + b1, 0.0)
-    return x + h @ w2.T + b2
+    h = _layer_norm(x, g, b) @ w1.T
+    h += b1
+    np.maximum(h, 0.0, out=h)
+    out = h @ w2.T
+    out += x  # (h @ w2.T + x) + b2 rounds as (x + h @ w2.T) + b2
+    out += b2
+    return out
 
 
 # ---------------------------------------------------------------------------

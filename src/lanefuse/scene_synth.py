@@ -420,16 +420,20 @@ _NO_RECTS = _Rects(*[np.zeros(0)] * 3, *[np.zeros((0, 3))] * 3)
 
 def _road_rects(scene: Scene) -> _Rects:
     """One rectangle per centerline segment of nonzero length: u along the
-    segment from its start, v across the lane, centered (z = 0)."""
+    segment from its start, v across the lane, centered (z = 0).
+
+    A segment's length is sqrt(seg . seg), what np.linalg.norm(seg) computes.
+    One batched matmul runs that BLAS dot on every length-2 pair, bit-equal
+    to a per-segment ``seg.dot(seg)``; einsum and x*x + y*y round
+    differently from it.
+    """
     lanes = [(ln, w) for ln, w in zip(scene.centerlines, scene.lane_widths) if len(ln) > 1]
     if not lanes:
         return _NO_RECTS
     segs = np.concatenate([ln[1:, :2] - ln[:-1, :2] for ln, _ in lanes])
     starts = np.concatenate([ln[:-1, :2] for ln, _ in lanes])
     widths = np.concatenate([np.full(len(ln) - 1, float(w)) for ln, w in lanes])
-    # sqrt(seg . seg) is exactly what np.linalg.norm(seg) computes; a
-    # vectorised x*x + y*y rounds differently from the BLAS dot.
-    lengths = np.array([math.sqrt(seg.dot(seg)) for seg in segs])
+    lengths = np.sqrt(np.matmul(segs[:, None, :], segs[:, :, None])[:, 0, 0])
     rows = np.flatnonzero(lengths != 0.0)
     lengths, widths = lengths[rows], widths[rows]
     t = segs[rows] / lengths[:, None]
@@ -504,13 +508,14 @@ def render_lidar(scene: Scene, density: float, noise_sigma: float, seed: int) ->
     # budget plus the fraction carried over from the rectangle before, so
     # totals track area * density.
     counts = []
+    append, floor = counts.append, math.floor
     carry = 0.0
     for budget in budgets.tolist():
         carry += budget
-        n = math.floor(carry + 0.5)
+        n = floor(carry + 0.5)
         carry -= n
-        counts.append(max(0, n))
-    counts = np.array(counts, dtype=np.int64)
+        append(n)
+    counts = np.maximum(np.array(counts, dtype=np.int64), 0)
     rows = np.flatnonzero(counts)
     n, rects = counts[rows], rects.take(rows)
     ends = np.cumsum(n)
@@ -528,7 +533,12 @@ def render_lidar(scene: Scene, density: float, noise_sigma: float, seed: int) ->
                          + v * np.repeat(block.dir_v[:, c], k))
         lo = hi
     if len(pts) and noise_sigma > 0.0:
-        pts += rng.normal(0.0, noise_sigma, pts.shape)
+        # rng.normal(0.0, sigma) draws 0.0 + sigma * z with the same z, so
+        # this is the same draw, rounded the same, -0.0 turned +0.0 included
+        z = rng.standard_normal(pts.shape)
+        z *= noise_sigma
+        z += 0.0
+        pts += z
     return pts
 
 
@@ -543,13 +553,21 @@ N_VIEWS = 4
 SEMANTIC_CHANNELS = 3  # lane mask, agent mask, signal state
 _VIEW_R_MIN = 0.5
 _VIEW_R_MAX = 80.0
+# Most centerline samples (two per meter) one view stack may splat, checked
+# before resampling: 500 km of lanes, where a reference scene has under 1 km.
+# Each sample takes ~0.2 KB of per-view temporaries.
+MAX_VIEW_SAMPLES = 1_000_000
 
 
 def rasterize_semantic_views(scene: Scene, h: int, w: int) -> np.ndarray:
     """(4, 3, H, W) semantic stacks: lane mask, agent mask, signal state."""
     sem = np.zeros((N_VIEWS, SEMANTIC_CHANNELS, h, w))
-    lanes = np.vstack([resample_polyline(line, max(2, int(polyline_length(line)) * 2))[:, :2]
-                       for line in scene.centerlines])
+    lengths = [polyline_length(line) for line in scene.centerlines]
+    if not 2.0 * sum(lengths) <= MAX_VIEW_SAMPLES:  # also catches an overflowing length
+        raise ValueError(f"centerlines {sum(lengths):.4g} m long need more than the "
+                         f"{MAX_VIEW_SAMPLES} samples a view stack may splat")
+    lanes = np.vstack([resample_polyline(line, max(2, int(length) * 2))[:, :2]
+                       for line, length in zip(scene.centerlines, lengths)])
     pts = np.vstack([lanes] + [
         np.vstack([box.footprint_corners(), np.array(box.center[:2])[None, :]])
         for box in scene.agents

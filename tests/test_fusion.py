@@ -194,6 +194,18 @@ class TestCoarseLaneDetect:
                            1.0 / (1.0 + np.exp(-expected[24:])), atol=1e-12)
 
 
+def softmax_row_sum_oracle(q, k):
+    """The full row-sum check: the softmax in scaled_dot_attention's order,
+    then every divided row summed again. Returns (weights, err), where the
+    check fails unless err <= 1e-9 (a NaN err fails it)."""
+    w = q @ np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    w /= math.sqrt(q.shape[-1])
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    return w, np.abs(w.sum(axis=-1) - 1.0).max()
+
+
 class TestAttentionCore:
     def test_single_key_value_passes_through(self):
         rng = np.random.default_rng(0)
@@ -228,6 +240,37 @@ class TestAttentionCore:
         q[1, 2] = np.inf  # its score row is inf - inf = NaN after the max shift
         with pytest.raises(AttentionInvariantError, match="nan"):
             scaled_dot_attention(q, k, v)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lk", [1, 20, 120, 256])
+    def test_normaliser_check_agrees_with_row_sum_oracle(self, lk):
+        """The check on the softmax normaliser raises exactly when the full
+        row-sum check would, with its message; seeded scores, some with a
+        NaN, +inf or -inf in a random row of q or k, or a row scaled until
+        its scores overflow."""
+        rng = np.random.default_rng(lk)
+        outcomes = []
+        for case in range(60):
+            q = rng.normal(scale=(0.1, 1.0, 4.0)[case % 3], size=(2, 9, 8))
+            k = rng.normal(size=(2, lk, 8))
+            v = rng.normal(size=(2, lk, 8))
+            if case % 5:
+                arr = (q, k)[int(rng.integers(2))]
+                b, row = int(rng.integers(2)), int(rng.integers(arr.shape[1]))
+                if case % 5 == 4:
+                    arr[b, row] *= 1e300
+                else:
+                    arr[b, row, int(rng.integers(8))] = (np.nan, np.inf, -np.inf)[case % 5 - 1]
+            want, err = softmax_row_sum_oracle(q, k)
+            if err <= 1e-9:
+                _, w = scaled_dot_attention(q, k, v)
+                assert w.tobytes() == want.tobytes()
+            else:
+                with pytest.raises(AttentionInvariantError) as exc:
+                    scaled_dot_attention(q, k, v)
+                assert str(exc.value) == f"attention row sums off by {err:.3e}"
+            outcomes.append(err <= 1e-9)
+        assert any(outcomes) and not all(outcomes)
 
     def test_single_head_matches_reference(self):
         rng = np.random.default_rng(3)

@@ -3,9 +3,11 @@
 Each JSON case takes a valid file, replaces the value at one random path
 with a value of another JSON type, and runs it through ``main``:
 ``gen-scenes --suite trivial`` (then ``run`` on one of its scenes) for a
-config, ``run --scene`` for a scene. Each weight case truncates a valid LFPW
-file or flips one of its bits and passes it to ``run --params``; a
-deterministic sweep also fills each block's payload with 1e308 in turn.
+config, ``run --scene`` for a scene. Scene cases also flip one bit outside
+``ground_truth``, of a number or of the file's text. Each weight case
+truncates a valid LFPW file or flips one of its bits and passes it to
+``run --params``; a deterministic sweep also fills each block's payload
+with 1e308 in turn.
 Every case must end in exit 0 with every JSON file it wrote free of NaN and
 Infinity, or in exit 2 with one ERROR line; an exception escaping ``main``
 or any other exit code fails.
@@ -177,6 +179,41 @@ def test_hostile_ground_truth_exits_0_or_2(scene_obj):
             scene.write_text(json.dumps(obj))
             run_main(["run", "--scene", str(scene), "--out", str(Path(tmp) / "o")]
                      + ["--inject-gt"] * inject_gt)
+
+    check()
+
+
+@st.composite
+def flipped_outside_ground_truth(draw, obj):
+    """(where, scene file bytes) with one bit flipped outside
+    ``ground_truth``: half the time in the binary form of a number at a leaf
+    path, half the time in one byte of the file's text at that offset."""
+    if draw(st.booleans()):
+        obj = copy.deepcopy(obj)
+        paths = [p for p in value_paths(obj, []) if p[:1] != ["ground_truth"]
+                 and type(_at(obj, p)) in (int, float)]
+        path = draw(st.sampled_from(paths))
+        node = _at(obj, path[:-1])
+        node[path[-1]] = flip_bit(node[path[-1]], draw(st.integers(0, 63)))
+        return path, json.dumps(obj).encode()
+    mark = json.dumps("ground truth goes here").encode()
+    head, tail = json.dumps({**obj, "ground_truth": "ground truth goes here"}).encode().split(mark)
+    text = bytearray(head + tail)
+    pos = draw(st.integers(0, len(text) - 1))
+    text[pos] ^= 1 << draw(st.integers(0, 7))
+    return pos, bytes(text[:len(head)]) + json.dumps(obj["ground_truth"]).encode() + \
+        bytes(text[len(head):])
+
+
+def test_bit_flipped_scene_outside_ground_truth_exits_0_or_2(scene_obj):
+    @settings(PROPERTY, max_examples=400)
+    @given(flipped_outside_ground_truth(scene_obj))
+    def check(case):
+        where, data = case
+        with tempfile.TemporaryDirectory() as tmp:
+            scene = Path(tmp) / "scene.json"
+            scene.write_bytes(data)
+            run_main(["run", "--scene", str(scene), "--out", str(Path(tmp) / "o")])
 
     check()
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import struct
 import warnings
@@ -291,7 +292,9 @@ class TestPlaceClutter:
 
 def render_lidar_reference(scene, density, noise_sigma, seed):
     """Scalar renderer: one rectangle at a time, u then v drawn per
-    rectangle, in the order road segments, agent faces, clutter faces."""
+    rectangle, in the order road segments, agent faces, clutter faces. A
+    segment's length is np.linalg.norm(seg), which is math.sqrt(seg.dot(seg))
+    one segment at a time, and the noise is one rng.normal draw."""
     rng = np.random.default_rng([seed, 1])
     carry = 0.0
     chunks = []
@@ -354,6 +357,30 @@ class TestRenderLidar:
             want = render_lidar_reference(scene, density, sigma, seed=k)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes(), (spec, density, sigma)
+
+    @pytest.mark.parametrize("sigma", [0.0, RunConfig().lidar_noise_sigma], ids=["exact", "noisy"])
+    @pytest.mark.parametrize("density", [3.0, 12.0])
+    @pytest.mark.parametrize("seed", [42, 7331])
+    def test_reference_suite_matches_scalar_reference(self, seed, density, sigma):
+        cfg = RunConfig(seed_scene=seed)
+        for spec in cfg.suite_specs():
+            scene = generate_scene(spec, n_p=cfg.n_p)
+            got = render_lidar(scene, density, sigma, spec.seed)
+            want = render_lidar_reference(scene, density, sigma, spec.seed)
+            assert got.tobytes() == want.tobytes(), spec
+
+    def test_zero_length_segment_adds_no_rectangle(self):
+        """A repeated centerline vertex makes a zero-length segment: it is
+        dropped before its direction is divided out, and the cloud is the
+        one drawn without it."""
+        scene = generate_scene(SceneSpec(seed=3, lane_count=2, agent_count=1), n_p=20)
+        line = scene.centerlines[0]
+        repeated = dataclasses.replace(
+            scene, centerlines=(np.insert(line, 5, line[5], axis=0), *scene.centerlines[1:]))
+        with np.errstate(divide="raise", invalid="raise"):
+            got = render_lidar(repeated, 3.0, 0.02, seed=9)
+        assert got.tobytes() == render_lidar_reference(repeated, 3.0, 0.02, seed=9).tobytes()
+        assert got.tobytes() == render_lidar(scene, 3.0, 0.02, seed=9).tobytes()
 
     def test_zero_noise_road_only_points_on_surface(self):
         spec = SceneSpec(seed=42, lane_count=1, geometry="straight")
@@ -470,6 +497,23 @@ class TestViewFeatures:
         fr = synth_view_features(red, 16, 8, 8, seed=7)
         assert not np.array_equal(fg, fr)
 
+
+    @pytest.mark.parametrize("far", [1.5e11, 1.7e308], ids=["150-Gm", "overflowing"])
+    def test_overlong_centerlines_rejected_before_resampling(self, monkeypatch, far):
+        """A scene file's centerline may reach any finite coordinate; the
+        rasterizer refuses to sample it rather than allocate for it."""
+        scene = generate_scene(SceneSpec(seed=3, lane_count=2), n_p=20)
+        line = scene.centerlines[0].copy()
+        line[36, 0], line[0, 0] = far, -far
+        far_scene = dataclasses.replace(scene, centerlines=(line, *scene.centerlines[1:]))
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="a view stack may splat"):
+            rasterize_semantic_views(far_scene, 8, 8)
+        need = 2.0 * sum(polyline_length(ln) for ln in scene.centerlines)
+        monkeypatch.setattr(scene_synth, "MAX_VIEW_SAMPLES", need)
+        rasterize_semantic_views(scene, 8, 8)
+        monkeypatch.setattr(scene_synth, "MAX_VIEW_SAMPLES", need - 1.0)
+        with pytest.raises(ValueError, match="a view stack may splat"):
+            rasterize_semantic_views(scene, 8, 8)
 
     @pytest.mark.parametrize("seed", [42, 7331])
     @pytest.mark.parametrize("h, w", [(8, 8), (48, 64)])
