@@ -236,6 +236,20 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
+def _csv_rows(path: Path) -> list[dict[str, str]]:
+    """The rows of a results CSV keyed by its header; a row shorter than the
+    header is a ValueError naming the file."""
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            if None in row.values():
+                raise ValueError(f"{path.name} line {reader.line_num}: "
+                                 "fewer fields than its header")
+            rows.append(row)
+    return rows
+
+
 def cmd_export_plot(args) -> int:
     results = Path(args.results)
     plots = results / "plots"
@@ -243,8 +257,7 @@ def cmd_export_plot(args) -> int:
 
     counts_csv = results / "feature_counts.csv"
     if counts_csv.exists():
-        with open(counts_csv, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = _csv_rows(counts_csv)
         groups = [
             (r["scene_id"], [("voxel", float(r["voxel_count"])),
                              ("pillar", float(r["pillar_count"])),
@@ -257,8 +270,7 @@ def cmd_export_plot(args) -> int:
 
     latency_csv = results / "latency.csv"
     if latency_csv.exists():
-        with open(latency_csv, newline="") as fh:
-            rows = list(csv.DictReader(fh))
+        rows = _csv_rows(latency_csv)
         groups = [(f'{r["stage"]} [{r["variant"]}]', [("median", float(r["median_ms"])),
                                                       ("p95", float(r["p95_ms"]))])
                   for r in rows]
@@ -270,8 +282,8 @@ def cmd_export_plot(args) -> int:
         scene = scene_from_json(scene_path.read_bytes())
         run_dump = results / f"run_{scene_path.stem}.json"
         if run_dump.exists():
-            path = from_json(PlannedPath, json.loads(run_dump.read_text("utf-8"))["path"],
-                             f"{run_dump.name} path")
+            dump = from_json(dict, json.loads(run_dump.read_text("utf-8")), run_dump.name)
+            path = from_json(PlannedPath, dump.get("path"), f"{run_dump.name} path")
         else:
             path = interpret_path(scene.ground_truth, scene.gt_speed)
         atomic_write_text(plots / f"{scene_path.stem}.svg", scene_svg(scene, path=path))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import RunConfig
-from .double_edge import DoubleEdgeSet, PlannedPath, interpret_path
+from .double_edge import PlannedPath, interpret_path
 from .fusion import (
     CoarseLanePrior,
     ParamStore,
@@ -51,7 +51,6 @@ class PipelineResult:
     prior: CoarseLanePrior
     lane_pillars: LanePillarSet
     predictions: Predictions
-    predicted_lanes: DoubleEdgeSet
     path: PlannedPath
     stage_ms: dict[str, float]
 
@@ -104,7 +103,7 @@ def run_pipeline(scene: Scene, cfg: RunConfig, store: ParamStore,
     predicted_lanes = stage("decode", predictions_to_double_edge, predictions)
     path = stage("interpret", interpret_path, predicted_lanes,
                  max(0.0, predictions.speed))
-    return PipelineResult(prior, lane_pillars, predictions, predicted_lanes, path, stage_ms)
+    return PipelineResult(prior, lane_pillars, predictions, path, stage_ms)
 
 
 def scene_losses(pred: Predictions, roi: np.ndarray, scene: Scene,

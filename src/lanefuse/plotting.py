@@ -14,6 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .double_edge import PlannedPath
+from .geometry import polyline_cumlen
 from .scene_synth import Scene
 
 __all__ = ["bar_chart_svg", "scene_svg"]
@@ -123,14 +124,12 @@ def scene_svg(scene: Scene, path: PlannedPath | None = None) -> str:
     for box in scene.agents:
         body.append(_box_polygon(box, "#cc3333"))
     if scene.signal_line_s is not None:
-        # stop line drawn perpendicular to the route at its arc position
-        from .geometry import resample_polyline
-
+        # the stop line, at its arc length along the route
         route = scene.route_polyline
-        dense = resample_polyline(route, max(2, int(scene.signal_line_s) + 2))
+        cum = polyline_cumlen(route)
+        sx, sy = (float(np.interp(scene.signal_line_s, cum, route[:, k])) for k in (0, 1))
         body.append(
-            f'<circle class="signal" cx="{float(dense[len(dense) // 2][0])!r}" '
-            f'cy="{float(dense[len(dense) // 2][1])!r}" r="1.2" fill="none" '
+            f'<circle class="signal" cx="{sx!r}" cy="{sy!r}" r="1.2" fill="none" '
             f'stroke="{"#22aa22" if scene.signal_state == "green" else "#cc2222"}" '
             'stroke-width="0.3"/>'
         )

@@ -393,32 +393,19 @@ def generate_scene(spec: SceneSpec, n_p: int = 20) -> Scene:
 # ---------------------------------------------------------------------------
 
 
-# Points drawn per rng.random call. Blocks of whole rectangles keep the
-# per-point temporaries small while amortising per-call overhead: drawing a
-# whole 120k-point cloud at once raised peak RSS by ~5 MB and was slower.
+# Points per rng.random call and per noise draw. Blocks of whole rectangles
+# keep the per-point temporaries small while amortising per-call overhead:
+# drawing a whole 120k-point cloud at once raised peak RSS by ~5 MB and was slower.
 _BLOCK_POINTS = 16384
 
 
-@dataclass(frozen=True)
-class _Rects:
-    """Sampled rectangles: a point at (u, v) in [0, len_u] x [0, len_v] lies
-    at origin + u * dir_u + (v - shift) * dir_v. Per-rectangle arrays."""
-
-    len_u: np.ndarray
-    len_v: np.ndarray
-    shift: np.ndarray
-    origin: np.ndarray  # (R, 3)
-    dir_u: np.ndarray  # (R, 3)
-    dir_v: np.ndarray  # (R, 3)
-
-    def take(self, rows) -> "_Rects":
-        return _Rects(*(getattr(self, f)[rows] for f in self.__dataclass_fields__))
+# Column starts of a rectangle table, an (R, 12) array with one row per
+# rectangle: a point at (u, v) in [0, len_u] x [0, len_v] lies at
+# origin + u * dir_u + (v - shift) * dir_v, the last three being 3-vectors.
+_LEN_U, _LEN_V, _SHIFT, _ORIGIN, _DIR_U, _DIR_V = 0, 1, 2, 3, 6, 9
 
 
-_NO_RECTS = _Rects(*[np.zeros(0)] * 3, *[np.zeros((0, 3))] * 3)
-
-
-def _road_rects(scene: Scene) -> _Rects:
+def _road_rects(scene: Scene) -> np.ndarray:
     """One rectangle per centerline segment of nonzero length: u along the
     segment from its start, v across the lane, centered (z = 0).
 
@@ -429,7 +416,7 @@ def _road_rects(scene: Scene) -> _Rects:
     """
     lanes = [(ln, w) for ln, w in zip(scene.centerlines, scene.lane_widths) if len(ln) > 1]
     if not lanes:
-        return _NO_RECTS
+        return np.zeros((0, 12))
     segs = np.concatenate([ln[1:, :2] - ln[:-1, :2] for ln, _ in lanes])
     starts = np.concatenate([ln[:-1, :2] for ln, _ in lanes])
     widths = np.concatenate([np.full(len(ln) - 1, float(w)) for ln, w in lanes])
@@ -438,16 +425,14 @@ def _road_rects(scene: Scene) -> _Rects:
     lengths, widths = lengths[rows], widths[rows]
     t = segs[rows] / lengths[:, None]
     zero = np.zeros(len(rows))
-    return _Rects(lengths, widths, widths / 2.0,
-                  np.column_stack([starts[rows], zero]),
-                  np.column_stack([t, zero]),
-                  np.column_stack([-t[:, 1], t[:, 0], zero]))
+    return np.column_stack([lengths, widths, widths / 2.0, starts[rows], zero,
+                            t, zero, -t[:, 1], t[:, 0], zero])
 
 
-def _box_rects(boxes) -> _Rects:
+def _box_rects(boxes) -> np.ndarray:
     """The top and four side faces of every box, five rectangles per box."""
     if not boxes:
-        return _NO_RECTS
+        return np.zeros((0, 12))
     ex, ey, ez = (np.array([float(b.extent[k]) for b in boxes]) for k in range(3))
     c = np.array([math.cos(b.yaw) for b in boxes])
     s = np.array([math.sin(b.yaw) for b in boxes])
@@ -461,10 +446,11 @@ def _box_rects(boxes) -> _Rects:
     def faces(*per_face):  # (B, 5, ...) -> rows box-major, face-minor
         return np.stack(per_face, axis=1).reshape(5 * len(boxes), *per_face[0].shape[1:])
 
-    return _Rects(faces(ex, ex, ex, ey, ey), faces(ey, ez, ez, ez, ez), np.zeros(5 * len(boxes)),
-                  faces(corner + uz * ez[:, None], corner, corner + uy * ey[:, None],
-                        corner, corner + ux * ex[:, None]),
-                  faces(ux, ux, ux, uy, uy), faces(uy, uz, uz, uz, uz))
+    return np.column_stack([faces(ex, ex, ex, ey, ey), faces(ey, ez, ez, ez, ez),
+                            np.zeros(5 * len(boxes)),
+                            faces(corner + uz * ez[:, None], corner, corner + uy * ey[:, None],
+                                  corner, corner + ux * ex[:, None]),
+                            faces(ux, ux, ux, uy, uy), faces(uy, uz, uz, uz, uz)])
 
 
 def _sample_uv(rng: np.random.Generator, n: np.ndarray, len_u: np.ndarray,
@@ -497,10 +483,8 @@ def render_lidar(scene: Scene, density: float, noise_sigma: float, seed: int) ->
     if noise_sigma < 0:
         raise ValueError(f"noise_sigma must be >= 0, got {noise_sigma}")
     rng = np.random.default_rng([seed, _STREAM_LIDAR])
-    parts = (_road_rects(scene), _box_rects((*scene.agents, *scene.clutter)))
-    rects = _Rects(*(np.concatenate([getattr(p, f) for p in parts])
-                     for f in _Rects.__dataclass_fields__))
-    budgets = rects.len_u * rects.len_v * density
+    rects = np.concatenate([_road_rects(scene), _box_rects((*scene.agents, *scene.clutter))])
+    budgets = rects[:, _LEN_U] * rects[:, _LEN_V] * density
     if not budgets.sum() <= MAX_CLOUD_POINTS:  # the counts below sum to it +- 0.5
         raise ValueError(f"density {density!r} asks for {budgets.sum():.4g} points, "
                          f"more than the {MAX_CLOUD_POINTS} a cloud may hold")
@@ -517,28 +501,32 @@ def render_lidar(scene: Scene, density: float, noise_sigma: float, seed: int) ->
         append(n)
     counts = np.maximum(np.array(counts, dtype=np.int64), 0)
     rows = np.flatnonzero(counts)
-    n, rects = counts[rows], rects.take(rows)
+    n, rects = counts[rows], rects[rows]
     ends = np.cumsum(n)
     pts = np.zeros((int(ends[-1]) if len(n) else 0, 3))
     lo = 0
     while lo < len(n):
         start = int(ends[lo] - n[lo])
         hi = min(len(n), int(np.searchsorted(ends, start + _BLOCK_POINTS)) + 1)
-        block, k = rects.take(slice(lo, hi)), n[lo:hi]
-        u, v = _sample_uv(rng, k, block.len_u, block.len_v)
-        v -= np.repeat(block.shift, k)
+        block, k = rects[lo:hi], n[lo:hi]
+        u, v = _sample_uv(rng, k, block[:, _LEN_U], block[:, _LEN_V])
+        v -= np.repeat(block[:, _SHIFT], k)
         out = pts[start:int(ends[hi - 1])]
         for c in range(3):
-            out[:, c] = (np.repeat(block.origin[:, c], k) + u * np.repeat(block.dir_u[:, c], k)
-                         + v * np.repeat(block.dir_v[:, c], k))
+            out[:, c] = (np.repeat(block[:, _ORIGIN + c], k)
+                         + u * np.repeat(block[:, _DIR_U + c], k)
+                         + v * np.repeat(block[:, _DIR_V + c], k))
         lo = hi
-    if len(pts) and noise_sigma > 0.0:
+    if noise_sigma > 0.0:
         # rng.normal(0.0, sigma) draws 0.0 + sigma * z with the same z, so
-        # this is the same draw, rounded the same, -0.0 turned +0.0 included
-        z = rng.standard_normal(pts.shape)
-        z *= noise_sigma
-        z += 0.0
-        pts += z
+        # this is the same draw, rounded the same, -0.0 turned +0.0 included.
+        # Drawn per block, z is the stream one whole-cloud call would draw.
+        for lo in range(0, len(pts), _BLOCK_POINTS):
+            part = pts[lo:lo + _BLOCK_POINTS]
+            z = rng.standard_normal(part.shape)
+            z *= noise_sigma
+            z += 0.0
+            part += z
     return pts
 
 

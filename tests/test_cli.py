@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import logging
 import math
@@ -461,6 +462,46 @@ class TestExportPlot:
         empty = tmp_path / "none"
         empty.mkdir()
         assert main(["export-plot", "--results", str(empty)]) == 2
+
+    @pytest.mark.parametrize("signal_line_s", [25.0, 1.5e11])
+    def test_signal_drawn_at_its_arc_length(self, tmp_path, signal_line_s):
+        """The signal circle sits on the route at arc length signal_line_s,
+        clamped to the route's end; a huge value allocates nothing."""
+        spec = RunConfig(seed_scene=42).suite_specs()[1]
+        scene = dataclasses.replace(generate_scene(spec, n_p=20), signal_line_s=signal_line_s)
+        assert scene.signal_state != "none"
+        out = tmp_path / "r"
+        out.mkdir()
+        (out / "scene_01.json").write_bytes(scene_to_json(scene))
+        assert main(["export-plot", "--results", str(out)]) == 0
+        doc = ET.fromstring((out / "plots" / "scene_01.svg").read_text())
+        circle = doc.find(".//svg:circle[@class='signal']", {"svg": "http://www.w3.org/2000/svg"})
+        route = scene.route_polyline
+        seg = np.linalg.norm(np.diff(route[:, :2], axis=0), axis=1)
+        k = min(int(np.searchsorted(np.cumsum(seg), signal_line_s)), len(seg) - 1)
+        along = min(signal_line_s, seg.sum()) - seg[:k].sum()
+        want = route[k, :2] + (route[k + 1, :2] - route[k, :2]) * along / seg[k]
+        got = np.array([float(circle.get("cx")), float(circle.get("cy"))])
+        assert np.allclose(got, want, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("name, text", [
+        ("run_scene_00.json", "[]"),
+        ("run_scene_00.json", "null"),
+        ("feature_counts.csv", "scene_id,voxel_count,pillar_count,lane_level_count\n"
+                               "scene_00,10,5\n"),
+        ("latency.csv", "stage,median_ms,p95_ms,variant\nview_synth,0.5\n"),
+    ], ids=["run-dump-list", "run-dump-null", "counts-short-row", "latency-short-row"])
+    def test_malformed_input_exits_2_naming_it(self, tmp_path, caplog, name, text):
+        out = tmp_path / "r"
+        out.mkdir()
+        scene = generate_scene(RunConfig().suite_specs()[0], n_p=20)
+        (out / "scene_00.json").write_bytes(scene_to_json(scene))
+        (out / name).write_text(text)
+        caplog.clear()
+        assert main(["export-plot", "--results", str(out)]) == 2
+        (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert error.exc_info is None and "\n" not in error.getMessage()
+        assert name in error.getMessage()
 
 
 class TestConfigFile:

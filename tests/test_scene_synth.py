@@ -369,6 +369,18 @@ class TestRenderLidar:
             want = render_lidar_reference(scene, density, sigma, spec.seed)
             assert got.tobytes() == want.tobytes(), spec
 
+    @pytest.mark.parametrize("sigma", [0.0, 0.05])
+    def test_boxes_only_scene_matches_scalar_reference(self, sigma):
+        """No centerlines: the empty road table joined to the box rows."""
+        cfg = RunConfig(seed_scene=42)
+        scenes = [generate_scene(spec, n_p=cfg.n_p) for spec in cfg.suite_specs()]
+        scene = max(scenes, key=lambda s: len(s.agents) + len(s.clutter))
+        assert scene.agents and scene.clutter
+        boxes_only = dataclasses.replace(scene, centerlines=(), lane_widths=())
+        got = render_lidar(boxes_only, 3.0, sigma, seed=4)
+        want = render_lidar_reference(boxes_only, 3.0, sigma, seed=4)
+        assert len(got) > 0 and got.tobytes() == want.tobytes()
+
     def test_zero_length_segment_adds_no_rectangle(self):
         """A repeated centerline vertex makes a zero-length segment: it is
         dropped before its direction is divided out, and the cloud is the
