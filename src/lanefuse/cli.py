@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -189,7 +190,7 @@ def cmd_eval(args) -> int:
         scene_id = f"scene_{i:02d}"
         try:
             scene_objs.append(_eval_one(scene, scene_id, cfg, use_gt, store))
-        except ValueError:  # the config's limits (cloud cap, z bin, horizon) fail every scene
+        except ValueError:  # the config's limits (cloud cap, horizon) fail every scene
             raise
         except Exception as exc:
             # a broken scene still yields a row so the aggregate stands
@@ -222,8 +223,7 @@ def cmd_gradcheck(args) -> int:
     rows = []
     worst = 0.0
     for name in LOSS_NAMES:
-        res = grad_check(name, seed=cfg.seed_params, points=args.points,
-                         cfg=cfg.loss_config, corrupt=(args.corrupt == name))
+        res = grad_check(name, seed=cfg.seed_params, points=args.points, cfg=cfg.loss_config)
         rows.append([name, repr(res.max_rel_err)])
         worst = max(worst, res.max_rel_err)
         log.info("gradcheck %s: max rel err %.3e (resampled %d)", name,
@@ -236,9 +236,9 @@ def cmd_gradcheck(args) -> int:
     return 0
 
 
-def _csv_rows(path: Path) -> list[dict[str, str]]:
-    """The rows of a results CSV keyed by its header; a row shorter than the
-    header is a ValueError naming the file."""
+def _csv_rows(path: Path) -> list[tuple[int, dict[str, str]]]:
+    """The rows of a results CSV keyed by its header, each with its line
+    number; a row shorter than the header is a ValueError naming the file."""
     rows = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -246,8 +246,23 @@ def _csv_rows(path: Path) -> list[dict[str, str]]:
             if None in row.values():
                 raise ValueError(f"{path.name} line {reader.line_num}: "
                                  "fewer fields than its header")
-            rows.append(row)
+            rows.append((reader.line_num, row))
     return rows
+
+
+def _csv_number(path: Path, line: int, row: dict[str, str], column: str) -> float:
+    """``row[column]`` as a finite float; a missing column, a non-number or
+    a non-finite value is a ValueError naming the file, line and column."""
+    where = f"{path.name} line {line} column {column!r}"
+    if column not in row:
+        raise ValueError(f"{where}: no such column")
+    try:
+        value = float(row[column])
+    except ValueError:
+        raise ValueError(f"{where}: not a number: {row[column]!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{where}: not finite: {row[column]!r}")
+    return value
 
 
 def cmd_export_plot(args) -> int:
@@ -257,12 +272,10 @@ def cmd_export_plot(args) -> int:
 
     counts_csv = results / "feature_counts.csv"
     if counts_csv.exists():
-        rows = _csv_rows(counts_csv)
         groups = [
-            (r["scene_id"], [("voxel", float(r["voxel_count"])),
-                             ("pillar", float(r["pillar_count"])),
-                             ("lane_level", float(r["lane_level_count"]))])
-            for r in rows
+            (r["scene_id"], [(label, _csv_number(counts_csv, line, r, f"{label}_count"))
+                             for label in ("voxel", "pillar", "lane_level")])
+            for line, r in _csv_rows(counts_csv)
         ]
         atomic_write_text(plots / "feature_counts.svg",
                           bar_chart_svg("LiDAR feature counts per scene", groups))
@@ -270,10 +283,10 @@ def cmd_export_plot(args) -> int:
 
     latency_csv = results / "latency.csv"
     if latency_csv.exists():
-        rows = _csv_rows(latency_csv)
-        groups = [(f'{r["stage"]} [{r["variant"]}]', [("median", float(r["median_ms"])),
-                                                      ("p95", float(r["p95_ms"]))])
-                  for r in rows]
+        groups = [(f'{r["stage"]} [{r["variant"]}]',
+                   [(label, _csv_number(latency_csv, line, r, f"{label}_ms"))
+                    for label in ("median", "p95")])
+                  for line, r in _csv_rows(latency_csv)]
         atomic_write_text(plots / "latency.svg",
                           bar_chart_svg("Per-stage latency", groups, unit="ms"))
         made_any = True
@@ -308,13 +321,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, needs_out: bool = True) -> None:
+    def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--seed-scene", type=int, default=None)
         p.add_argument("--seed-params", type=int, default=None)
         p.add_argument("--suite", choices=SUITE_NAMES, default=None)
-        if needs_out:
-            p.add_argument("--out", type=str, required=True, help="output directory")
+        p.add_argument("--out", type=str, required=True, help="output directory")
 
     p = sub.add_parser("gen-scenes", help="write suite scenes and a manifest")
     common(p)
@@ -342,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     common(p)
     p.add_argument("--points", type=int, default=100)
-    p.add_argument("--corrupt", choices=LOSS_NAMES, default=None,
-                   help="test hook: skew one analytic gradient")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("export-plot", help="emit SVG charts and scene renderings")

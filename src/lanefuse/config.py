@@ -6,7 +6,7 @@ the whole reproducibility surface; all randomness flows from the two seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ import numpy as np
 from .fusion import BlockConfig
 from .heads_losses import LossConfig, LossWeights
 from .io_utils import from_json
-from .pillar import GridSpec
+from .pillar import GridSpec, _check_single_z_bin
 from .scene_synth import SceneSpec
 from .sim_eval import ControllerConfig, EvalConfig
 
@@ -62,9 +62,7 @@ class RunConfig:
     eval_config: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
-        for name in ("n_d", "e_dim", "k_layers", "c_channels", "view_h", "view_w"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        self.block_config()  # the model-shape checks
         for name in ("r_max", "lidar_density", "horizon"):
             if not getattr(self, name) > 0.0:  # NaN fails too
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)!r}")
@@ -81,25 +79,14 @@ class RunConfig:
                              f"takes more than {MAX_EPISODE_STEPS} steps")
         if self.n_p % 2 != 0 or self.n_p < 4:  # generate_scene's bound
             raise ValueError(f"n_p must be even and >= 4, got {self.n_p}")
-        if self.heads < 1 or self.e_dim % self.heads != 0:
-            raise ValueError(f"e_dim {self.e_dim} not divisible by heads {self.heads}")
-        if self.e_dim % 4 != 0:
-            raise ValueError(f"e_dim must be divisible by 4 for 2D encoding, got {self.e_dim}")
         if not isinstance(self.bench_repeats, int) or self.bench_repeats < 1:
             raise ValueError(f"bench_repeats must be an int >= 1, got {self.bench_repeats!r}")
         if self.suite not in SUITE_NAMES:
             raise ValueError(f"suite must be one of {SUITE_NAMES}, got {self.suite!r}")
-        span = self.bounds_max[2] - self.bounds_min[2]
-        if abs(self.pillar_resolution[2] - span) > 1e-9:
-            raise ValueError(
-                f"pillar_resolution dz {self.pillar_resolution[2]} must equal "
-                f"the z span {span} (single z bin)"
-            )
+        _check_single_z_bin(self.pillar_spec())
 
     def block_config(self) -> BlockConfig:
-        return BlockConfig(layers=self.k_layers, heads=self.heads, embed=self.e_dim,
-                           seed=self.seed_params, n_d=self.n_d, n_p=self.n_p,
-                           c_channels=self.c_channels, view_h=self.view_h, view_w=self.view_w)
+        return BlockConfig(**{f.name: getattr(self, f.name) for f in fields(BlockConfig)})
 
     def voxel_spec(self) -> GridSpec:
         return GridSpec(resolution=self.voxel_resolution,
@@ -122,12 +109,8 @@ class RunConfig:
     # -- JSON round trip -----------------------------------------------------
 
     @classmethod
-    def from_obj(cls, obj) -> "RunConfig":
-        return from_json(cls, obj, "config")
-
-    @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        return cls.from_obj(json.loads(Path(path).read_text("utf-8")))
+        return from_json(cls, json.loads(Path(path).read_text("utf-8")), "config")
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         kwargs = {k: v for k, v in kwargs.items() if v is not None}

@@ -72,28 +72,28 @@ class CoarseLanePrior:
 class BlockConfig:
     """Transformer stack shape: K layers, head count, embedding width, seed,
     plus the lane-query grid (n_d, n_p), the view feature channels and the
-    view grid (view_h, view_w) the positional encoding covers."""
+    view grid (view_h, view_w) the positional encoding covers. The fields
+    are :class:`~lanefuse.config.RunConfig`'s, which builds one with
+    ``block_config()``; the model-shape checks live here."""
 
-    layers: int = 2
-    heads: int = 4
-    embed: int = 32
-    seed: int = 7
-    n_d: int = 6
-    n_p: int = 20
-    c_channels: int = 16
-    view_h: int = 8
-    view_w: int = 8
+    k_layers: int
+    heads: int
+    e_dim: int
+    seed_params: int
+    n_d: int
+    n_p: int
+    c_channels: int
+    view_h: int
+    view_w: int
 
     def __post_init__(self):
-        if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
-        if self.embed % self.heads != 0:
-            raise ValueError(f"embed {self.embed} not divisible by heads {self.heads}")
-        if self.embed % 4 != 0:
-            raise ValueError(f"embed must be divisible by 4 for 2D encoding, got {self.embed}")
-        for name in ("view_h", "view_w"):
+        for name in ("n_d", "e_dim", "k_layers", "c_channels", "view_h", "view_w"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.heads < 1 or self.e_dim % self.heads != 0:
+            raise ValueError(f"e_dim {self.e_dim} not divisible by heads {self.heads}")
+        if self.e_dim % 4 != 0:
+            raise ValueError(f"e_dim must be divisible by 4 for 2D encoding, got {self.e_dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ class ParamStore:
         block names and shapes are spelled."""
         self.cfg = cfg
         self._blocks: dict[str, np.ndarray] = {}
-        e = cfg.embed
+        e = cfg.e_dim
 
         def block(name: str, *shape: int, fill: float | None = None) -> np.ndarray:
             arr = source(name, shape, fill)
@@ -142,7 +142,7 @@ class ParamStore:
         def ffn(ln: str, prefix: str) -> tuple:
             return norm(ln) + mlp(prefix, e, _FFN_MULT * e, e)
 
-        layers = range(cfg.layers)
+        layers = range(cfg.k_layers)
         # fixed, not a parameter block: no name, so never saved or loaded
         self.pos_enc = sinusoidal_encoding_2d(cfg.view_h, cfg.view_w, e)
         self.pos_enc.setflags(write=False)
@@ -201,8 +201,8 @@ def build_params(cfg: BlockConfig) -> ParamStore:
     Affine weights and biases draw from U(-1, 1)/sqrt(E); layer norm gains
     and biases start at identity.
     """
-    rng = np.random.default_rng([cfg.seed])
-    scale = 1.0 / math.sqrt(cfg.embed)
+    rng = np.random.default_rng([cfg.seed_params])
+    scale = 1.0 / math.sqrt(cfg.e_dim)
 
     def draw(name: str, shape: tuple[int, ...], fill: float | None) -> np.ndarray:
         if fill is not None:

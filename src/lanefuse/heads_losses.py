@@ -410,12 +410,10 @@ def _grad_case(loss_name: str, rng: np.random.Generator,
 
 
 def grad_check(loss_name: str, seed: int = 0, points: int = 100, step: float = 1e-5,
-               coords: int = 10, cfg: LossConfig | None = None,
-               corrupt: bool = False) -> GradCheckResult:
+               coords: int = 10, cfg: LossConfig | None = None) -> GradCheckResult:
     """Compare analytic gradients against central finite differences at
     randomized non-degenerate points; returns the max relative error over the
-    sampled coordinates. ``corrupt`` deliberately skews the analytic side
-    (negative-control hook for the CLI)."""
+    sampled coordinates."""
     if step <= 0:
         raise ValueError("step must be > 0")
     if loss_name not in LOSS_NAMES:
@@ -431,8 +429,6 @@ def grad_check(loss_name: str, seed: int = 0, points: int = 100, step: float = 1
             resampled += 1
             continue
         _, grad = fn(x0)
-        if corrupt:
-            grad = grad * 1.5 + 1e-3
         flat = x0.ravel()
         n_coords = min(coords, flat.size)
         picks = rng.choice(flat.size, size=n_coords, replace=False)

@@ -41,9 +41,9 @@ class GridSpec:
     bounds_max: tuple[float, float, float]
 
     def __post_init__(self):
-        if any(r <= 0 for r in self.resolution):
+        if not all(r > 0 for r in self.resolution):  # NaN fails too
             raise ValueError(f"grid resolution must be positive, got {self.resolution}")
-        if any(hi <= lo for lo, hi in zip(self.bounds_min, self.bounds_max)):
+        if not all(lo < hi for lo, hi in zip(self.bounds_min, self.bounds_max)):
             raise ValueError(
                 f"degenerate bounds {self.bounds_min}..{self.bounds_max}"
             )
@@ -226,7 +226,8 @@ def _check_single_z_bin(spec: GridSpec) -> None:
     dz = spec.resolution[2]
     zspan = spec.bounds_max[2] - spec.bounds_min[2]
     if not math.isclose(dz, zspan, rel_tol=1e-9):
-        raise ValueError(f"pillar grid needs a single z bin: dz={dz}, z span={zspan}")
+        raise ValueError(f"pillar_resolution dz {dz} must equal the z span {zspan} "
+                         "(single z bin)")
 
 
 def pillarize(cloud: np.ndarray, spec: GridSpec, roi: np.ndarray | None = None,

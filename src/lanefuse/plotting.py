@@ -82,9 +82,9 @@ def _points_attr(xy: np.ndarray) -> str:
     return " ".join(f"{float(p[0])!r},{float(p[1])!r}" for p in xy)
 
 
-def _box_polygon(box, fill: str, opacity: str = "0.6") -> str:
+def _box_polygon(box, fill: str) -> str:
     pts = _points_attr(box.footprint_corners())
-    return f'<polygon points="{pts}" fill="{fill}" fill-opacity="{opacity}" stroke="#333" stroke-width="0.1"/>'
+    return f'<polygon points="{pts}" fill="{fill}" fill-opacity="0.6" stroke="#333" stroke-width="0.1"/>'
 
 
 def scene_svg(scene: Scene, path: PlannedPath | None = None) -> str:

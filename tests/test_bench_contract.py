@@ -61,3 +61,17 @@ def test_forward_gate_passes_a_run_pipeline_result(harness):
     result = run_pipeline(scene, cfg, build_params(cfg.block_config()))
     assert run.forward_problems(result, cfg.n_d, cfg.n_p) == []
     assert run.forward_digest(result) == run.load_pinned("forward_reference", 42)["scene_00"]
+
+
+@pytest.mark.parametrize("workload", ["forward_reference", "forward_dense", "closed_loop_gt"])
+def test_harness_set_up_runs(harness, workload):
+    """lfbench's own set-up builds its config, store and scenes from the
+    program's public calls."""
+    _, run = harness
+    path = list(sys.path)
+    try:
+        ctx = run.setup(run.WORKLOADS[workload], 42)
+    finally:
+        sys.path[:] = path
+    assert ctx.store.cfg == ctx.cfg.block_config()
+    assert len(ctx.scenes) == len(ctx.cfg.suite_specs())

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lanefuse import heads_losses
 from lanefuse.cli import main
 from lanefuse.config import RunConfig
 from lanefuse.double_edge import PlannedPath, interpret_path
@@ -423,10 +424,16 @@ class TestGradcheckCommand:
         assert [r["loss_name"] for r in rows] == list(LOSS_NAMES)
         assert all(float(r["max_rel_err"]) < 1e-4 for r in rows)
 
-    def test_corrupted_gradient_fails(self, tmp_path, fast_config):
+    def test_corrupted_gradient_fails(self, tmp_path, fast_config, monkeypatch):
+        core = heads_losses._plan_core
+
+        def skewed(*args):
+            value, grad = core(*args)
+            return value, grad * 1.5 + 1e-3
+        monkeypatch.setattr(heads_losses, "_plan_core", skewed)
         out = tmp_path / "g"
         code = main(["gradcheck", "--config", fast_config, "--out", str(out),
-                     "--points", "5", "--corrupt", "plan"])
+                     "--points", "5"])
         assert code == 1
 
 
@@ -484,14 +491,35 @@ class TestExportPlot:
         got = np.array([float(circle.get("cx")), float(circle.get("cy"))])
         assert np.allclose(got, want, rtol=0, atol=1e-9)
 
-    @pytest.mark.parametrize("name, text", [
-        ("run_scene_00.json", "[]"),
-        ("run_scene_00.json", "null"),
+    @pytest.mark.parametrize("name, text, where", [
+        ("run_scene_00.json", "[]", "run_scene_00.json"),
+        ("run_scene_00.json", "null", "run_scene_00.json"),
         ("feature_counts.csv", "scene_id,voxel_count,pillar_count,lane_level_count\n"
-                               "scene_00,10,5\n"),
-        ("latency.csv", "stage,median_ms,p95_ms,variant\nview_synth,0.5\n"),
-    ], ids=["run-dump-list", "run-dump-null", "counts-short-row", "latency-short-row"])
-    def test_malformed_input_exits_2_naming_it(self, tmp_path, caplog, name, text):
+                               "scene_00,10,5\n", "feature_counts.csv line 2"),
+        ("latency.csv", "stage,median_ms,p95_ms,variant\nview_synth,0.5\n", "latency.csv line 2"),
+        ("feature_counts.csv", "scene_id,voxel_count,pillar_count,lane_level_count\n"
+                               "scene_00,1,5,1\nscene_01,nan,5,1\n",
+         "feature_counts.csv line 3 column 'voxel_count': not finite"),
+        ("feature_counts.csv", "scene_id,voxel_count,pillar_count,lane_level_count\n"
+                               "scene_00,1,-inf,1\n",
+         "feature_counts.csv line 2 column 'pillar_count': not finite"),
+        ("feature_counts.csv", "scene_id,voxel_count,pillar_count,lane_level_count\n"
+                               "scene_00,ten,5,1\n",
+         "feature_counts.csv line 2 column 'voxel_count': not a number"),
+        ("feature_counts.csv", "scene_id,pillar_count,lane_level_count\nscene_00,5,1\n",
+         "feature_counts.csv line 2 column 'voxel_count': no such column"),
+        ("latency.csv", "stage,median_ms,p95_ms,variant\nview_synth,nan,1.0,a\n",
+         "latency.csv line 2 column 'median_ms': not finite"),
+        ("latency.csv", "stage,median_ms,p95_ms,variant\nview_synth,0.5,inf,a\n",
+         "latency.csv line 2 column 'p95_ms': not finite"),
+        ("latency.csv", "stage,median_ms,p95_ms,variant\nview_synth,0.5,ten,a\n",
+         "latency.csv line 2 column 'p95_ms': not a number"),
+        ("latency.csv", "stage,median_ms,variant\nview_synth,0.5,a\n",
+         "latency.csv line 2 column 'p95_ms': no such column"),
+    ], ids=["run-dump-list", "run-dump-null", "counts-short-row", "latency-short-row",
+            "counts-nan", "counts-inf", "counts-text", "counts-no-column",
+            "latency-nan", "latency-inf", "latency-text", "latency-no-column"])
+    def test_malformed_input_exits_2_naming_it(self, tmp_path, caplog, name, text, where):
         out = tmp_path / "r"
         out.mkdir()
         scene = generate_scene(RunConfig().suite_specs()[0], n_p=20)
@@ -501,7 +529,7 @@ class TestExportPlot:
         assert main(["export-plot", "--results", str(out)]) == 2
         (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
         assert error.exc_info is None and "\n" not in error.getMessage()
-        assert name in error.getMessage()
+        assert where in error.getMessage()
 
 
 class TestConfigFile:

@@ -1,9 +1,11 @@
 import math
 import struct
+from dataclasses import MISSING, fields, replace
 
 import numpy as np
 import pytest
 
+from lanefuse.config import RunConfig
 from lanefuse.fusion import (
     COARSE_HIDDEN,
     LAYER_NORM_EPS,
@@ -29,6 +31,11 @@ from lanefuse.fusion import (
     sinusoidal_encoding_2d,
 )
 from lanefuse.pillar import LaneWeights
+
+
+def block(**changes) -> BlockConfig:
+    """The default run's BlockConfig with ``changes``."""
+    return replace(RunConfig().block_config(), **changes)
 
 
 def mha_reference(q_in, k_in, v_in, p: AttentionParams):
@@ -85,12 +92,12 @@ def image_transformer_unfolded(tokens, store):
                 *(store[f"{prefix}.{n}"] for n in ("w1", "b1", "w2", "b2")))
 
     x = tokens.T
-    for i in range(cfg.layers):
+    for i in range(cfg.k_layers):
         x = attention_layer(x, x, x, attn(f"img_enc{i}.ln1", f"img_enc{i}.attn"))
         x = _ffn(x, ffn(f"img_enc{i}.ln2", f"img_enc{i}.ffn"))
     memory = _layer_norm(x, store["img_enc_final.g"], store["img_enc_final.b"])
-    x = store["q_image"].reshape(cfg.n_d * cfg.n_p, cfg.embed)
-    for i in range(cfg.layers):
+    x = store["q_image"].reshape(cfg.n_d * cfg.n_p, cfg.e_dim)
+    for i in range(cfg.k_layers):
         x = attention_layer(x, x, x, attn(f"img_dec{i}.ln1", f"img_dec{i}.self"))
         x = attention_layer(x, memory, memory, attn(f"img_dec{i}.ln2", f"img_dec{i}.cross"))
         x = _ffn(x, ffn(f"img_dec{i}.ln3", f"img_dec{i}.ffn"))
@@ -144,7 +151,7 @@ class TestPositionalEncode:
         assert np.allclose(delta, enc[:, i] - enc[:, j], atol=1e-12)
 
     def test_store_holds_the_encoding_of_its_view_grid(self):
-        store = build_params(BlockConfig(embed=16, heads=2, view_h=3, view_w=5))
+        store = build_params(block(e_dim=16, heads=2, view_h=3, view_w=5))
         assert np.array_equal(store.pos_enc, sinusoidal_encoding_2d(3, 5, 16))
         tokens = positional_encode(np.zeros((2, 16, 3, 5)), store)
         assert np.array_equal(tokens, np.tile(store.pos_enc, (1, 2)))
@@ -173,7 +180,7 @@ class TestCoarseLaneDetect:
         assert np.array_equal(a.weights.weights, b.weights.weights)
 
     def test_planted_parameters_match_hand_computation(self):
-        bc = BlockConfig(layers=1, heads=2, embed=8, seed=0, n_d=2, n_p=4, c_channels=3)
+        bc = block(k_layers=1, heads=2, e_dim=8, seed_params=0, n_d=2, n_p=4, c_channels=3)
         store = build_params(bc)
         rng = np.random.default_rng(5)
         w2 = rng.normal(size=(2 * 4 * 3 + 2, 8))
@@ -388,7 +395,7 @@ class TestLidarPath:
         assert np.array_equal(q, np.broadcast_to(param_store["q_lift.b"], (6, 20, 32)))
 
     def test_init_queries_planted_identity_lift(self):
-        bc = BlockConfig(layers=1, heads=2, embed=8, seed=1, n_d=2, n_p=4, c_channels=8)
+        bc = block(k_layers=1, heads=2, e_dim=8, seed_params=1, n_d=2, n_p=4, c_channels=8)
         store = build_params(bc).replaced({
             "q_lift.w": np.eye(8), "q_lift.b": np.zeros(8),
         })
@@ -541,9 +548,9 @@ def test_shape_contracts_across_random_configs():
     for _ in range(6):
         heads = int(rng.choice([1, 2, 4]))
         e = int(heads * 4 * rng.integers(1, 3))  # divisible by heads and by 4
-        bc = BlockConfig(layers=int(rng.integers(1, 3)), heads=heads, embed=e,
-                         seed=int(rng.integers(0, 100)), n_d=int(rng.integers(1, 4)),
-                         n_p=2 * int(rng.integers(1, 5)), c_channels=int(rng.integers(2, 6)))
+        bc = block(k_layers=int(rng.integers(1, 3)), heads=heads, e_dim=e,
+                   seed_params=int(rng.integers(0, 100)), n_d=int(rng.integers(1, 4)),
+                   n_p=2 * int(rng.integers(1, 5)), c_channels=int(rng.integers(2, 6)))
         store = build_params(bc)
         tokens = rng.normal(size=(e, 30))
         q = store["q_image"]
@@ -560,13 +567,31 @@ def test_shape_contracts_across_random_configs():
 
 
 def test_invalid_block_configs_rejected():
-    with pytest.raises(ValueError):
-        BlockConfig(layers=0)
-    with pytest.raises(ValueError):
-        BlockConfig(embed=30, heads=4)
-    with pytest.raises(ValueError):
-        BlockConfig(embed=6, heads=2)  # not divisible by 4
-    with pytest.raises(ValueError, match="view_h must be >= 1, got 0"):
-        BlockConfig(view_h=0)
-    with pytest.raises(ValueError, match="view_w must be >= 1, got -1"):
-        BlockConfig(view_w=-1)
+    for changes, message in [
+        ({"k_layers": 0}, "k_layers must be >= 1, got 0"),
+        ({"e_dim": 30, "heads": 4}, "e_dim 30 not divisible by heads 4"),
+        ({"e_dim": 6, "heads": 2}, "e_dim must be divisible by 4 for 2D encoding, got 6"),
+        ({"view_h": 0}, "view_h must be >= 1, got 0"),
+        ({"view_w": -1}, "view_w must be >= 1, got -1"),
+        ({"heads": 0}, "e_dim 32 not divisible by heads 0"),
+        ({"heads": -4}, "e_dim 32 not divisible by heads -4"),
+        ({"e_dim": 0}, "e_dim must be >= 1, got 0"),
+        ({"n_d": 0}, "n_d must be >= 1, got 0"),
+        ({"c_channels": 0}, "c_channels must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            block(**changes)
+
+
+def test_block_config_is_a_projection_of_run_config():
+    """Every BlockConfig field is a RunConfig field of the same name, none
+    has a default, and ``block_config()`` copies each one."""
+    run_fields = {f.name for f in fields(RunConfig)}
+    names = [f.name for f in fields(BlockConfig)]
+    assert set(names) <= run_fields
+    assert all(f.default is MISSING and f.default_factory is MISSING for f in fields(BlockConfig))
+    cfg = RunConfig(k_layers=3, heads=2, e_dim=16, seed_params=11, n_d=5, n_p=8,
+                    c_channels=7, view_h=6, view_w=9)
+    bc = cfg.block_config()
+    assert {n: getattr(bc, n) for n in names} == {n: getattr(cfg, n) for n in names}
+    assert len({getattr(bc, n) for n in names}) == len(names)  # no two fields swapped unseen

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lanefuse import heads_losses
 from lanefuse.double_edge import DoubleEdgeSet, StructuralError
 from lanefuse.heads_losses import (
     LOSS_NAMES,
@@ -328,8 +329,14 @@ class TestGradCheck:
         res = grad_check(loss_name, seed=0, points=25)
         assert res.max_rel_err < 1e-4, f"{loss_name}: {res.max_rel_err:.3e}"
 
-    def test_corrupted_gradient_detected(self):
-        res = grad_check("spd", seed=0, points=10, corrupt=True)
+    def test_corrupted_gradient_detected(self, monkeypatch):
+        core = heads_losses._smooth_l1_core
+
+        def skewed(pred, gt):
+            value, grad = core(pred, gt)
+            return value, grad * 1.5 + 1e-3
+        monkeypatch.setattr(heads_losses, "_smooth_l1_core", skewed)
+        res = grad_check("spd", seed=0, points=10)
         assert res.max_rel_err >= 1e-4
 
     def test_smooth_l1_near_kink_resampled(self):

@@ -23,6 +23,21 @@ def make_spec(res=(0.5, 0.5, 0.5), lo=(-10.0, -10.0, 0.0), hi=(10.0, 10.0, 8.0))
     return GridSpec(resolution=res, bounds_min=lo, bounds_max=hi)
 
 
+@pytest.mark.parametrize("grid, message", [
+    ({"res": (0.0, 0.5, 8.0)}, "grid resolution must be positive"),
+    ({"res": (0.5, -0.5, 8.0)}, "grid resolution must be positive"),
+    ({"res": (math.nan, 0.5, 8.0)}, "grid resolution must be positive"),
+    ({"lo": (10.0, -10.0, 0.0)}, "degenerate bounds"),
+    ({"hi": (10.0, -10.0, 8.0)}, "degenerate bounds"),
+    ({"lo": (-10.0, math.nan, 0.0)}, "degenerate bounds"),
+    ({"hi": (10.0, 10.0, math.nan)}, "degenerate bounds"),
+], ids=["res-zero", "res-negative", "res-nan", "bounds-inverted", "bounds-empty",
+        "bounds-min-nan", "bounds-max-nan"])
+def test_grid_spec_rejects_bad_resolution_and_bounds(grid, message):
+    with pytest.raises(ValueError, match=message):
+        make_spec(**grid)
+
+
 def pillar_grid_spec(lo=(-10.0, -10.0, 0.0), hi=(10.0, 10.0, 8.0)):
     return GridSpec(resolution=(0.5, 0.5, hi[2] - lo[2]), bounds_min=lo, bounds_max=hi)
 
@@ -205,6 +220,24 @@ class TestPillarize:
     def test_multi_z_bin_grid_rejected(self):
         with pytest.raises(ValueError, match="single z bin"):
             pillarize(np.zeros((0, 3)), make_spec())
+
+    @pytest.mark.parametrize("z_span, dz, accepted", [
+        (0.5, 0.5 + 8e-10, False),  # within 1e-9 absolute, beyond 1e-9 relative
+        (8.0, 8.0 + 5e-9, True),  # beyond 1e-9 absolute, within 1e-9 relative
+    ])
+    def test_run_config_accepts_what_pillarize_accepts(self, z_span, dz, accepted):
+        grid = {"pillar_resolution": (0.5, 0.5, dz), "bounds_min": (-20.0, -60.0, 0.0),
+                "bounds_max": (170.0, 130.0, z_span)}
+        spec = GridSpec(resolution=grid["pillar_resolution"], bounds_min=grid["bounds_min"],
+                        bounds_max=grid["bounds_max"])
+        if accepted:
+            pillarize(np.zeros((0, 3)), spec)
+            assert RunConfig(**grid).pillar_spec() == spec
+        else:
+            with pytest.raises(ValueError, match="single z bin"):
+                pillarize(np.zeros((0, 3)), spec)
+            with pytest.raises(ValueError, match="single z bin"):
+                RunConfig(**grid)
 
 
 class TestLaneSample:
