@@ -3,12 +3,15 @@ plotting: polyline resampling/projection and oriented boxes."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "OrientedBox",
+    "box_table",
+    "boxes_entered",
     "polyline_cumlen",
     "polyline_length",
     "resample_polyline",
@@ -29,22 +32,52 @@ class OrientedBox:
     yaw: float
     extent: tuple[float, float, float]
 
-    def contains_xy(self, pts: np.ndarray) -> np.ndarray:
-        """Footprint membership test for an (N, 2) array of ground points."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        d = pts - np.array(self.center[:2])
-        c, s = np.cos(self.yaw), np.sin(self.yaw)
-        u = c * d[:, 0] + s * d[:, 1]
-        v = -s * d[:, 0] + c * d[:, 1]
-        return (np.abs(u) <= self.extent[0] / 2.0) & (np.abs(v) <= self.extent[1] / 2.0)
+    @property
+    def axes(self) -> tuple[float, float]:
+        """(cos yaw, sin yaw): the box's x axis in the ground plane. This is
+        the one place a box's yaw is read."""
+        return math.cos(self.yaw), math.sin(self.yaw)
 
     def footprint_corners(self) -> np.ndarray:
         """(4, 2) footprint corner coordinates, counter-clockwise."""
         hx, hy = self.extent[0] / 2.0, self.extent[1] / 2.0
         local = np.array([[hx, hy], [-hx, hy], [-hx, -hy], [hx, -hy]])
-        c, s = np.cos(self.yaw), np.sin(self.yaw)
+        c, s = self.axes
         rot = np.array([[c, -s], [s, c]])
         return local @ rot.T + np.array(self.center[:2])
+
+
+def box_table(boxes) -> np.ndarray:
+    """(K, 6) table of K boxes, one row per box: centre x, centre y, extent
+    x, extent y, cos yaw, sin yaw."""
+    return np.array([(*box.center[:2], *box.extent[:2], *box.axes) for box in boxes],
+                    dtype=float).reshape(-1, 6)
+
+
+def boxes_entered(xy: np.ndarray, table: np.ndarray, margin: float) -> dict[int, list[int]]:
+    """Footprint test of (m >= 1, 2) points against the boxes of a
+    :func:`box_table`, each grown by ``margin`` on every side: for every row
+    that lies in at least one box, the box indices it lies in, ascending.
+
+    A point inside a box with half-extents (hx, hy) is within hx + hy of its
+    centre along both x and y, whatever the yaw, so only the boxes whose
+    centre lies within that reach (plus 1e-6 m for rounding) of the points'
+    bounding box go through the exact test.
+    """
+    centers, halves = table[:, 0:2], table[:, 2:4] / 2.0 + margin
+    reach = (halves[:, 0] + halves[:, 1] + 1e-6)[:, None]
+    near = np.flatnonzero(((centers >= xy.min(axis=0) - reach)
+                           & (centers <= xy.max(axis=0) + reach)).all(axis=1))
+    if not len(near):
+        return {}
+    d = xy[:, None, :] - centers[near]
+    c, s = table[near, 4], table[near, 5]
+    u = np.abs(c * d[..., 0] + s * d[..., 1])
+    v = np.abs(-s * d[..., 0] + c * d[..., 1])
+    entered: dict[int, list[int]] = {}
+    for row, k in zip(*np.nonzero((u <= halves[near, 0]) & (v <= halves[near, 1]))):
+        entered.setdefault(int(row), []).append(int(near[k]))
+    return entered
 
 
 def polyline_cumlen(points: np.ndarray) -> np.ndarray:

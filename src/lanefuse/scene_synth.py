@@ -22,6 +22,8 @@ from .double_edge import DoubleEdgeSet, from_obj, to_obj, validate
 from .geometry import (
     OrientedBox,
     SegmentTable,
+    box_table,
+    boxes_entered,
     polyline_length,
     resample_polyline,
 )
@@ -35,7 +37,6 @@ __all__ = [
     "render_lidar",
     "rasterize_semantic_views",
     "synth_view_features",
-    "occupancy_flags",
     "scene_to_json",
     "scene_from_json",
     "save_point_cloud",
@@ -190,15 +191,6 @@ def _orient_ego_outward(line: np.ndarray, ego_xy: np.ndarray) -> np.ndarray:
     return line[::-1].copy() if d1 < d0 else line
 
 
-def occupancy_flags(midpoints: np.ndarray, agents: tuple[OrientedBox, ...]) -> np.ndarray:
-    """occ flag per lane sample: 1 iff the lane midpoint sits inside any
-    agent footprint."""
-    out = np.zeros(len(midpoints), dtype=np.int64)
-    for box in agents:
-        out |= box.contains_xy(midpoints[:, :2]).astype(np.int64)
-    return out
-
-
 def _ground_truth(
     centerlines: list[np.ndarray],
     int_flags: list[int],
@@ -213,6 +205,7 @@ def _ground_truth(
     points = np.zeros((n_d, n_p, 3))
     occ = np.zeros((n_d, n_p), dtype=np.int64)
     plan = np.zeros((n_d, n_p), dtype=np.int64)
+    table = box_table(agents)
     for i, line in enumerate(centerlines):
         mid = resample_polyline(line, half)
         tang = np.gradient(mid[:, :2], axis=0)
@@ -222,9 +215,8 @@ def _ground_truth(
         points[i, :half, :2] = mid[:, :2] + left_n * (lane_width / 2.0)
         points[i, half:, :2] = mid[:, :2] - left_n * (lane_width / 2.0)
         points[i, :, 2] = 0.0
-        lane_occ = occupancy_flags(mid, agents)
-        occ[i, :half] = lane_occ
-        occ[i, half:] = lane_occ
+        for j in boxes_entered(mid[:, :2], table, 0.0):  # lane samples inside an agent
+            occ[i, j] = occ[i, half + j] = 1
         if i == route_lane:
             plan[i, :] = 1
     return DoubleEdgeSet(points, occ, plan, int_flags, dir_flags)
@@ -433,14 +425,14 @@ def _box_rects(boxes) -> np.ndarray:
     """The top and four side faces of every box, five rectangles per box."""
     if not boxes:
         return np.zeros((0, 12))
-    ex, ey, ez = (np.array([float(b.extent[k]) for b in boxes]) for k in range(3))
-    c = np.array([math.cos(b.yaw) for b in boxes])
-    s = np.array([math.sin(b.yaw) for b in boxes])
+    table = box_table(boxes)
+    ex, ey, c, s = table[:, 2:].T
+    ez = np.array([float(b.extent[2]) for b in boxes])
     zero = np.zeros(len(boxes))
     ux = np.column_stack([c, s, zero])
     uy = np.column_stack([-s, c, zero])
     uz = np.column_stack([zero, zero, zero + 1.0])
-    base = np.column_stack([[b.center[0] for b in boxes], [b.center[1] for b in boxes], zero])
+    base = np.column_stack([table[:, :2], zero])
     corner = base - ux * ex[:, None] / 2.0 - uy * ey[:, None] / 2.0
 
     def faces(*per_face):  # (B, 5, ...) -> rows box-major, face-minor

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .double_edge import PlannedPath
-from .geometry import PolylineProjector, polyline_length
+from .geometry import PolylineProjector, box_table, boxes_entered, polyline_length
 from .io_utils import require_finite
 from .scene_synth import Scene
 
@@ -170,41 +170,6 @@ def infraction_score(events: tuple[InfractionEvent, ...]) -> float:
     return score
 
 
-def _stack_boxes(scene: Scene, ego_radius: float):
-    """Kinds, centres (K, 2), inflated half-extents (K, 2), cos and sin of
-    yaw for the agent boxes followed by the clutter boxes."""
-    boxes = (*scene.agents, *scene.clutter)
-    kinds = (["collision_vehicle"] * len(scene.agents)
-             + ["collision_static"] * len(scene.clutter))
-    cols = np.array([(*box.center[:2], *box.extent[:2], math.cos(box.yaw), math.sin(box.yaw))
-                     for box in boxes], dtype=float).reshape(-1, 6)
-    return kinds, cols[:, 0:2], cols[:, 2:4] / 2.0 + ego_radius, cols[:, 4], cols[:, 5]
-
-
-def _entered_boxes(xy: np.ndarray, centers, halves, cos, sin) -> dict[int, list[int]]:
-    """Box test of (m, 2) ego points against the K stacked boxes: for every
-    row that lies in at least one box, the box indices it lies in, ascending.
-
-    A point inside a box with inflated half-extents (hx, hy) is within
-    hx + hy of its centre along both x and y, whatever the yaw, so only the
-    boxes whose centre lies within that reach (plus 1e-6 m for rounding) of
-    the points' bounding box go through the exact test.
-    """
-    reach = (halves[:, 0] + halves[:, 1] + 1e-6)[:, None]
-    near = np.flatnonzero(((centers >= xy.min(axis=0) - reach)
-                           & (centers <= xy.max(axis=0) + reach)).all(axis=1))
-    if not len(near):
-        return {}
-    d = xy[:, None, :] - centers[near]
-    c, s = cos[near], sin[near]
-    u = np.abs(c * d[..., 0] + s * d[..., 1])
-    v = np.abs(-s * d[..., 0] + c * d[..., 1])
-    entered: dict[int, list[int]] = {}
-    for row, k in zip(*np.nonzero((u <= halves[near, 0]) & (v <= halves[near, 1]))):
-        entered.setdefault(int(row), []).append(int(near[k]))
-    return entered
-
-
 def run_closed_loop(scene: Scene,
                     path: PlannedPath | None,
                     cfg: ControllerConfig,
@@ -240,8 +205,8 @@ def run_closed_loop(scene: Scene,
     project = PolylineProjector(route)
     lane_width = scene.lane_widths[scene.route_lane]
     end_xy = np.array(scene.route_target[:2])
-    kinds, centers, halves, cos, sin = _stack_boxes(scene, eval_cfg.ego_radius)
-    live = set(range(len(kinds)))  # boxes not hit yet; each is logged once
+    boxes = box_table((*scene.agents, *scene.clutter))  # agents first
+    live = set(range(len(boxes)))  # boxes not hit yet; each is logged once
     red_line = scene.signal_line_s if scene.signal_state == "red" else None  # None once logged
     deviation_d = eval_cfg.deviation_lane_widths * lane_width
     arrival_r = eval_cfg.arrival_radius
@@ -288,7 +253,7 @@ def run_closed_loop(scene: Scene,
             xy = np.array([row[1:3] for row in rows[first:]])
             s_arr, d_arr = project.project(xy)
             chunk_s, chunk_d = s_arr.tolist(), d_arr.tolist()
-            entered = _entered_boxes(xy, centers, halves, cos, sin) if live else {}
+            entered = boxes_entered(xy, boxes, eval_cfg.ego_radius) if live else {}
             # sqrt(dx * dx + dy * dy) per row; a 1-D norm would be a BLAS dot
             arrived = (np.linalg.norm(xy - end_xy, axis=1) <= arrival_r).tolist()
         for j, (cur_s, cur_d) in enumerate(zip(chunk_s, chunk_d)):
@@ -297,8 +262,8 @@ def run_closed_loop(scene: Scene,
             for bi in entered.get(j, ()):
                 if bi in live:
                     live.remove(bi)
-                    events.append(InfractionEvent(time=t_j, kind=kinds[bi],
-                                                  penalty=penalties[kinds[bi]]))
+                    kind = "collision_vehicle" if bi < len(scene.agents) else "collision_static"
+                    events.append(InfractionEvent(time=t_j, kind=kind, penalty=penalties[kind]))
             if red_line is not None and prev_s < red_line <= cur_s:
                 red_line = None
                 events.append(InfractionEvent(time=t_j, kind="red_light",

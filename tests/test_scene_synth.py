@@ -9,14 +9,20 @@ import pytest
 from lanefuse import scene_synth
 from lanefuse.config import RunConfig
 from lanefuse.double_edge import interpret_path, validate
-from lanefuse.geometry import OrientedBox, SegmentTable, polyline_length, resample_polyline
+from lanefuse.geometry import (
+    OrientedBox,
+    SegmentTable,
+    box_table,
+    boxes_entered,
+    polyline_length,
+    resample_polyline,
+)
 from lanefuse.scene_synth import (
     GenerationError,
     Scene,
     SceneSpec,
     generate_scene,
     load_point_cloud,
-    occupancy_flags,
     rasterize_semantic_views,
     render_lidar,
     save_point_cloud,
@@ -72,9 +78,10 @@ class TestGenerateScene:
             for _ in range(4)
         )
         pts = rng.uniform(-12, 12, (200, 3))
-        flags = occupancy_flags(pts, boxes)
-        for p, f in zip(pts, flags):
-            assert f == int(any(in_box_oracle(p[0], p[1], b) for b in boxes))
+        entered = boxes_entered(pts[:, :2], box_table(boxes), 0.0)
+        for row, p in enumerate(pts):
+            want = [k for k, b in enumerate(boxes) if in_box_oracle(p[0], p[1], b)]
+            assert entered.get(row, []) == want
 
     def test_ground_truth_validates_across_random_specs(self):
         rng = np.random.default_rng(0)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import types
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +11,8 @@ from lanefuse.geometry import (
     OrientedBox,
     PolylineProjector,
     SegmentTable,
+    box_table,
+    boxes_entered,
     polyline_length,
 )
 from lanefuse.pipeline import gt_plan
@@ -412,13 +413,15 @@ def unfiltered_entered(xy, centers, halves, cos, sin):
             for row in np.flatnonzero(inside.any(axis=1))}
 
 
-def stacked_boxes(centers, extents, yaws, ego_radius):
-    boxes = tuple(OrientedBox(center=(float(cx), float(cy), 0.9), yaw=float(yaw),
-                              extent=(float(ex), float(ey), 1.8))
-                  for (cx, cy), (ex, ey), yaw in zip(centers, extents, yaws))
-    scene = types.SimpleNamespace(agents=boxes[:len(boxes) // 2],
-                                  clutter=boxes[len(boxes) // 2:])
-    return sim_eval._stack_boxes(scene, ego_radius)[1:]
+def box_columns(table, margin):
+    """Centres, half-extents grown by ``margin``, cos and sin of a box table."""
+    return table[:, 0:2], table[:, 2:4] / 2.0 + margin, table[:, 4], table[:, 5]
+
+
+def stacked_boxes(centers, extents, yaws):
+    return box_table(tuple(OrientedBox(center=(float(cx), float(cy), 0.9), yaw=float(yaw),
+                                       extent=(float(ex), float(ey), 1.8))
+                           for (cx, cy), (ex, ey), yaw in zip(centers, extents, yaws)))
 
 
 def box_outline_points(centers, halves, cos, sin, shrink):
@@ -446,7 +449,8 @@ def test_entered_boxes_matches_unfiltered_test():
         extents = rng.uniform(0.0, 6.0, (k, 2))
         yaws = np.where(rng.random(k) < 0.3, math.pi / 4, rng.uniform(-math.pi, math.pi, k))
         ego_radius = (0.0, 1.0, float(rng.uniform(0.0, 2.0)))[trial // 3 % 3]
-        boxes = stacked_boxes(centers, extents, yaws, ego_radius)
+        table = stacked_boxes(centers, extents, yaws)
+        boxes = box_columns(table, ego_radius)
         walk = np.cumsum(rng.normal(0.0, 0.6, (int(rng.integers(1, 65)), 2)), axis=0)
         far = walk + origin + 1e3
         assert not unfiltered_entered(far, *boxes)
@@ -457,7 +461,7 @@ def test_entered_boxes_matches_unfiltered_test():
             chunks += [point[None] for point in outline]
         for xy in chunks:
             want = unfiltered_entered(xy, *boxes)
-            assert sim_eval._entered_boxes(xy, *boxes) == want
+            assert boxes_entered(xy, table, ego_radius) == want
             hits += len(want)
     assert hits > 5_000  # the outlines do land inside their boxes
 
@@ -495,7 +499,10 @@ def reference_closed_loop(scene, path, cfg, horizon, eval_cfg=None):
     total_len = polyline_length(route)
     lane_width = scene.lane_widths[scene.route_lane]
     end_x, end_y = scene.route_target[:2]
-    kinds, centers, halves, cos, sin = sim_eval._stack_boxes(scene, eval_cfg.ego_radius)
+    kinds = (["collision_vehicle"] * len(scene.agents)
+             + ["collision_static"] * len(scene.clutter))
+    centers, halves, cos, sin = box_columns(box_table((*scene.agents, *scene.clutter)),
+                                            eval_cfg.ego_radius)
     live = np.ones(len(kinds), dtype=bool)
 
     state = (*scene.route_start[:3], 0.0)  # x, y, heading, speed
