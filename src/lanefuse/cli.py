@@ -250,18 +250,25 @@ def _csv_rows(path: Path) -> list[tuple[int, dict[str, str]]]:
     return rows
 
 
+def _csv_text(path: Path, line: int, row: dict[str, str], column: str) -> str:
+    """``row[column]``; a missing column is a ValueError naming the file,
+    line and column."""
+    if column not in row:
+        raise ValueError(f"{path.name} line {line} column {column!r}: no such column")
+    return row[column]
+
+
 def _csv_number(path: Path, line: int, row: dict[str, str], column: str) -> float:
     """``row[column]`` as a finite float; a missing column, a non-number or
     a non-finite value is a ValueError naming the file, line and column."""
+    text = _csv_text(path, line, row, column)
     where = f"{path.name} line {line} column {column!r}"
-    if column not in row:
-        raise ValueError(f"{where}: no such column")
     try:
-        value = float(row[column])
+        value = float(text)
     except ValueError:
-        raise ValueError(f"{where}: not a number: {row[column]!r}") from None
+        raise ValueError(f"{where}: not a number: {text!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"{where}: not finite: {row[column]!r}")
+        raise ValueError(f"{where}: not finite: {text!r}")
     return value
 
 
@@ -273,8 +280,9 @@ def cmd_export_plot(args) -> int:
     counts_csv = results / "feature_counts.csv"
     if counts_csv.exists():
         groups = [
-            (r["scene_id"], [(label, _csv_number(counts_csv, line, r, f"{label}_count"))
-                             for label in ("voxel", "pillar", "lane_level")])
+            (_csv_text(counts_csv, line, r, "scene_id"),
+             [(label, _csv_number(counts_csv, line, r, f"{label}_count"))
+              for label in ("voxel", "pillar", "lane_level")])
             for line, r in _csv_rows(counts_csv)
         ]
         atomic_write_text(plots / "feature_counts.svg",
@@ -283,7 +291,8 @@ def cmd_export_plot(args) -> int:
 
     latency_csv = results / "latency.csv"
     if latency_csv.exists():
-        groups = [(f'{r["stage"]} [{r["variant"]}]',
+        groups = [(f'{_csv_text(latency_csv, line, r, "stage")} '
+                   f'[{_csv_text(latency_csv, line, r, "variant")}]',
                    [(label, _csv_number(latency_csv, line, r, f"{label}_ms"))
                     for label in ("median", "p95")])
                   for line, r in _csv_rows(latency_csv)]
@@ -373,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
         # floating-point warnings would only add lines before them.
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except (ValueError, KeyError, OSError, AttentionInvariantError) as exc:
+    except (ValueError, OSError, AttentionInvariantError) as exc:
         log.error("%s", exc)
         return 2
 

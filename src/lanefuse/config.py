@@ -62,6 +62,8 @@ class RunConfig:
     eval_config: EvalConfig = field(default_factory=EvalConfig)
 
     def __post_init__(self):
+        if self.n_p % 2 != 0 or self.n_p < 4:  # generate_scene's bound
+            raise ValueError(f"n_p must be even and >= 4, got {self.n_p}")
         self.block_config()  # the model-shape checks
         for name in ("r_max", "lidar_density", "horizon"):
             if not getattr(self, name) > 0.0:  # NaN fails too
@@ -77,8 +79,6 @@ class RunConfig:
         if self.horizon / self.controller.dt > MAX_EPISODE_STEPS:
             raise ValueError(f"horizon {self.horizon!r} s at controller.dt {self.controller.dt!r} s "
                              f"takes more than {MAX_EPISODE_STEPS} steps")
-        if self.n_p % 2 != 0 or self.n_p < 4:  # generate_scene's bound
-            raise ValueError(f"n_p must be even and >= 4, got {self.n_p}")
         if not isinstance(self.bench_repeats, int) or self.bench_repeats < 1:
             raise ValueError(f"bench_repeats must be an int >= 1, got {self.bench_repeats!r}")
         if self.suite not in SUITE_NAMES:

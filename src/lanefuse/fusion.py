@@ -87,7 +87,7 @@ class BlockConfig:
     view_w: int
 
     def __post_init__(self):
-        for name in ("n_d", "e_dim", "k_layers", "c_channels", "view_h", "view_w"):
+        for name in ("n_d", "n_p", "e_dim", "k_layers", "c_channels", "view_h", "view_w"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)!r}")
         if self.heads < 1 or self.e_dim % self.heads != 0:
@@ -186,7 +186,7 @@ class ParamStore:
         merged = dict(self._blocks)
         for name, arr in updates.items():
             if name not in merged:
-                raise KeyError(f"unknown parameter block {name!r}")
+                raise ValueError(f"unknown parameter block {name!r}")
             if arr.size != merged[name].size:
                 raise ValueError(
                     f"block {name!r}: expected {merged[name].size} elements, got {arr.size}"

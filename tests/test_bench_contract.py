@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from lanefuse.cli import main
 from lanefuse.config import RunConfig
 from lanefuse.fusion import build_params
 from lanefuse.pipeline import run_pipeline
@@ -61,6 +62,18 @@ def test_forward_gate_passes_a_run_pipeline_result(harness):
     result = run_pipeline(scene, cfg, build_params(cfg.block_config()))
     assert run.forward_problems(result, cfg.n_d, cfg.n_p) == []
     assert run.forward_digest(result) == run.load_pinned("forward_reference", 42)["scene_00"]
+
+
+def test_closed_loop_gate_passes_a_gt_eval(harness, tmp_path):
+    """The closed_loop_gt gate's checks pass on a seed-42 gt eval of the
+    reference suite, and its digest is the pinned one: scene occupancy and
+    collisions feed it."""
+    _, run = harness
+    assert main(["eval", "--planner", "gt", "--suite", run.SUITE, "--seed-scene", "42",
+                 "--out", str(tmp_path)]) == 0
+    data = (tmp_path / "eval.json").read_bytes()
+    assert run.eval_problems(data, 10) == []
+    assert run.eval_digest(data) == run.load_pinned("closed_loop_gt", 42)["suite"]
 
 
 @pytest.mark.parametrize("workload", ["forward_reference", "forward_dense", "closed_loop_gt"])

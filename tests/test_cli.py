@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -156,6 +157,23 @@ class TestRun:
         assert len(errors) == 1 and errors[0].exc_info is None
         assert "truncated block header" in errors[0].getMessage()
         assert "\n" not in errors[0].getMessage()
+
+    def test_unknown_weight_block_exits_2_with_plain_message(self, tmp_path, fast_config,
+                                                             caplog):
+        out = tmp_path / "o"
+        main(["gen-scenes", "--config", fast_config, "--suite", "trivial",
+              "--out", str(out)])
+        name = b"no_such_block"
+        weights = tmp_path / "w.lfpw"
+        weights.write_bytes(b"LFPW" + struct.pack("<H", len(name)) + name
+                            + struct.pack("<Q", 1) + struct.pack("<d", 1.0))
+        caplog.clear()
+        code = main(["run", "--config", fast_config, "--scene", str(out / "scene_00.json"),
+                     "--out", str(out), "--params", str(weights)])
+        assert code == 2
+        (error,) = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert error.exc_info is None
+        assert error.getMessage() == "unknown parameter block 'no_such_block'"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself warns
     def test_overflowing_weights_exit_2_naming_attention_check(self, tmp_path, fast_config,
@@ -516,9 +534,16 @@ class TestExportPlot:
          "latency.csv line 2 column 'p95_ms': not a number"),
         ("latency.csv", "stage,median_ms,variant\nview_synth,0.5,a\n",
          "latency.csv line 2 column 'p95_ms': no such column"),
+        ("feature_counts.csv", "voxel_count,pillar_count,lane_level_count\n10,5,1\n",
+         "feature_counts.csv line 2 column 'scene_id': no such column"),
+        ("latency.csv", "median_ms,p95_ms,variant\n0.5,1.0,a\n",
+         "latency.csv line 2 column 'stage': no such column"),
+        ("latency.csv", "stage,median_ms,p95_ms\nview_synth,0.5,1.0\n",
+         "latency.csv line 2 column 'variant': no such column"),
     ], ids=["run-dump-list", "run-dump-null", "counts-short-row", "latency-short-row",
             "counts-nan", "counts-inf", "counts-text", "counts-no-column",
-            "latency-nan", "latency-inf", "latency-text", "latency-no-column"])
+            "latency-nan", "latency-inf", "latency-text", "latency-no-column",
+            "counts-no-scene-id", "latency-no-stage", "latency-no-variant"])
     def test_malformed_input_exits_2_naming_it(self, tmp_path, caplog, name, text, where):
         out = tmp_path / "r"
         out.mkdir()

@@ -513,7 +513,7 @@ class TestParamStore:
             load_params(param_store, path)
 
     def test_unknown_block_rejected(self, param_store):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="^unknown parameter block 'nope.w'$"):
             param_store.replaced({"nope.w": np.zeros(3)})
 
     def test_size_mismatch_rejected(self, param_store):
@@ -578,6 +578,7 @@ def test_invalid_block_configs_rejected():
         ({"e_dim": 0}, "e_dim must be >= 1, got 0"),
         ({"n_d": 0}, "n_d must be >= 1, got 0"),
         ({"c_channels": 0}, "c_channels must be >= 1, got 0"),
+        ({"n_p": 0}, "n_p must be >= 1, got 0"),
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             block(**changes)
