@@ -205,20 +205,19 @@ def _ground_truth(
     points = np.zeros((n_d, n_p, 3))
     occ = np.zeros((n_d, n_p), dtype=np.int64)
     plan = np.zeros((n_d, n_p), dtype=np.int64)
-    table = box_table(agents)
-    for i, line in enumerate(centerlines):
-        mid = resample_polyline(line, half)
-        tang = np.gradient(mid[:, :2], axis=0)
+    mids = [resample_polyline(line, half)[:, :2] for line in centerlines]
+    for i, mid in enumerate(mids):
+        tang = np.gradient(mid, axis=0)
         norm = np.linalg.norm(tang, axis=1, keepdims=True)
         tang = tang / np.where(norm == 0.0, 1.0, norm)
         left_n = np.column_stack([-tang[:, 1], tang[:, 0]])
-        points[i, :half, :2] = mid[:, :2] + left_n * (lane_width / 2.0)
-        points[i, half:, :2] = mid[:, :2] - left_n * (lane_width / 2.0)
-        points[i, :, 2] = 0.0
-        for j in boxes_entered(mid[:, :2], table, 0.0):  # lane samples inside an agent
-            occ[i, j] = occ[i, half + j] = 1
+        points[i, :half, :2] = mid + left_n * (lane_width / 2.0)
+        points[i, half:, :2] = mid - left_n * (lane_width / 2.0)
         if i == route_lane:
             plan[i, :] = 1
+    for row in boxes_entered(np.concatenate(mids), box_table(agents), 0.0):  # inside an agent
+        i, j = divmod(row, half)
+        occ[i, j] = occ[i, half + j] = 1
     return DoubleEdgeSet(points, occ, plan, int_flags, dir_flags)
 
 

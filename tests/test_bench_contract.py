@@ -1,8 +1,9 @@
 """What the benchmark harness under ``lfbench/`` reads of the program.
 
 The harness traces the functions its span table names and digests fields of
-each ``run_pipeline`` result. A rename on either side fails here in seconds,
-where the benchmark would instead zero a per-layer metric or fail its run.
+each ``run_pipeline`` result and the ``eval.json`` of each gt eval. A rename
+on either side fails here in seconds, where the benchmark would instead zero
+a per-layer metric or fail its run.
 The harness modules are loaded by path; no file under ``lfbench/`` changes.
 """
 
