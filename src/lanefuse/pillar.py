@@ -143,62 +143,60 @@ def _roi_xy(roi: np.ndarray) -> np.ndarray:
     return pts.reshape(-1, pts.shape[-1])[:, :2]
 
 
+def _floor_cells(xy: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """The (ix, iy) cells ``floor((p - lo) / res)`` of (N, 2) points, as floats."""
+    return np.floor((xy - np.array(spec.bounds_min[:2])) / np.array(spec.resolution[:2]))
+
+
 def _window_points(pts: np.ndarray, spec: GridSpec, roi: np.ndarray,
-                   r_max: float) -> np.ndarray:
+                   r_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Ascending indices of the in-bounds points whose cell lies within
     ``rings = ceil(r_max / min(dx, dy)) + 1`` cells (Chebyshev) of the cell
-    of at least one ROI point.
-
-    Every cell center within ``r_max`` of an ROI point lies in that point's
-    window, so :func:`lane_sample` over these points picks what it would
-    pick over the full cloud. An ROI cell further than ``rings`` outside the
-    grid is clamped to just beyond that distance: its window stays free of
-    grid cells, and the integer cast stays defined for any finite coordinate.
+    of at least one ROI point, and those points' (ix, iy) cells. Every cell
+    center within ``r_max`` of an ROI point lies in that point's window, so
+    :func:`lane_sample` picks from these points what it would pick from the
+    full cloud. Each window is cut to the grid in floats (a far ROI point
+    misses it, an inf ``rings`` covers it), and all are drawn in one pass:
+    +1/-1 at each window's corners, then a cumsum along each axis.
     """
-    rings = int(math.ceil(r_max / min(spec.resolution[0], spec.resolution[1]))) + 1
-    xy = _roi_xy(roi)
-    origin = np.array(spec.bounds_min[:2])
-    res = np.array(spec.resolution[:2])
-    last = np.floor((np.array(spec.bounds_max[:2]) - origin) / res)
-    cells = np.clip(np.floor((xy - origin) / res), -rings - 1, last + rings + 1).astype(np.int64)
-    if len(cells) == 0 or pts.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    lo = cells.min(axis=0) - rings
-    shape = cells.max(axis=0) + rings + 1 - lo
-    # Coarse cut on raw coordinates first, one cell wider on each side than
-    # the windows so that quantization rounding cannot drop a point.
-    box_lo = origin + (lo - 1) * res
-    box_hi = origin + (lo + shape + 1) * res
-    x = pts[:, 0]
-    near = np.flatnonzero((x >= box_lo[0]) & (x < box_hi[0]))
+    origin, res = np.array(spec.bounds_min[:2]), np.array(spec.resolution[:2])
+    rings = np.ceil(r_max / res.min()) + 1.0
+    roi_cells = _floor_cells(_roi_xy(roi), spec)
+    w_lo = np.maximum(roi_cells - rings, 0.0)
+    w_hi = np.minimum(roi_cells + rings, _floor_cells(np.array(spec.bounds_max[:2]), spec))
+    hit = np.all(w_lo <= w_hi, axis=1)  # inf - inf is NaN: a miss
+    if not hit.any() or pts.size == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
+    w_lo, w_hi = w_lo[hit].astype(np.int64), w_hi[hit].astype(np.int64) + 1
+    lo, hi = w_lo.min(axis=0), w_hi.max(axis=0)
+    # the windows span [lo, hi); a spare zero cell on each side takes the rest
+    count = np.zeros(hi - lo + 2, dtype=np.int64)
+    for xs, sx in ((w_lo[:, 0], 1), (w_hi[:, 0], -1)):
+        for ys, sy in ((w_lo[:, 1], 1), (w_hi[:, 1], -1)):
+            np.add.at(count, (xs - lo[0] + 1, ys - lo[1] + 1), sx * sy)
+    window = count.cumsum(axis=0).cumsum(axis=1) > 0
+    # coarse cut on raw coordinates, a cell wider than the windows against rounding
+    box_lo, box_hi = origin + (lo - 1) * res, origin + (hi + 1) * res
+    near = np.flatnonzero((pts[:, 0] >= box_lo[0]) & (pts[:, 0] < box_hi[0]))
     y = pts[near, 1]
     near = near[(y >= box_lo[1]) & (y < box_hi[1])]
     near = near[_in_bounds_mask(pts[near], spec)]
-    idx = np.floor((pts[near, :2] - origin) / res).astype(np.int64) - lo
-    inside = np.all((idx >= 0) & (idx < shape), axis=1)
-    near, idx = near[inside], idx[inside]
-    window = np.zeros(shape, dtype=bool)
-    off = np.arange(-rings, rings + 1)
-    wx = cells[:, 0, None] - lo[0] + off
-    wy = cells[:, 1, None] - lo[1] + off
-    window[wx[:, :, None], wy[:, None, :]] = True
-    return near[window[idx[:, 0], idx[:, 1]]]
+    cells = _floor_cells(pts[near, :2], spec).astype(np.int64)
+    inside = window[tuple(np.clip(cells - lo + 1, 0, hi - lo + 1).T)]
+    return near[inside], cells[inside]
 
 
-def _bin(pts: np.ndarray, keep: np.ndarray, spec: GridSpec) -> PillarSet:
-    """Pillars of the points ``pts[keep]`` (``keep`` ascending), grouped by
-    one stable sort on the cell key. Per-cell sums, minima and maxima take
-    the points in index order, so each cell is the same whichever other
-    points were binned."""
+def _bin(pts: np.ndarray, keep: np.ndarray, cells: np.ndarray, spec: GridSpec) -> PillarSet:
+    """Pillars of the points ``pts[keep]`` (``keep`` ascending, in the (ix,
+    iy) rows of ``cells``), grouped by one stable sort on the cell key.
+    Per-cell sums, minima and maxima take the points in index order, so
+    each cell is the same whichever other points were binned."""
     if keep.size == 0:
         return PillarSet(spec=spec, keys=np.zeros((0, 2), dtype=np.int64),
                          features=np.zeros((0, RAW_FEATURE_DIM)),
                          members=np.zeros(0, dtype=np.int64), offsets=np.zeros(1, dtype=np.int64))
-    origin = np.array(spec.bounds_min[:2])
-    res = np.array(spec.resolution[:2])
-    kept = pts[keep]
-    idx = np.floor((kept[:, :2] - origin) / res).astype(np.int64)
-    flat = idx[:, 0] * (int(idx[:, 1].max()) + 1) + idx[:, 1]
+    origin, res = np.array(spec.bounds_min[:2]), np.array(spec.resolution[:2])
+    flat = cells[:, 0] * (int(cells[:, 1].max()) + 1) + cells[:, 1]
     order = np.argsort(flat, kind="stable")
     flat = flat[order]
     starts = np.flatnonzero(np.r_[True, flat[1:] != flat[:-1]])
@@ -206,14 +204,14 @@ def _bin(pts: np.ndarray, keep: np.ndarray, spec: GridSpec) -> PillarSet:
     offsets = np.r_[starts, len(flat)]
     counts = np.diff(offsets)
     cell = np.repeat(np.arange(m), counts)
-    srt = kept[order]
+    srt = pts[keep[order]]
     sums = np.column_stack([np.bincount(cell, weights=srt[:, c], minlength=m) for c in range(3)])
     centroids = sums / counts[:, None]
     zmin = np.full(m, np.inf)
     zmax = np.full(m, -np.inf)
     np.minimum.at(zmin, cell, srt[:, 2])
     np.maximum.at(zmax, cell, srt[:, 2])
-    keys = idx[order[starts]]
+    keys = cells[order[starts]]
     centers = origin + (keys + 0.5) * res
     feats = np.column_stack([
         counts.astype(float), centroids, zmin, zmax, centroids[:, :2] - centers, np.zeros(m),
@@ -246,12 +244,13 @@ def pillarize(cloud: np.ndarray, spec: GridSpec, roi: np.ndarray | None = None,
     _check_single_z_bin(spec)
     pts = np.asarray(cloud, dtype=float)
     if roi is not None:
-        keep = _window_points(pts, spec, roi, r_max)
+        keep, cells = _window_points(pts, spec, roi, r_max)
     elif pts.size:
         keep = np.flatnonzero(_in_bounds_mask(pts, spec))
+        cells = _floor_cells(pts[keep, :2], spec).astype(np.int64)
     else:
-        keep = np.zeros(0, dtype=np.int64)
-    return _bin(pts, keep, spec)
+        keep, cells = np.zeros(0, dtype=np.int64), np.zeros((0, 2), dtype=np.int64)
+    return _bin(pts, keep, cells, spec)
 
 
 # A float64 square through ``** 2`` (pow) rounds differently from x * x in
