@@ -301,14 +301,18 @@ def cmd_export_plot(args) -> int:
         made_any = True
 
     for scene_path in _scene_files(results):
-        scene = scene_from_json(scene_path.read_bytes())
         run_dump = results / f"run_{scene_path.stem}.json"
-        if run_dump.exists():
-            dump = from_json(dict, json.loads(run_dump.read_text("utf-8")), run_dump.name)
-            path = from_json(PlannedPath, dump.get("path"), f"{run_dump.name} path")
-        else:
-            path = interpret_path(scene.ground_truth, scene.gt_speed)
-        atomic_write_text(plots / f"{scene_path.stem}.svg", scene_svg(scene, path=path))
+        try:
+            scene = scene_from_json(scene_path.read_bytes())
+            if run_dump.exists():
+                dump = from_json(dict, json.loads(run_dump.read_text("utf-8")), run_dump.name)
+                path = from_json(PlannedPath, dump.get("path"), f"{run_dump.name} path")
+            else:
+                path = interpret_path(scene.ground_truth, scene.gt_speed)
+            svg = scene_svg(scene, path=path)
+        except ValueError as exc:
+            raise ValueError(f"{scene_path.name}: {exc}") from None
+        atomic_write_text(plots / f"{scene_path.stem}.svg", svg)
         made_any = True
 
     if not made_any:

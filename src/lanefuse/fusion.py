@@ -29,8 +29,8 @@ from typing import Callable
 
 import numpy as np
 
-from .pillar import LaneWeights
-from .scene_synth import SIGNAL_CLASSES
+from .pillar import RAW_FEATURE_DIM, LaneWeights
+from .scene_synth import N_VIEWS, SIGNAL_CLASSES
 
 __all__ = [
     "CoarseLanePrior",
@@ -56,6 +56,20 @@ __all__ = [
 LAYER_NORM_EPS = 1e-5
 _FFN_MULT = 4
 COARSE_HIDDEN = 64  # width of the coarse prior head's hidden layer
+
+# Most tokens one attention may span, the image tokens (N_VIEWS * view_h *
+# view_w) or the lane queries (n_d * n_p); its (L, L) float64 score array
+# is the model's largest. A `run` at 4096 image tokens (view 32 x 32) took
+# 1.35 s at 316 MB peak RSS, and at 4080 lane queries (n_d 204) 1.44 s at
+# 322 MB; 8100 image tokens took 4.17 s at 1082 MB (Python 3.11, numpy,
+# 2-CPU x86-64 host; the defaults are 256 and 120).
+MAX_ATTENTION_TOKENS = 4096
+
+# Most parameter values (float64) one model may hold, counted block by block
+# before each is drawn. The default model holds 116,857. A `run` at e_dim
+# 512 (21.2M values) took 0.48 s at 212 MB peak RSS, and at k_layers 300
+# (12.8M) 1.70 s at 144 MB; so a refused model fills at most 256 MB first.
+MAX_PARAM_VALUES = 32_000_000
 
 
 class AttentionInvariantError(RuntimeError):
@@ -94,6 +108,13 @@ class BlockConfig:
             raise ValueError(f"e_dim {self.e_dim} not divisible by heads {self.heads}")
         if self.e_dim % 4 != 0:
             raise ValueError(f"e_dim must be divisible by 4 for 2D encoding, got {self.e_dim}")
+        image = N_VIEWS * self.view_h * self.view_w
+        if image > MAX_ATTENTION_TOKENS:
+            raise ValueError(f"view_h {self.view_h} x view_w {self.view_w} makes {image} image "
+                             f"tokens, more than the {MAX_ATTENTION_TOKENS} one attention may span")
+        if self.n_d * self.n_p > MAX_ATTENTION_TOKENS:
+            raise ValueError(f"n_d {self.n_d} x n_p {self.n_p} makes {self.n_d * self.n_p} lane "
+                             f"queries, more than the {MAX_ATTENTION_TOKENS} one attention may span")
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +133,22 @@ class ParamStore:
         """Lay the blocks out in their fixed order, taking each array from
         ``source(name, shape, fill)``; ``fill`` is a layer norm block's
         starting constant, None for a drawn block. This is the only place
-        block names and shapes are spelled."""
+        block names and shapes are spelled; a block that would take the
+        model past ``MAX_PARAM_VALUES`` values is refused before it is
+        drawn."""
         self.cfg = cfg
         self._blocks: dict[str, np.ndarray] = {}
         e = cfg.e_dim
+        values = 0
 
         def block(name: str, *shape: int, fill: float | None = None) -> np.ndarray:
+            nonlocal values
+            values += math.prod(shape)
+            if values > MAX_PARAM_VALUES:
+                raise ValueError(
+                    f"parameter block {name!r} {shape} takes the model past {MAX_PARAM_VALUES} "
+                    f"values (k_layers {cfg.k_layers}, e_dim {e}, n_d {cfg.n_d}, n_p {cfg.n_p}, "
+                    f"c_channels {cfg.c_channels})")
             arr = source(name, shape, fill)
             arr.setflags(write=False)
             self._blocks[name] = arr
@@ -143,9 +174,6 @@ class ParamStore:
             return norm(ln) + mlp(prefix, e, _FFN_MULT * e, e)
 
         layers = range(cfg.k_layers)
-        # fixed, not a parameter block: no name, so never saved or loaded
-        self.pos_enc = sinusoidal_encoding_2d(cfg.view_h, cfg.view_w, e)
-        self.pos_enc.setflags(write=False)
         self.tok_proj = block("tok_proj.w", e, cfg.c_channels)
         self.coarse = mlp("coarse", e, COARSE_HIDDEN, cfg.n_d * cfg.n_p * 3 + cfg.n_d)
         self.q_image = block("q_image", cfg.n_d, cfg.n_p, e)
@@ -156,7 +184,7 @@ class ParamStore:
                               attn(f"img_dec{i}.ln2", f"img_dec{i}.cross"),
                               ffn(f"img_dec{i}.ln3", f"img_dec{i}.ffn")) for i in layers)
         self.img_dec_final = norm("img_dec_final")
-        self.pillar_enc = affine("pillar_enc", cfg.c_channels, 9)
+        self.pillar_enc = affine("pillar_enc", cfg.c_channels, RAW_FEATURE_DIM)
         self.q_lift = affine("q_lift", e, cfg.c_channels)
         self.kv_lift = affine("kv_lift", e, cfg.c_channels)
         self.lid = tuple((attn(f"lid{i}.ln1", f"lid{i}.attn"),
@@ -169,6 +197,11 @@ class ParamStore:
         self.head_dir = affine("head_dir", 1, e)
         self.head_spd = affine("head_spd", 1, e)
         self.head_sig = affine("head_sig", len(SIGNAL_CLASSES), e)
+
+        # fixed, not a parameter block: no name, so never saved or loaded;
+        # built once every block has passed the size cap
+        self.pos_enc = sinusoidal_encoding_2d(cfg.view_h, cfg.view_w, e)
+        self.pos_enc.setflags(write=False)
 
         # img_dec0's self-attention reads only the parameter q_image, so it
         # runs here, once per store, and the first decoder layer starts from it

@@ -349,6 +349,9 @@ def compute_losses(pred: Predictions, pred_roi: np.ndarray, gt: DoubleEdgeSet,
 # ---------------------------------------------------------------------------
 
 
+_GRAD_COORDS = 10  # coordinates finite-differenced per gradient-check point
+
+
 @dataclass(frozen=True)
 class GradCheckResult:
     loss_name: str
@@ -410,12 +413,14 @@ def _grad_case(loss_name: str, rng: np.random.Generator,
 
 
 def grad_check(loss_name: str, seed: int = 0, points: int = 100, step: float = 1e-5,
-               coords: int = 10, cfg: LossConfig | None = None) -> GradCheckResult:
+               cfg: LossConfig | None = None) -> GradCheckResult:
     """Compare analytic gradients against central finite differences at
-    randomized non-degenerate points; returns the max relative error over the
-    sampled coordinates."""
+    ``points`` randomized non-degenerate points, ``_GRAD_COORDS`` sampled
+    coordinates each; returns the max relative error over them."""
     if step <= 0:
         raise ValueError("step must be > 0")
+    if points < 1:  # no point checked would pass vacuously
+        raise ValueError(f"gradcheck points must be >= 1, got {points}")
     if loss_name not in LOSS_NAMES:
         raise KeyError(f"unknown loss {loss_name!r}")
     cfg = cfg or LossConfig()
@@ -430,7 +435,7 @@ def grad_check(loss_name: str, seed: int = 0, points: int = 100, step: float = 1
             continue
         _, grad = fn(x0)
         flat = x0.ravel()
-        n_coords = min(coords, flat.size)
+        n_coords = min(_GRAD_COORDS, flat.size)
         picks = rng.choice(flat.size, size=n_coords, replace=False)
         for idx in picks:
             xp = flat.copy()

@@ -160,7 +160,7 @@ def _window_points(pts: np.ndarray, spec: GridSpec, roi: np.ndarray,
     +1/-1 at each window's corners, then a cumsum along each axis.
     """
     origin, res = np.array(spec.bounds_min[:2]), np.array(spec.resolution[:2])
-    rings = np.ceil(r_max / res.min()) + 1.0
+    rings = np.ceil(r_max / min(spec.resolution[:2])) + 1.0  # an overflow is inf
     roi_cells = _floor_cells(_roi_xy(roi), spec)
     w_lo = np.maximum(roi_cells - rings, 0.0)
     w_hi = np.minimum(roi_cells + rings, _floor_cells(np.array(spec.bounds_max[:2]), spec))

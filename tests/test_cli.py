@@ -442,6 +442,18 @@ class TestGradcheckCommand:
         assert [r["loss_name"] for r in rows] == list(LOSS_NAMES)
         assert all(float(r["max_rel_err"]) < 1e-4 for r in rows)
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_no_points_exits_2(self, tmp_path, fast_config, caplog, points):
+        """A check over no points would pass vacuously."""
+        out = tmp_path / "g"
+        caplog.clear()
+        code = main(["gradcheck", "--config", fast_config, "--out", str(out),
+                     "--points", points])
+        assert code == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"gradcheck points must be >= 1, got {points}"]
+        assert not (out / "gradcheck.csv").exists()
+
     def test_corrupted_gradient_fails(self, tmp_path, fast_config, monkeypatch):
         core = heads_losses._plan_core
 
@@ -510,6 +522,9 @@ class TestExportPlot:
         assert np.allclose(got, want, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("name, text, where", [
+        ("scene_00.json", lambda obj: obj.pop("spec"), "scene_00.json: scene field spec: missing"),
+        ("scene_00.json", lambda obj: obj["ground_truth"].update(lanes=[], n_d=0),
+         "scene_00.json: zero-size array"),
         ("run_scene_00.json", "[]", "run_scene_00.json"),
         ("run_scene_00.json", "null", "run_scene_00.json"),
         ("feature_counts.csv", "scene_id,voxel_count,pillar_count,lane_level_count\n"
@@ -540,7 +555,8 @@ class TestExportPlot:
          "latency.csv line 2 column 'stage': no such column"),
         ("latency.csv", "stage,median_ms,p95_ms\nview_synth,0.5,1.0\n",
          "latency.csv line 2 column 'variant': no such column"),
-    ], ids=["run-dump-list", "run-dump-null", "counts-short-row", "latency-short-row",
+    ], ids=["scene-no-spec", "scene-no-lanes", "run-dump-list", "run-dump-null",
+            "counts-short-row", "latency-short-row",
             "counts-nan", "counts-inf", "counts-text", "counts-no-column",
             "latency-nan", "latency-inf", "latency-text", "latency-no-column",
             "counts-no-scene-id", "latency-no-stage", "latency-no-variant"])
@@ -549,6 +565,10 @@ class TestExportPlot:
         out.mkdir()
         scene = generate_scene(RunConfig().suite_specs()[0], n_p=20)
         (out / "scene_00.json").write_bytes(scene_to_json(scene))
+        if callable(text):  # a corruption of the scene object
+            obj = json.loads(scene_to_json(scene))
+            text(obj)
+            text = json.dumps(obj)
         (out / name).write_text(text)
         caplog.clear()
         assert main(["export-plot", "--results", str(out)]) == 2
@@ -699,6 +719,15 @@ class TestHostileInputs:
         pytest.param({"bounds_max": [170.0, -60.0, 8.0]},
                      "config.bounds_min must be below bounds_max on every axis",
                      id="bounds-empty"),
+        pytest.param({"view_h": 100, "view_w": 100},
+                     "config.view_h 100 x view_w 100 makes 40000 image tokens, more than the "
+                     "4096 one attention may span", id="view-beyond-token-cap"),
+        pytest.param({"n_d": 2000, "n_p": 20},
+                     "config.n_d 2000 x n_p 20 makes 40000 lane queries, more than the 4096",
+                     id="lane-queries-beyond-token-cap"),
+        pytest.param({"pillar_resolution": [1e-4, 1e-4, 8.0]},
+                     "config.pillar_resolution (0.0001, 0.0001, 8.0) makes a 1.9e+06 x 1.9e+06 "
+                     "cell grid, more than the 4000000 cells", id="pillar-grid-beyond-cell-cap"),
     ])
     def test_config_field_exits_2_naming_it(self, tmp_path, caplog, config, field):
         bad = tmp_path / "bad.json"
@@ -723,6 +752,49 @@ class TestHostileInputs:
         assert code == 2
         assert field in self.one_error(caplog)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("r_max", [1e6, 1e308])
+    def test_huge_r_max_runs(self, tmp_path, scene_obj, r_max):
+        """A window past the grid covers the grid; r_max / dx may overflow."""
+        scene, cfg = tmp_path / "scene.json", tmp_path / "cfg.json"
+        scene.write_text(json.dumps(scene_obj))
+        cfg.write_text(json.dumps({"r_max": r_max}))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(cfg), "--scene", str(scene), "--out", str(out)]) == 0
+        assert json.loads((out / "run_scene.json").read_text())["losses"]
+
+    @pytest.mark.parametrize("config, field", [
+        ({"view_h": 100, "view_w": 100}, "config.view_h 100 x view_w 100 makes 40000 image"),
+        ({"n_d": 2000, "n_p": 20}, "config.n_d 2000 x n_p 20 makes 40000 lane queries"),
+        ({"e_dim": 40000}, "parameter block 'img_enc0.attn.wq' (40000, 40000) takes the model "
+                           "past 32000000 values (k_layers 2, e_dim 40000"),
+        ({"k_layers": 100000}, "takes the model past 32000000 values (k_layers 100000, e_dim 32"),
+        ({"c_channels": 10 ** 7}, "parameter block 'tok_proj.w' (32, 10000000) takes the model "
+                                  "past 32000000 values"),
+        ({"pillar_resolution": [1e-4, 1e-4, 8.0]}, "config.pillar_resolution (0.0001, 0.0001, "
+                                                    "8.0) makes a 1.9e+06 x 1.9e+06 cell grid"),
+    ], ids=["view", "lane-queries", "e_dim", "k_layers", "c_channels", "pillar-grid"])
+    def test_model_beyond_size_caps_run_exits_2(self, tmp_path, scene_obj, config, field):
+        """Each cap refuses before the array it guards is allocated: the run
+        ends in one line within a 3 GB address space."""
+        import resource
+
+        import lanefuse
+
+        scene, bad = tmp_path / "scene.json", tmp_path / "bad.json"
+        scene.write_text(json.dumps(scene_obj))
+        bad.write_text(json.dumps(config))
+        limit = 3 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "lanefuse.cli", "run", "--config", str(bad),
+             "--scene", str(scene), "--out", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": str(Path(lanefuse.__file__).resolve().parents[1]),
+                 "LFP_LOG": "WARNING"},
+            capture_output=True, text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 2, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("ERROR lanefuse: ") and field in line
 
     def test_cloud_beyond_cap_run_exits_2(self, tmp_path, caplog, scene_obj):
         scene, bad = tmp_path / "scene.json", tmp_path / "bad.json"

@@ -201,21 +201,37 @@ class TestPillarize:
         pts[:, 2] = rng.uniform(0, 7.9, 3000)
         roi_pts = rng.uniform(-12, 12, (2, 5, 3))
         full = pillarize(pts, spec)
-        part = pillarize(pts, spec, roi=roi_pts, r_max=1.0)
-        rings = math.ceil(1.0 / 0.5) + 1
-        roi_cells = [(math.floor((x + 10.0) / 0.5), math.floor((y + 10.0) / 0.5))
-                     for x, y, _ in roi_pts.reshape(-1, 3)]
         full_rows = {key: k for k, key in enumerate(map(tuple, full.keys.tolist()))}
-        expected = [key for key in full_rows
-                    if any(max(abs(key[0] - cx), abs(key[1] - cy)) <= rings
-                           for cx, cy in roi_cells)]
-        assert 0 < len(part) < len(full)
-        assert list(map(tuple, part.keys.tolist())) == expected
-        for k, key in enumerate(expected):
-            f = full_rows[key]
-            assert np.array_equal(part.features[k], full.features[f])
-            assert np.array_equal(part.members[part.offsets[k]:part.offsets[k + 1]],
-                                  full.members[full.offsets[f]:full.offsets[f + 1]])
+        straddling = rng.uniform(-12, 12, (2, 5, 3))
+        straddling[0, :, 0] = rng.uniform(9.0, 11.0, 5)  # across the x = 10 edge
+        straddling[1, :, 1] = rng.uniform(-11.0, -9.2, 5)  # across the y = -10 edge
+        cases = [  # (roi, r_max, how many of the full set's cells are binned)
+            (roi_pts, 1.0, "some"),
+            (rng.uniform(-12, 12, (2, 5, 3)), 30.0, "all"),  # every window covers the grid
+            (rng.uniform(-12, 12, (2, 5, 3)), 1e308, "all"),  # r_max / dx overflows to inf
+            (rng.uniform(-12, 12, (2, 5, 3)) + [40.0, -25.0, 0.0], 1.0, "none"),  # off the grid
+            (np.full((1, 2, 3), 1e300), 1e-300, "none"),  # far, a cell index past int64
+            (straddling, 1.0, "some"),
+        ]
+        for roi_pts, r_max, share in cases:
+            part = pillarize(pts, spec, roi=roi_pts, r_max=r_max)
+            q = r_max / 0.5
+            rings = math.ceil(q) + 1 if math.isfinite(q) else math.inf
+            roi_cells = [(math.floor((x + 10.0) / 0.5), math.floor((y + 10.0) / 0.5))
+                         for x, y, _ in roi_pts.reshape(-1, 3)]
+            expected = [key for key in full_rows
+                        if any(max(abs(key[0] - cx), abs(key[1] - cy)) <= rings
+                               for cx, cy in roi_cells)]
+            if share == "some":
+                assert 0 < len(part) < len(full)
+            else:
+                assert len(part) == (len(full) if share == "all" else 0)
+            assert list(map(tuple, part.keys.tolist())) == expected
+            for k, key in enumerate(expected):
+                f = full_rows[key]
+                assert np.array_equal(part.features[k], full.features[f])
+                assert np.array_equal(part.members[part.offsets[k]:part.offsets[k + 1]],
+                                      full.members[full.offsets[f]:full.offsets[f + 1]])
 
     def test_multi_z_bin_grid_rejected(self):
         with pytest.raises(ValueError, match="single z bin"):
